@@ -14,12 +14,12 @@ from opspectra import (
     FirFilter,
     apply_filter,
     apply_fir_time,
-    check_filterable,
     compose_transfer,
     fir_to_transfer,
     invert_transfer,
     pushforward_povm,
     sample_gaussian_measure,
+    square_integrability_check,
     synthesize_process,
 )
 from opspectra.synthetic import (
@@ -58,7 +58,8 @@ nu_small = random_povm(rng, 3, 4, ranks=[1, 2, 3, 2])
 theta = random_conditioned_transfer(rng, 3, nu_small.freqs, cond=100)
 theta_inv = invert_transfer(theta, nu_small)
 print("inverse applicable to the filtered measure:",
-      bool(check_filterable(theta_inv, pushforward_povm(theta, nu_small))))
+      bool(square_integrability_check(
+          theta_inv, pushforward_povm(theta, nu_small))))
 
 w_small = sample_gaussian_measure(nu_small, 8, seed=2)
 back = apply_filter(theta_inv, apply_filter(theta, w_small))

@@ -55,7 +55,6 @@ from .errors import (
 from .filtering import (
     apply_filter,
     apply_fir_time,
-    check_filterable,
     compose_transfer,
     fir_to_transfer,
     invert_transfer,
@@ -127,7 +126,6 @@ __all__ = [
     "apply_filter",
     "apply_fir_time",
     "autocov_from_povm",
-    "check_filterable",
     "ckl_completeness_residual",
     "ckl_component",
     "ckl_decompose",

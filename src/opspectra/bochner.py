@@ -20,6 +20,7 @@ from .errors import (
     CoverageError,
     DimensionError,
     NotPositiveTypeError,
+    PositivityError,
     SampleSizeError,
 )
 from .operators import psd_check
@@ -90,15 +91,13 @@ def autocov_from_povm(nu: AtomicTracePovm, max_lag: int) -> AutocovarianceSequen
     return AutocovarianceSequence(dim=nu.dim, max_lag=max_lag, values=values)
 
 
-def povm_from_autocov_grid(
-    gamma: AutocovarianceSequence, m: int, psd_tol: float = 1e-8
-) -> AtomicTracePovm:
+def povm_from_autocov_grid(gamma: AutocovarianceSequence, m: int) -> AtomicTracePovm:
     """Recover the atoms of a grid-supported measure from ``Gamma``.
 
     Assumes the sequence was generated by atoms on the M-point grid and
     computes ``nu_k = (1/M) sum_{h=0}^{M-1} Gamma(h) exp(-i lambda_k h)``.
-    Every recovered atom must be PSD within ``psd_tol``; otherwise the
-    input is rejected as not of positive type on this grid.
+    Every recovered atom must pass the measure's PSD validation; otherwise
+    the input is rejected as not of positive type on this grid.
     """
     if gamma.max_lag < m - 1:
         raise CoverageError(
@@ -109,13 +108,12 @@ def povm_from_autocov_grid(
     stacked = np.stack([gamma.gamma(h) for h in range(m)])
     phases = np.exp(-1j * np.outer(freqs, np.arange(m)))
     weights = np.einsum("kh,hmn->kmn", phases, stacked) / m
-    for k, w in enumerate(weights):
-        if not psd_check(w, psd_tol):
-            raise NotPositiveTypeError(
-                f"recovered atom {k} (frequency {freqs[k]:+.6f}) is not PSD:"
-                " the sequence is not of positive type on this grid"
-            )
-    return AtomicTracePovm(dim=gamma.dim, freqs=freqs, weights=weights)
+    try:
+        return AtomicTracePovm(dim=gamma.dim, freqs=freqs, weights=weights)
+    except PositivityError as exc:
+        raise NotPositiveTypeError(
+            f"recovered {exc}: the sequence is not of positive type on this grid"
+        ) from exc
 
 
 def _block_matrix(gamma: AutocovarianceSequence, times) -> np.ndarray:

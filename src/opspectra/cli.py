@@ -23,6 +23,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .bochner import autocov_from_povm, povm_from_autocov_grid
 from .decomposition import ckl_decompose, hfpca_report
 from .errors import OpSpectraError
@@ -82,48 +84,75 @@ def _info(message: str) -> None:
         print(message)
 
 
-def _read_input(path):
-    try:
-        return read_json(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read input {path!r}: {exc}") from exc
-
-
 def _require(config: dict, key: str):
     if key not in config:
         raise ConfigError(f"config is missing the required key {key!r}")
     return config[key]
 
 
-def _load_povm(config: dict, key: str = "povm"):
-    ref = _require(config, key)
-    if ref == "bundled":
-        return bundled_example_povm()
-    return decode_povm(_read_input(ref))
+def _parse(config: dict, key: str, convert, default=None):
+    """``convert(config[key])``; a missing key (without a default) or a value
+    that ``convert`` rejects is unusable configuration."""
+    value = _require(config, key) if default is None else config.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        message = f"config key {key!r} has the unusable value {value!r}"
+        raise ConfigError(message) from exc
 
 
 def _positive_int(config: dict, key: str) -> int:
-    value = int(_require(config, key))
+    value = _parse(config, key, int)
     if value <= 0:
         raise ConfigError(f"config key {key!r} must be positive")
     return value
 
 
-def _out_path(config: dict) -> str:
-    return _require(config, "out")
+def _load(config: dict, key: str, decode):
+    """Read the JSON file named by ``config[key]`` and decode it.
+
+    Unreadable files and documents the decoder cannot parse are unusable
+    configuration; domain errors raised while building the value pass
+    through.
+    """
+    path = _parse(config, key, os.fspath)
+    try:
+        obj = read_json(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read input {path!r}: {exc}") from exc
+    try:
+        return decode(obj)
+    except OpSpectraError:
+        raise
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"input {path!r} is malformed: {exc!r}") from exc
+
+
+def _load_povm(config: dict):
+    if config.get("povm") == "bundled":
+        return bundled_example_povm()
+    return _load(config, "povm", decode_povm)
+
+
+def _write(config: dict, obj) -> None:
+    path = _parse(config, "out", os.fspath)
+    try:
+        write_json(obj, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
 
 
 def _cmd_simulate(config: dict) -> int:
     nu = _load_povm(config)
     n_real = _positive_int(config, "realizations")
     period = _positive_int(config, "period")
-    seed = int(config.get("seed", 0))
+    seed = _parse(config, "seed", int, 0)
     if config.get("real", False):
         w = sample_real_gaussian_measure(nu, n_real, seed)
     else:
         w = sample_gaussian_measure(nu, n_real, seed)
     series = synthesize_process(w, period)
-    write_json(encode_series(series), _out_path(config))
+    _write(config, encode_series(series))
     _info(f"simulated {n_real} realizations over period {period}")
     return 0
 
@@ -131,33 +160,30 @@ def _cmd_simulate(config: dict) -> int:
 def _cmd_autocov(config: dict) -> int:
     nu = _load_povm(config)
     max_lag = _positive_int(config, "max_lag")
-    write_json(encode_autocov(autocov_from_povm(nu, max_lag)), _out_path(config))
+    _write(config, encode_autocov(autocov_from_povm(nu, max_lag)))
     _info(f"wrote autocovariance up to lag {max_lag}")
     return 0
 
 
 def _cmd_fit_grid(config: dict) -> int:
-    gamma = decode_autocov(_read_input(_require(config, "autocov")))
+    gamma = _load(config, "autocov", decode_autocov)
     m = _positive_int(config, "period")
-    psd_tol = float(config.get("psd_tol", 1e-8))
-    nu = povm_from_autocov_grid(gamma, m, psd_tol=psd_tol)
-    write_json(encode_povm(nu), _out_path(config))
+    _write(config, encode_povm(povm_from_autocov_grid(gamma, m)))
     _info(f"recovered {m} grid atoms")
     return 0
 
 
 def _cmd_filter(config: dict) -> int:
     if "fir" in config and "series" in config:
-        fir = decode_fir(_read_input(config["fir"]))
-        series = decode_series(_read_input(config["series"]))
-        out = apply_fir_time(fir, series)
-        write_json(encode_series(out), _out_path(config))
+        fir = _load(config, "fir", decode_fir)
+        series = _load(config, "series", decode_series)
+        _write(config, encode_series(apply_fir_time(fir, series)))
         _info("applied FIR filter in the time domain")
         return 0
     if "transfer" in config and "povm" in config:
-        phi = decode_transfer(_read_input(config["transfer"]))
+        phi = _load(config, "transfer", decode_transfer)
         nu = _load_povm(config)
-        write_json(encode_povm(pushforward_povm(phi, nu)), _out_path(config))
+        _write(config, encode_povm(pushforward_povm(phi, nu)))
         _info("wrote the pushforward spectral measure")
         return 0
     raise ConfigError(
@@ -166,22 +192,22 @@ def _cmd_filter(config: dict) -> int:
 
 
 def _cmd_compose(config: dict) -> int:
-    outer_tf = decode_transfer(_read_input(_require(config, "outer")))
-    inner_tf = decode_transfer(_read_input(_require(config, "inner")))
-    rank_tol = float(config.get("rank_tol", 1e-12))
+    outer_tf = _load(config, "outer", decode_transfer)
+    inner_tf = _load(config, "inner", decode_transfer)
+    rank_tol = _parse(config, "rank_tol", float, 1e-12)
     composed = compose_transfer(outer_tf, inner_tf, rank_tol=rank_tol)
-    write_json(encode_transfer(composed), _out_path(config))
+    _write(config, encode_transfer(composed))
     _info("wrote the composed transfer function")
     return 0
 
 
 def _cmd_invert(config: dict) -> int:
-    phi = decode_transfer(_read_input(_require(config, "transfer")))
+    phi = _load(config, "transfer", decode_transfer)
     nu = _load_povm(config)
-    rank_tol = float(config.get("rank_tol", 1e-10))
+    rank_tol = _parse(config, "rank_tol", float, 1e-10)
     strict = bool(config.get("strict_injectivity", False))
     inverse = invert_transfer(phi, nu, rank_tol=rank_tol, strict=strict)
-    write_json(encode_transfer(inverse), _out_path(config))
+    _write(config, encode_transfer(inverse))
     _info("wrote the inverse transfer function")
     return 0
 
@@ -204,16 +230,16 @@ def _cmd_ckl(config: dict) -> int:
                 "base_weight": float(sys_.base_weights[j]),
             }
         )
-    write_json({"dim": sys_.dim, "atoms": atoms}, _out_path(config))
+    _write(config, {"dim": sys_.dim, "atoms": atoms})
     _info(f"wrote eigendecompositions of {sys_.n_atoms} atoms")
     return 0
 
 
 def _cmd_hfpca(config: dict) -> int:
     nu = _load_povm(config)
-    q = _require(config, "q")
+    q = _parse(config, "q", lambda v: np.asarray(v, dtype=np.int64))
     report = hfpca_report(nu, q)
-    write_json(report, _out_path(config))
+    _write(config, report)
     _info(
         f"optimal error {report['optimal_error']:.6e},"
         f" achieved {report['achieved_error']:.6e}"
@@ -222,12 +248,11 @@ def _cmd_hfpca(config: dict) -> int:
 
 
 def _cmd_verify(config: dict) -> int:
-    seed = int(config.get("seed", 20260809))
+    seed = _parse(config, "seed", int, 20260809)
     povm = _load_povm(config) if "povm" in config else None
     results = run_battery(seed=seed, povm=povm)
-    out = config.get("out")
-    if out is not None:
-        emit_report(results, out)
+    if "out" in config:
+        _write(config, emit_report(results))
     if _verbosity() >= 1:
         print(human_summary(results))
     return 0 if all(r.passed for r in results) else 1

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .filtering import apply_filter, check_filterable
-from .operators import hermitian_eig, psd_sqrt
-from .povm import AtomicTracePovm, radon_nikodym
+from .filtering import apply_filter
+from .operators import hermitian_eig
+from .povm import AtomicTracePovm, radon_nikodym, require_integrable
 from .random_measure import RandomMeasure
 from .transfer import TransferFunction
 
@@ -136,16 +136,10 @@ def ckl_completeness_residual(sys: CklSystem) -> float:
     per-atom range projectors; the residual vanishes although the sum can
     differ from the identity pointwise on rank-deficient atoms.
     """
-    total = 0.0
-    projectors = sys.range_projectors()
+    massive = sys.base_weights > 0
     eye = np.eye(sys.dim, dtype=np.complex128)
-    for j in range(sys.n_atoms):
-        if sys.base_weights[j] <= 0:
-            continue
-        root = psd_sqrt(sys.povm.weights[j])
-        defect = (projectors[j] - eye) @ root
-        total += float(np.linalg.norm(defect) ** 2)
-    return float(np.sqrt(total))
+    defect = (sys.range_projectors()[massive] - eye) @ sys.povm.sqrt_weights()[massive]
+    return float(np.linalg.norm(defect))
 
 
 def normalize_ranks(q, n_atoms: int, dim: int) -> np.ndarray:
@@ -198,19 +192,11 @@ def hfpca_error(nu: AtomicTracePovm, theta: TransferFunction) -> float:
     Equals ``sum_j ||(I - Theta_j) nu_j^{1/2}||_2^2``, the exact value of
     ``E || X_t - [filtered X]_t ||^2`` for every t.
     """
-    report = check_filterable(theta, nu)
-    if not report:
-        j = report.failures()[0]["atom"]
-        raise DimensionError(
-            f"projector family is not applicable to the measure (atom {j})"
-        )
+    require_integrable(theta, nu, label="projector family")
     if theta.out_dim != nu.dim:
         raise DimensionError("projector family must map the space to itself")
-    total = 0.0
-    for j in range(nu.n_atoms):
-        root = psd_sqrt(nu.weights[j])
-        total += float(np.linalg.norm(root - theta.ops[j] @ root) ** 2)
-    return total
+    roots = nu.sqrt_weights()
+    return float(np.linalg.norm(roots - theta.ops @ roots) ** 2)
 
 
 def hfpca_optimal_error(sys: CklSystem, q) -> float:

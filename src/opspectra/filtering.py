@@ -12,21 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DimensionError,
-    IntegrabilityError,
-    NonInvertibleError,
-)
-from .operators import hermitian_eig, pinv_on_range, psd_sqrt
-from .povm import AtomicTracePovm, CheckReport, square_integrability_check
+from .errors import DimensionError, NonInvertibleError
+from .operators import hermitian_eig, pinv_on_range
+from .povm import AtomicTracePovm, require_integrable
 from .random_measure import ProcessSample, RandomMeasure
-from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, FirFilter, TransferFunction
+from .transfer import DOMAIN_TOL, FirFilter, TransferFunction, require_aligned
 
 __all__ = [
     "apply_filter",
     "apply_fir_time",
-    "check_filterable",
     "compose_transfer",
     "fir_to_transfer",
     "invert_transfer",
@@ -35,43 +29,13 @@ __all__ = [
 ]
 
 
-def _check_alignment(freqs_a: np.ndarray, freqs_b: np.ndarray) -> None:
-    if freqs_a.size != freqs_b.size or np.any(
-        np.abs(freqs_a - freqs_b) > FREQ_MERGE_TOL
-    ):
-        raise AlignmentError("frequency supports do not match")
-
-
-def check_filterable(
-    phi: TransferFunction, nu: AtomicTracePovm, tol: float = DOMAIN_TOL
-) -> CheckReport:
-    """Whether ``phi`` lies in the modular spectral domain of the measure.
-
-    Delegates to the square-integrability check after validating that the
-    frequency supports coincide.
-    """
-    _check_alignment(phi.freqs, nu.freqs)
-    return square_integrability_check(phi, nu, tol)
-
-
-def _require_filterable(
-    phi: TransferFunction, nu: AtomicTracePovm, tol: float = DOMAIN_TOL
-) -> None:
-    report = check_filterable(phi, nu, tol)
-    if not report:
-        j = report.failures()[0]["atom"]
-        raise IntegrabilityError(
-            f"transfer function is not applicable to the measure"
-            f" (first failing atom: {j})"
-        )
-
-
 def pushforward_povm(phi: TransferFunction, nu: AtomicTracePovm) -> AtomicTracePovm:
     """Intensity of the filtered measure: atoms ``(Phi_j nu_j^{1/2})(...)^H``."""
-    _require_filterable(phi, nu)
+    require_integrable(phi, nu)
+    roots = nu.sqrt_weights()
     weights = np.empty((nu.n_atoms, phi.out_dim, phi.out_dim), dtype=np.complex128)
     for j in range(nu.n_atoms):
-        b = phi.ops[j] @ psd_sqrt(nu.weights[j])
+        b = phi.ops[j] @ roots[j]
         w = b @ b.conj().T
         weights[j] = (w + w.conj().T) / 2.0
     return AtomicTracePovm(dim=phi.out_dim, freqs=nu.freqs, weights=weights)
@@ -81,7 +45,7 @@ def apply_filter(
     phi: TransferFunction, w: RandomMeasure, tol: float = DOMAIN_TOL
 ) -> RandomMeasure:
     """Filter a sampled measure: samples ``Phi_j Z_j``, pushforward intensity."""
-    _require_filterable(phi, w.intensity, tol)
+    require_integrable(phi, w.intensity, tol)
     samples = np.empty(
         (w.n_atoms, w.n_realizations, phi.out_dim), dtype=np.complex128
     )
@@ -123,7 +87,7 @@ def compose_transfer(
     the preimage of its domain under ``Phi_j`` (intersected with the domain
     of ``Phi_j`` itself), realised as a projector via a rank-revealing SVD.
     """
-    _check_alignment(psi.freqs, phi.freqs)
+    require_aligned(psi.freqs, phi.freqs)
     if psi.in_dim != phi.out_dim:
         raise DimensionError(
             f"inner dimensions do not match: {psi.in_dim} vs {phi.out_dim}"
@@ -174,12 +138,8 @@ def invert_transfer(
     pseudoinverse with domain ``Im(Phi_j)``.  Zero-mass atoms invert to the
     zero operator.
     """
-    _check_alignment(phi.freqs, nu.freqs)
-    if phi.in_dim != nu.dim:
-        raise DimensionError("transfer input dimension must match the measure")
-    if phi.domains is not None:
-        # a partial transfer must be applicable before it can be inverted
-        _require_filterable(phi, nu)
+    # a transfer must be applicable to the measure before it can be inverted
+    require_integrable(phi, nu)
     mask = nu.positive_mass_mask()
     inv_ops = np.zeros((phi.n_atoms, phi.in_dim, phi.out_dim), dtype=np.complex128)
     domains = np.empty((phi.n_atoms, phi.out_dim, phi.out_dim), dtype=np.complex128)

@@ -33,7 +33,7 @@ from .operators import (
     psd_check,
     psd_sqrt,
 )
-from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction
+from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction, require_aligned
 
 __all__ = [
     "AtomicTracePovm",
@@ -44,6 +44,7 @@ __all__ = [
     "gramian_norm",
     "operator_integral",
     "radon_nikodym",
+    "require_integrable",
     "scalar_integral",
     "square_integrability_check",
     "variation_measure",
@@ -85,7 +86,9 @@ class AtomicTracePovm:
             raise DimensionError("frequencies must be strictly increasing")
         for j, w in enumerate(weights):
             if not psd_check(w, 1e-10):
-                raise PositivityError(f"atom {j} weight is not PSD")
+                raise PositivityError(
+                    f"atom {j} (frequency {freqs[j]:+.6f}) weight is not PSD"
+                )
 
     @classmethod
     def from_atoms(cls, dim: int, freqs, weights) -> "AtomicTracePovm":
@@ -121,13 +124,30 @@ class AtomicTracePovm:
 
     def positive_mass_mask(self) -> np.ndarray:
         """Atoms carrying variation mass; zero-mass atoms are excluded from
-        almost-everywhere conditions."""
+        almost-everywhere conditions.
+
+        The floor is relative to the largest atom trace, so the mask does
+        not change when the measure is scaled.
+        """
         tr = self.traces()
-        return tr > ABS_FLOOR * max(1.0, float(tr.max(initial=0.0)))
+        return tr > ABS_FLOOR * tr.max()
 
     def sqrt_weights(self) -> np.ndarray:
-        """Positive square roots of the atom weights, stacked."""
-        return np.stack([psd_sqrt(w) for w in self.weights])
+        """Positive square roots ``nu_j^{1/2}`` of the atom weights, stacked.
+
+        The ``(n, dim, dim)`` stack is computed with :func:`psd_sqrt` on
+        first use and cached on the measure; every call returns the same
+        read-only array.  Like the rest of the frozen measure, the cache
+        assumes the weights are not modified after construction.
+        """
+        roots = self.__dict__.get("_roots")
+        if roots is None:
+            roots = np.empty_like(self.weights)
+            for j, w in enumerate(self.weights):
+                roots[j] = psd_sqrt(w)
+            roots.flags.writeable = False
+            object.__setattr__(self, "_roots", roots)
+        return roots
 
 
 @dataclass(frozen=True)
@@ -175,9 +195,9 @@ def radon_nikodym(nu: AtomicTracePovm, mu=None) -> PovmDensity:
             raise DimensionError("dominating weights must align with the atoms")
         if np.any(w < 0):
             raise AbsoluteContinuityError("dominating weights must be non-negative")
-        floor = ABS_FLOOR * max(1.0, float(traces.max(initial=0.0)))
-        if np.any((w <= 0) & (traces > floor)):
-            j = int(np.argmax((w <= 0) & (traces > floor)))
+        undominated = (w <= 0) & nu.positive_mass_mask()
+        if np.any(undominated):
+            j = int(np.argmax(undominated))
             raise AbsoluteContinuityError(
                 f"atom {j} has positive mass but zero dominating weight"
             )
@@ -212,99 +232,79 @@ class CheckReport:
         return [e for e in self.entries if not e["passed"]]
 
 
-def _validate_alignment(phi: TransferFunction, nu: AtomicTracePovm) -> None:
-    if phi.in_dim != nu.dim:
-        raise DimensionError(
-            f"transfer input dim {phi.in_dim} does not match measure dim {nu.dim}"
-        )
-    if phi.n_atoms != nu.n_atoms:
-        raise DimensionError("transfer function and measure atom counts differ")
-
-
 def square_integrability_check(
     phi: TransferFunction, nu: AtomicTracePovm, tol: float = DOMAIN_TOL
 ) -> CheckReport:
     """Square integrability of ``phi`` against the measure.
 
-    At finite dimension a total operator is always square integrable; a
-    partial atom additionally needs the range of ``nu_j^{1/2}`` inside its
-    domain, checked as ``||(I - D_j) nu_j^{1/2}|| <= tol ||nu_j^{1/2}||``.
-    Zero-mass atoms are skipped (they carry no variation mass).
+    The frequency supports must coincide.  At finite dimension a total
+    operator is always square integrable; a partial atom additionally needs
+    the range of ``nu_j^{1/2}`` inside its domain, checked as
+    ``||(I - D_j) nu_j^{1/2}|| <= tol ||nu_j^{1/2}||``.  Zero-mass atoms
+    are skipped (they carry no variation mass).
     """
-    _validate_alignment(phi, nu)
-    mask = nu.positive_mass_mask()
-    entries = []
-    for j in range(nu.n_atoms):
-        if not mask[j]:
-            entries.append(
-                {"atom": j, "freq": float(nu.freqs[j]), "passed": True,
-                 "residual": 0.0, "reason": "zero mass"}
-            )
-            continue
-        if phi.domains is None:
-            entries.append(
-                {"atom": j, "freq": float(nu.freqs[j]), "passed": True,
-                 "residual": 0.0, "reason": "total operator"}
-            )
-            continue
-        root = psd_sqrt(nu.weights[j])
-        denom = float(np.linalg.norm(root, 2))
-        defect = (np.eye(nu.dim) - phi.domains[j]) @ root
-        residual = float(np.linalg.norm(defect, 2)) / max(denom, ABS_FLOOR)
-        entries.append(
-            {"atom": j, "freq": float(nu.freqs[j]), "passed": residual <= tol,
-             "residual": residual, "reason": "range containment"}
+    require_aligned(phi.freqs, nu.freqs)
+    if phi.in_dim != nu.dim:
+        raise DimensionError(
+            f"transfer input dim {phi.in_dim} does not match measure dim {nu.dim}"
         )
+    mask = nu.positive_mass_mask()
+    residuals = np.zeros(nu.n_atoms)
+    reason = "total operator"
+    if phi.domains is not None:
+        roots = nu.sqrt_weights()
+        defects = phi.domains @ roots
+        np.subtract(roots, defects, out=defects)
+        np.divide(np.linalg.norm(defects, 2, axis=(1, 2)),
+                  np.linalg.norm(roots, 2, axis=(1, 2)), out=residuals, where=mask)
+        reason = "range containment"
+    entries = [
+        {"atom": j, "freq": float(nu.freqs[j]),
+         "passed": bool(residuals[j] <= tol), "residual": float(residuals[j]),
+         "reason": reason if mask[j] else "zero mass"}
+        for j in range(nu.n_atoms)
+    ]
     return CheckReport(ok=all(e["passed"] for e in entries), entries=entries)
 
 
-def _require_integrable(
-    phi: TransferFunction, nu: AtomicTracePovm, label: str
+def require_integrable(
+    phi: TransferFunction,
+    nu: AtomicTracePovm,
+    tol: float = DOMAIN_TOL,
+    label: str = "transfer function",
 ) -> None:
-    report = square_integrability_check(phi, nu)
+    """Raise :class:`IntegrabilityError` unless ``phi`` passes
+    :func:`square_integrability_check`; the message names the first
+    failing atom."""
+    report = square_integrability_check(phi, nu, tol)
     if not report:
-        j = report.failures()[0]["atom"]
+        bad = report.failures()[0]
         raise IntegrabilityError(
             f"{label} is not square integrable against the measure"
-            f" (first failing atom: {j})"
+            f" (first failing atom: {bad['atom']}, frequency {bad['freq']:+.6f})"
         )
 
 
 def operator_integral(
-    phi: TransferFunction,
-    nu: AtomicTracePovm,
-    psi: TransferFunction,
-    mu=None,
+    phi: TransferFunction, nu: AtomicTracePovm, psi: TransferFunction
 ) -> np.ndarray:
-    """The integral ``int Phi dnu Psi^H`` as a finite sum.
+    """The integral ``int Phi dnu Psi^H = sum_j Phi_j nu_j Psi_j^H``.
 
-    Computed through the density route
-    ``sum_j w_j (Phi_j g_j^{1/2})(Psi_j g_j^{1/2})^H``; the value does not
-    depend on the dominating weights, and for total operators it equals
-    ``sum_j Phi_j nu_j Psi_j^H``.
+    Both transfer functions must be square integrable against the measure;
+    on a partial atom the weight's range lies in the domain, so the same
+    finite sum applies.
     """
-    _require_integrable(phi, nu, "left transfer function")
-    _require_integrable(psi, nu, "right transfer function")
-    if psi.in_dim != nu.dim:
-        raise DimensionError("right transfer function dimension mismatch")
-    density = radon_nikodym(nu, mu)
-    acc = np.zeros((phi.out_dim, psi.out_dim), dtype=np.complex128)
-    for j in range(nu.n_atoms):
-        wj = density.base_weights[j]
-        if wj <= 0:
-            continue
-        root = psd_sqrt(density.densities[j])
-        a = phi.ops[j] @ root
-        b = psi.ops[j] @ root
-        acc += wj * (a @ b.conj().T)
-    return acc
+    require_integrable(phi, nu, label="left transfer function")
+    require_integrable(psi, nu, label="right transfer function")
+    return np.einsum("jab,jbc,jdc->ad", phi.ops, nu.weights, psi.ops.conj())
 
 
 def gramian_inner(
-    phi: TransferFunction, psi: TransferFunction, nu: AtomicTracePovm, mu=None
+    phi: TransferFunction, psi: TransferFunction, nu: AtomicTracePovm
 ) -> np.ndarray:
-    """Gramian ``<Phi, Psi>_nu = int Phi dnu Psi^H``."""
-    return operator_integral(phi, nu, psi, mu)
+    """Gramian ``<Phi, Psi>_nu = int Phi dnu Psi^H``, see
+    :func:`operator_integral`."""
+    return operator_integral(phi, nu, psi)
 
 
 def gramian_norm(phi: TransferFunction, nu: AtomicTracePovm) -> float:

@@ -20,15 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DimensionError,
-    IntegrabilityError,
-    SampleSizeError,
-)
-from .operators import psd_sqrt
-from .povm import AtomicTracePovm, square_integrability_check
-from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction
+from .errors import AlignmentError, DimensionError, SampleSizeError
+from .povm import AtomicTracePovm, require_integrable
+from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction, require_aligned
 
 __all__ = [
     "IncrementPath",
@@ -62,10 +56,7 @@ class RandomMeasure:
             raise DimensionError("samples must have shape (atoms, R, dim)")
         if samples.shape[2] != self.dim:
             raise DimensionError("sample vectors must match the space dimension")
-        if freqs.size != self.intensity.n_atoms or np.any(
-            np.abs(freqs - self.intensity.freqs) > FREQ_MERGE_TOL
-        ):
-            raise AlignmentError("sample frequencies must match the intensity atoms")
+        require_aligned(freqs, self.intensity.freqs)
 
     @property
     def n_atoms(self) -> int:
@@ -129,11 +120,11 @@ def sample_gaussian_measure(
     n, dim = int(n_realizations), nu.dim
     out = np.empty((nu.n_atoms, n, dim), dtype=np.complex128)
     order = range(nu.n_atoms) if _atom_order is None else _atom_order
+    roots = nu.sqrt_weights()
     for j in order:
-        root = psd_sqrt(nu.weights[j])
         draws = _atom_rng(seed, j).standard_normal((n, 2 * dim))
         xi = (draws[:, :dim] + 1j * draws[:, dim:]) * np.sqrt(0.5)
-        out[j] = xi @ root.T
+        out[j] = xi @ roots[j].T
     return RandomMeasure(dim=dim, freqs=nu.freqs, samples=out, intensity=nu)
 
 
@@ -166,6 +157,7 @@ def sample_real_gaussian_measure(
             )
         partner[j] = int(match[0])
     out = np.empty((freqs.size, n, dim), dtype=np.complex128)
+    roots = nu.sqrt_weights()
     for j in range(freqs.size):
         k = int(partner[j])
         if k == j:
@@ -173,18 +165,16 @@ def sample_real_gaussian_measure(
                 raise DimensionError(
                     f"self-paired atom {j} needs a real weight for real output"
                 )
-            root = psd_sqrt(nu.weights[j]).real
-            out[j] = _atom_rng(seed, j).standard_normal((n, dim)) @ root.T
+            out[j] = _atom_rng(seed, j).standard_normal((n, dim)) @ roots[j].real.T
         elif k > j:
             mirror_defect = np.abs(nu.weights[k] - nu.weights[j].T).max()
             if mirror_defect > 1e-10 * max(1.0, np.abs(nu.weights[j]).max()):
                 raise DimensionError(
                     f"atoms {j} and {k} are not transposes of each other"
                 )
-            root = psd_sqrt(nu.weights[j])
             draws = _atom_rng(seed, j).standard_normal((n, 2 * dim))
             xi = (draws[:, :dim] + 1j * draws[:, dim:]) * np.sqrt(0.5)
-            out[j] = xi @ root.T
+            out[j] = xi @ roots[j].T
             out[k] = out[j].conj()
     return RandomMeasure(dim=dim, freqs=freqs, samples=out, intensity=nu)
 
@@ -193,16 +183,7 @@ def spectral_integral(
     phi: TransferFunction, w: RandomMeasure, tol: float = DOMAIN_TOL
 ) -> np.ndarray:
     """Stochastic integral ``int Phi dW`` per realization, shape (R, out)."""
-    if phi.n_atoms != w.n_atoms or np.any(
-        np.abs(phi.freqs - w.freqs) > FREQ_MERGE_TOL
-    ):
-        raise AlignmentError("transfer function support must match the measure")
-    report = square_integrability_check(phi, w.intensity, tol)
-    if not report:
-        j = report.failures()[0]["atom"]
-        raise IntegrabilityError(
-            f"transfer function is not square integrable (first failing atom: {j})"
-        )
+    require_integrable(phi, w.intensity, tol)
     acc = np.zeros((w.n_realizations, phi.out_dim), dtype=np.complex128)
     for j in range(w.n_atoms):
         acc += phi.apply_at(j, w.samples[j], tol)
@@ -296,10 +277,7 @@ def from_increment_path(path: IncrementPath, intensity: AtomicTracePovm) -> Rand
     Breakpoints must align with the intensity atoms; the round trip with
     :func:`to_increment_path` is exact.
     """
-    if path.breakpoints.size != intensity.n_atoms or np.any(
-        np.abs(path.breakpoints - intensity.freqs) > FREQ_MERGE_TOL
-    ):
-        raise AlignmentError("path breakpoints must align with the intensity atoms")
+    require_aligned(path.breakpoints, intensity.freqs)
     return RandomMeasure(
         dim=path.dim,
         freqs=intensity.freqs,

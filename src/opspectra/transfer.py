@@ -12,13 +12,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import AlignmentError, DimensionError
 from .operators import ABS_FLOOR, as_operator
 
 FREQ_MERGE_TOL = 1e-12
 DOMAIN_TOL = 1e-8
 
-__all__ = ["DOMAIN_TOL", "FREQ_MERGE_TOL", "FirFilter", "TransferFunction"]
+__all__ = [
+    "DOMAIN_TOL",
+    "FREQ_MERGE_TOL",
+    "FirFilter",
+    "TransferFunction",
+    "require_aligned",
+]
+
+
+def require_aligned(freqs_a: np.ndarray, freqs_b: np.ndarray) -> None:
+    """Raise :class:`AlignmentError` unless two frequency supports coincide.
+
+    The supports must have the same size and agree entrywise within
+    ``FREQ_MERGE_TOL``.
+    """
+    if freqs_a.size != freqs_b.size or np.any(
+        np.abs(freqs_a - freqs_b) > FREQ_MERGE_TOL
+    ):
+        raise AlignmentError("frequency supports do not match")
 
 
 def _check_projector(d: np.ndarray, tol: float = 1e-10) -> None:
@@ -65,15 +83,6 @@ class TransferFunction:
     def n_atoms(self) -> int:
         return self.freqs.size
 
-    @property
-    def is_total(self) -> bool:
-        return self.domains is None
-
-    def domain_at(self, j: int) -> np.ndarray:
-        if self.domains is None:
-            return np.eye(self.in_dim, dtype=np.complex128)
-        return self.domains[j]
-
     def apply_at(self, j: int, x: np.ndarray, tol: float = DOMAIN_TOL) -> np.ndarray:
         """Apply atom ``j`` to vectors ``x`` (last axis indexes the space).
 
@@ -114,10 +123,7 @@ class TransferFunction:
             return NotImplemented
         if (self.in_dim, self.out_dim) != (other.in_dim, other.out_dim):
             raise DimensionError("cannot add transfer functions of different dims")
-        if self.freqs.size != other.freqs.size or np.any(
-            np.abs(self.freqs - other.freqs) > FREQ_MERGE_TOL
-        ):
-            raise DimensionError("cannot add transfer functions on different supports")
+        require_aligned(self.freqs, other.freqs)
         if self.domains is not None or other.domains is not None:
             raise DimensionError("addition is only defined for total transfer functions")
         return TransferFunction(

@@ -98,6 +98,22 @@ class TestGridInversion:
         with pytest.raises(NotPositiveTypeError, match="atom"):
             povm_from_autocov_grid(gamma, 4)
 
+    def test_slightly_negative_atom_is_not_positive_type(self):
+        # the eigenvalue -5e-9 * trace passes a 1e-8 tolerance but not the
+        # measure's own PSD validation, which is the one that applies
+        m = 4
+        freqs = grid_frequencies(m)
+        weights = np.stack([np.eye(2, dtype=complex)] * m)
+        weights[2] = np.diag([1.0, -5e-9])
+        lags = np.arange(m)
+        phases = np.exp(1j * np.outer(lags, freqs))
+        gamma = AutocovarianceSequence(
+            2, m - 1, np.einsum("hk,kab->hab", phases, weights)
+        )
+        message = r"atom 2 \(frequency \+1\.570796\)"
+        with pytest.raises(NotPositiveTypeError, match=message):
+            povm_from_autocov_grid(gamma, m)
+
     def test_insufficient_lags(self):
         rng = make_rng(307)
         gamma = autocov_from_povm(random_grid_povm(rng, 2, 8), 3)

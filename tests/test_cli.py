@@ -260,6 +260,26 @@ class TestConfigErrors:
             "out": "g.json",
         }) == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"command": "autocov", "povm": "no_atoms.json", "max_lag": 2,
+             "out": "g.json"},
+            {"command": "simulate", "povm": "bundled", "realizations": "abc",
+             "period": 4, "out": "s.json"},
+            {"command": "hfpca", "povm": "bundled", "q": "x", "out": "h.json"},
+            {"command": "autocov", "povm": "bundled", "max_lag": 2,
+             "out": "no_such_dir/g.json"},
+        ],
+        ids=["measure-without-atoms", "text-realizations", "text-q",
+             "unwritable-out"],
+    )
+    def test_malformed_input_exits_two(self, workdir, capsys, config):
+        write_json({"dim": 3}, workdir / "no_atoms.json")
+        assert run_config(workdir, "run.json", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_empty_result_report(self, workdir):
         from opspectra.verify import emit_report
 

@@ -3,6 +3,7 @@ import pytest
 
 from opspectra import (
     AtomicTracePovm,
+    IntegrabilityError,
     TransferFunction,
     apply_filter,
     ckl_completeness_residual,
@@ -188,6 +189,16 @@ class TestHfpcaError:
         nu = random_povm(rng, 3, 4)
         theta = TransferFunction.identity(3, nu.freqs)
         assert hfpca_error(nu, theta) <= 1e-12
+
+    def test_non_applicable_family_rejected(self):
+        rng = make_rng(611)
+        nu = random_povm(rng, 3, 2)  # full-rank atoms
+        proj = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        theta = TransferFunction(
+            3, 3, nu.freqs, np.stack([proj] * 2), np.stack([proj] * 2)
+        )
+        with pytest.raises(IntegrabilityError, match="first failing atom: 0"):
+            hfpca_error(nu, theta)
 
     def test_zero_projector_full_error(self):
         rng = make_rng(613)

@@ -10,7 +10,6 @@ from opspectra import (
     TransferFunction,
     apply_filter,
     apply_fir_time,
-    check_filterable,
     compose_transfer,
     fir_to_transfer,
     gramian_inner,
@@ -19,9 +18,11 @@ from opspectra import (
     pinv_on_range,
     pushforward_povm,
     sample_gaussian_measure,
+    square_integrability_check,
     synthesize_process,
 )
 from opspectra.synthetic import (
+    bundled_example_povm,
     make_rng,
     random_complex,
     random_conditioned_transfer,
@@ -37,7 +38,7 @@ class TestCheckFilterable:
     def test_total_transfer_passes(self):
         rng = make_rng(501)
         nu = random_povm(rng, 3, 4)
-        assert check_filterable(random_transfer(rng, 3, 2, nu.freqs), nu)
+        assert square_integrability_check(random_transfer(rng, 3, 2, nu.freqs), nu)
 
     def test_pinv_of_rank_deficient_fails_on_full_rank(self):
         rng = make_rng(502)
@@ -48,21 +49,21 @@ class TestCheckFilterable:
         phi_inv = TransferFunction(
             3, 3, nu.freqs, np.stack([pinv] * 3), np.stack([proj] * 3)
         )
-        assert not check_filterable(phi_inv, nu)
+        assert not square_integrability_check(phi_inv, nu)
 
     def test_inverse_filterable_on_pushforward(self):
         rng = make_rng(503)
         nu = random_povm(rng, 3, 4, ranks=[3, 2, 3, 1])
         phi = random_conditioned_transfer(rng, 3, nu.freqs, cond=100)
         inv = invert_transfer(phi, nu)
-        assert check_filterable(inv, pushforward_povm(phi, nu))
+        assert square_integrability_check(inv, pushforward_povm(phi, nu))
 
     def test_misaligned_frequencies(self):
         rng = make_rng(504)
         nu = random_povm(rng, 3, 4)
         phi = random_transfer(rng, 3, 2, nu.freqs + 0.01)
         with pytest.raises(AlignmentError):
-            check_filterable(phi, nu)
+            square_integrability_check(phi, nu)
 
 
 class TestApplyFilter:
@@ -201,8 +202,8 @@ class TestCompose:
         push = pushforward_povm(phi, nu)
         inv = invert_transfer(phi, nu)
         # inv is partial; both routes must agree on every instance
-        assert bool(check_filterable(inv, push)) == bool(
-            check_filterable(compose_transfer(inv, phi), nu)
+        assert bool(square_integrability_check(inv, push)) == bool(
+            square_integrability_check(compose_transfer(inv, phi), nu)
         )
         # and a genuinely failing psi fails both ways
         rank1 = np.zeros((3, 3), dtype=complex)
@@ -211,8 +212,8 @@ class TestCompose:
         bad = TransferFunction(
             3, 3, nu.freqs, np.stack([pinv] * 4), np.stack([proj] * 4)
         )
-        assert bool(check_filterable(bad, push)) == bool(
-            check_filterable(compose_transfer(bad, phi), nu)
+        assert bool(square_integrability_check(bad, push)) == bool(
+            square_integrability_check(compose_transfer(bad, phi), nu)
         )
 
     def test_gramian_isometric_embedding(self):
@@ -309,6 +310,17 @@ class TestInvert:
         )
         with pytest.raises(IntegrabilityError):
             invert_transfer(phi, nu)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-16, 1e100])
+    def test_round_trip_at_any_scale(self, scale):
+        base = bundled_example_povm()
+        nu = AtomicTracePovm(base.dim, base.freqs, scale * base.weights)
+        assert nu.positive_mass_mask().sum() == 15
+        rng = make_rng(534)
+        phi = random_conditioned_transfer(rng, 3, nu.freqs, cond=100)
+        w = sample_gaussian_measure(nu, 16, seed=42)
+        back = apply_filter(invert_transfer(phi, nu), apply_filter(phi, w))
+        assert np.abs(back.samples - w.samples).max() <= 1e-8 * np.abs(w.samples).max()
 
     def test_zero_mass_atom_maps_to_zero(self):
         nu = AtomicTracePovm(2, [-1.0, 1.0], [np.zeros((2, 2)), np.eye(2)])

@@ -3,6 +3,7 @@ import pytest
 
 from opspectra import (
     AbsoluteContinuityError,
+    AlignmentError,
     AtomicTracePovm,
     DimensionError,
     IntegrabilityError,
@@ -59,6 +60,16 @@ class TestConstruction:
         np.testing.assert_allclose(
             wrapped, [np.pi, np.pi, 0.0, np.pi / 2], atol=1e-12
         )
+
+
+class TestSqrtWeights:
+    def test_cached_read_only_roots(self):
+        rng = make_rng(223)
+        nu = random_povm(rng, 3, 4, ranks=[3, 1, 2, 3])
+        roots = nu.sqrt_weights()
+        assert nu.sqrt_weights() is roots
+        assert not roots.flags.writeable
+        assert np.abs(roots @ roots - nu.weights).max() <= 1e-12
 
 
 class TestVariationMeasure:
@@ -184,15 +195,6 @@ class TestOperatorIntegral:
         result = operator_integral(phi, nu, psi)
         assert np.abs(result - direct_integral(phi, nu, psi)).max() <= 1e-12
 
-    def test_dominating_measure_independence(self):
-        rng = make_rng(211)
-        nu = random_povm(rng, 3, 5)
-        phi = TransferFunction(3, 2, nu.freqs, random_complex(rng, (5, 2, 3)))
-        mu = variation_measure(nu) * rng.uniform(0.5, 4.0, 5)
-        default = operator_integral(phi, nu, phi)
-        other = operator_integral(phi, nu, phi, mu=mu)
-        assert np.abs(default - other).max() <= 1e-12
-
 
 class TestGramian:
     def test_null_class_has_zero_norm(self):
@@ -313,6 +315,23 @@ class TestSquareIntegrability:
         phi = TransferFunction(2, 2, nu.freqs, random_complex(rng, (4, 2, 2)))
         with pytest.raises(DimensionError):
             square_integrability_check(phi, nu)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda phi, nu: square_integrability_check(phi, nu),
+            lambda phi, nu: operator_integral(phi, nu, phi),
+            lambda phi, nu: gramian_inner(phi, phi, nu),
+        ],
+        ids=["check", "operator_integral", "gramian_inner"],
+    )
+    def test_shifted_support_of_same_size(self, call):
+        rng = make_rng(222)
+        nu = random_povm(rng, 3, 4)
+        shifted = np.sort(np.clip(nu.freqs + 1e-3, -np.pi + 1e-3, np.pi))
+        phi = TransferFunction(3, 2, shifted, random_complex(rng, (4, 2, 3)))
+        with pytest.raises(AlignmentError):
+            call(phi, nu)
 
 
 class TestEigendecompose:
