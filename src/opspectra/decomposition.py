@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DimensionError
 from .filtering import apply_filter
-from .operators import hermitian_eig
-from .povm import AtomicTracePovm, radon_nikodym, require_integrable
+from .operators import sorted_eigh
+from .povm import AtomicTracePovm, require_integrable
 from .random_measure import RandomMeasure
 from .transfer import TransferFunction
 
@@ -68,30 +68,29 @@ class CklSystem:
 
     def range_projectors(self) -> np.ndarray:
         """Per-atom projector onto the range of the atom weight."""
-        out = np.empty(
-            (self.n_atoms, self.dim, self.dim), dtype=np.complex128
-        )
-        for j in range(self.n_atoms):
-            v = self.eigenvectors[j][:, : int(self.ranks[j])]
-            out[j] = v @ v.conj().T
-        return out
+        return _top_projectors(self.eigenvectors, self.ranks)
+
+
+def _top_projectors(eigenvectors: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Per-atom sum of the first ``ranks[j]`` eigenprojectors."""
+    keep = np.arange(eigenvectors.shape[-1]) < ranks[:, None]
+    v = eigenvectors * keep[:, None, :]
+    return v @ v.conj().swapaxes(-1, -2)
 
 
 def ckl_decompose(nu: AtomicTracePovm, rank_tol: float = 1e-12) -> CklSystem:
-    """Eigendecompose the default density of every atom."""
-    density = radon_nikodym(nu)
-    eigenvalues = np.empty((nu.n_atoms, nu.dim))
-    eigenvectors = np.empty((nu.n_atoms, nu.dim, nu.dim), dtype=np.complex128)
-    ranks = np.empty(nu.n_atoms, dtype=np.int64)
-    for j, g in enumerate(density.densities):
-        eig = hermitian_eig(g)
-        eigenvalues[j] = eig.eigenvalues
-        eigenvectors[j] = eig.eigenvectors
-        top = float(eig.eigenvalues.max(initial=0.0))
-        ranks[j] = int(np.sum(eig.eigenvalues > rank_tol * top)) if top > 0 else 0
+    """Eigendecompose the default density (weight over trace) of every
+    atom; zero-trace atoms get zero eigenvalues and rank zero."""
+    traces = nu.traces()
+    vals, eigenvectors = sorted_eigh(nu.weights)
+    eigenvalues = np.divide(
+        vals, traces[:, None], out=np.zeros_like(vals), where=traces[:, None] > 0
+    )
+    top = eigenvalues.max(axis=1, keepdims=True, initial=0.0)
+    ranks = np.where(top[:, 0] > 0, np.sum(eigenvalues > rank_tol * top, axis=1), 0)
     return CklSystem(
         povm=nu,
-        base_weights=density.base_weights,
+        base_weights=traces,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         ranks=ranks,
@@ -157,10 +156,7 @@ def normalize_ranks(q, n_atoms: int, dim: int) -> np.ndarray:
 def hfpca_projector(sys: CklSystem, q) -> TransferFunction:
     """Optimal rank-q projector family: top eigenprojectors per atom."""
     ranks = normalize_ranks(q, sys.n_atoms, sys.dim)
-    ops = np.empty((sys.n_atoms, sys.dim, sys.dim), dtype=np.complex128)
-    for j in range(sys.n_atoms):
-        v = sys.eigenvectors[j][:, : int(ranks[j])]
-        ops[j] = v @ v.conj().T
+    ops = _top_projectors(sys.eigenvectors, ranks)
     return TransferFunction(sys.dim, sys.dim, sys.povm.freqs, ops)
 
 
@@ -202,11 +198,8 @@ def hfpca_error(nu: AtomicTracePovm, theta: TransferFunction) -> float:
 def hfpca_optimal_error(sys: CklSystem, q) -> float:
     """Closed-form minimum ``sum_j sum_{n >= q_j} sigma_n(nu_j)``."""
     ranks = normalize_ranks(q, sys.n_atoms, sys.dim)
-    atom_eigs = sys.atom_eigenvalues()
-    total = 0.0
-    for j in range(sys.n_atoms):
-        total += float(atom_eigs[j][int(ranks[j]):].sum())
-    return total
+    tail = np.arange(sys.dim) >= ranks[:, None]
+    return float(sys.atom_eigenvalues()[tail].sum())
 
 
 def hfpca_report(nu: AtomicTracePovm, q, sys: CklSystem | None = None) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NonInvertibleError
-from .operators import hermitian_eig, pinv_on_range
+from .operators import sorted_eigh
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import ProcessSample, RandomMeasure
 from .transfer import DOMAIN_TOL, FirFilter, TransferFunction, require_aligned
@@ -32,6 +32,11 @@ __all__ = [
 def pushforward_povm(phi: TransferFunction, nu: AtomicTracePovm) -> AtomicTracePovm:
     """Intensity of the filtered measure: atoms ``(Phi_j nu_j^{1/2})(...)^H``."""
     require_integrable(phi, nu)
+    return _pushforward(phi, nu)
+
+
+def _pushforward(phi: TransferFunction, nu: AtomicTracePovm) -> AtomicTracePovm:
+    # callers have checked that phi is square integrable against nu
     roots = nu.sqrt_weights()
     weights = np.empty((nu.n_atoms, phi.out_dim, phi.out_dim), dtype=np.complex128)
     for j in range(nu.n_atoms):
@@ -55,27 +60,8 @@ def apply_filter(
         dim=phi.out_dim,
         freqs=w.freqs,
         samples=samples,
-        intensity=pushforward_povm(phi, w.intensity),
+        intensity=_pushforward(phi, w.intensity),
     )
-
-
-def _null_space_projector(
-    constraints: np.ndarray, rank_tol: float, scale: float
-) -> np.ndarray:
-    """Projector onto the null space of stacked constraint rows.
-
-    ``scale`` is the natural magnitude of a non-degenerate constraint; the
-    rank cut is relative to it so an all-noise constraint matrix (domain is
-    everything) is recognised as rank zero.
-    """
-    n = constraints.shape[1]
-    if constraints.size == 0:
-        return np.eye(n, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(constraints, full_matrices=True)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * max(smax, scale)))
-    basis = vh[rank:].conj().T
-    return basis @ basis.conj().T
 
 
 def compose_transfer(
@@ -85,7 +71,8 @@ def compose_transfer(
 
     When an atom of ``psi`` is partial, the composed domain at that atom is
     the preimage of its domain under ``Phi_j`` (intersected with the domain
-    of ``Phi_j`` itself), realised as a projector via a rank-revealing SVD.
+    of ``Phi_j`` itself), realised as a projector via one stacked
+    rank-revealing SVD.
     """
     require_aligned(psi.freqs, phi.freqs)
     if psi.in_dim != phi.out_dim:
@@ -95,29 +82,22 @@ def compose_transfer(
     ops = np.einsum("jab,jbc->jac", psi.ops, phi.ops)
     if psi.domains is None and phi.domains is None:
         return TransferFunction(phi.in_dim, psi.out_dim, phi.freqs, ops)
-    domains = np.empty((phi.n_atoms, phi.in_dim, phi.in_dim), dtype=np.complex128)
-    eye_in = np.eye(phi.in_dim, dtype=np.complex128)
-    for j in range(phi.n_atoms):
-        rows = []
-        scale = 0.0
-        if phi.domains is not None:
-            rows.append(eye_in - phi.domains[j])
-            scale = 1.0
-        if psi.domains is not None:
-            eye_mid = np.eye(psi.in_dim, dtype=np.complex128)
-            rows.append((eye_mid - psi.domains[j]) @ phi.ops[j])
-            scale = max(scale, float(np.linalg.norm(phi.ops[j], 2)))
-        stacked = np.vstack(rows) if rows else np.zeros((0, phi.in_dim))
-        domains[j] = _null_space_projector(stacked, rank_tol, max(scale, 1.0))
+    # The composed domain is the null space of the stacked constraint rows.
+    # The rank cut is relative to the magnitude of a non-degenerate
+    # constraint, so an all-noise constraint (domain is everything) has
+    # rank zero.
+    rows, scale = [], np.ones(phi.n_atoms)
+    if phi.domains is not None:
+        rows.append(np.eye(phi.in_dim) - phi.domains)
+    if psi.domains is not None:
+        rows.append((np.eye(psi.in_dim) - psi.domains) @ phi.ops)
+        scale = np.maximum(scale, np.linalg.norm(phi.ops, 2, axis=(1, 2)))
+    _, s, vh = np.linalg.svd(np.concatenate(rows, axis=1), full_matrices=True)
+    rank = np.sum(s > rank_tol * np.maximum(s[:, :1], scale[:, None]), axis=1)
+    null = np.arange(phi.in_dim) >= rank[:, None]
+    basis = vh.conj().swapaxes(1, 2) * null[:, None, :]
+    domains = basis @ basis.conj().swapaxes(1, 2)
     return TransferFunction(phi.in_dim, psi.out_dim, phi.freqs, ops, domains)
-
-
-def _support_basis(weight: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis of the range of a PSD atom weight."""
-    eig = hermitian_eig(weight)
-    cut = rank_tol * max(float(eig.eigenvalues.max(initial=0.0)), 0.0)
-    keep = eig.eigenvalues > cut
-    return eig.eigenvectors[:, keep]
 
 
 def invert_transfer(
@@ -141,41 +121,30 @@ def invert_transfer(
     # a transfer must be applicable to the measure before it can be inverted
     require_integrable(phi, nu)
     mask = nu.positive_mass_mask()
+    smax = np.linalg.norm(phi.ops, 2, axis=(1, 2))
+    if not strict:
+        vals, vecs = sorted_eigh(nu.weights)
+        support = vals > rank_tol * np.maximum(vals[:, :1], 0.0)
     inv_ops = np.zeros((phi.n_atoms, phi.in_dim, phi.out_dim), dtype=np.complex128)
-    domains = np.empty((phi.n_atoms, phi.out_dim, phi.out_dim), dtype=np.complex128)
-    eye_out = np.eye(phi.out_dim, dtype=np.complex128)
-    for j in range(phi.n_atoms):
-        if not mask[j]:
-            domains[j] = eye_out
-            continue
-        op = phi.ops[j]
-        smax = float(np.linalg.norm(op, 2))
-        if strict:
-            s = np.linalg.svd(op, compute_uv=False)
-            smin = float(s[-1]) if s.size == phi.in_dim else 0.0
-            if phi.in_dim > phi.out_dim or smin <= rank_tol * smax:
-                raise NonInvertibleError(
-                    f"atom {j}: operator is not injective"
-                    f" (singular value gap {smin:.3e} vs"
-                    f" threshold {rank_tol * smax:.3e})"
-                )
-            pinv, range_proj = pinv_on_range(op, rank_tol)
-            inv_ops[j] = pinv
-            domains[j] = range_proj
-            continue
-        basis = _support_basis(nu.weights[j], rank_tol)
-        restricted = op @ basis
-        s = np.linalg.svd(restricted, compute_uv=False)
-        smin = float(s[-1]) if s.size == basis.shape[1] else 0.0
-        if basis.shape[1] > phi.out_dim or smin <= rank_tol * smax:
+    domains = np.tile(np.eye(phi.out_dim, dtype=np.complex128), (phi.n_atoms, 1, 1))
+    for j in np.flatnonzero(mask):
+        # the range of nu_j is the span of its eigenvectors above the cut
+        basis = None if strict else vecs[j][:, support[j]]
+        op = phi.ops[j] if strict else phi.ops[j] @ basis
+        u, s, vh = np.linalg.svd(op, full_matrices=False)
+        smin = float(s[-1]) if s.size == op.shape[1] else 0.0
+        if smin <= rank_tol * smax[j]:
+            where = "" if strict else " on the supported subspace"
             raise NonInvertibleError(
-                f"atom {j}: operator is not injective on the supported subspace"
+                f"atom {j}: operator is not injective{where}"
                 f" (singular value gap {smin:.3e} vs"
-                f" threshold {rank_tol * smax:.3e})"
+                f" threshold {rank_tol * smax[j]:.3e})"
             )
-        pinv, range_proj = pinv_on_range(restricted, rank_tol)
-        inv_ops[j] = basis @ pinv
-        domains[j] = range_proj
+        # the gap test puts every singular value above rank_tol * s[0], so
+        # the range pseudoinverse keeps them all
+        pinv = (vh.conj().T / s) @ u.conj().T
+        inv_ops[j] = pinv if strict else basis @ pinv
+        domains[j] = u @ u.conj().T
     return TransferFunction(
         in_dim=phi.out_dim,
         out_dim=phi.in_dim,

@@ -6,9 +6,10 @@ rest of the library is built on: adjoints, outer products, positivity
 checks, positive square roots, Schatten norms, deterministic Hermitian
 eigendecompositions and pseudoinverses restricted to the range.
 
-All tolerances are relative to a natural scale of the operand (operator
-norm or trace norm) with an absolute floor of ``ABS_FLOOR`` so the zero
-operator is always accepted where it should be.
+The spectral conventions are written once, over ``(n, d, d)`` stacks such
+as the atom weights of a measure; single-operator functions are the n = 1
+case.  Tolerances are relative to each operator's operator or trace norm,
+floored at ``ABS_FLOOR`` times the largest trace norm of the stack.
 """
 
 from __future__ import annotations
@@ -26,12 +27,16 @@ __all__ = [
     "HermitianEigenSystem",
     "adjoint",
     "as_operator",
+    "hermitian_defects",
     "hermitian_eig",
     "outer",
     "pinv_on_range",
     "psd_check",
+    "psd_mask",
+    "psd_roots",
     "psd_sqrt",
     "schatten_norm",
+    "sorted_eigh",
 ]
 
 
@@ -77,27 +82,78 @@ def schatten_norm(p, order) -> float:
     raise ValueError(f"unsupported Schatten order {order!r}")
 
 
-def _hermitian_defect(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - a.conj().T, 2))
+def _adjoints(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _hermitian_parts(a: np.ndarray) -> np.ndarray:
+    return (a + _adjoints(a)) / 2.0
+
+
+def _single(p, name: str) -> np.ndarray:
+    a = as_operator(p)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} needs a square operator, got {a.shape}")
+    return a[None]
+
+
+def hermitian_defects(a: np.ndarray) -> np.ndarray:
+    """Operator norms ``||a_j - a_j^H||`` of a square stack, read off the
+    eigenvalues of the Hermitian ``i (a_j - a_j^H)``."""
+    diff = 1j * (a - _adjoints(a))
+    return np.abs(np.linalg.eigvalsh(diff)).max(axis=-1, initial=0.0)
+
+
+def _spectral_tests(a: np.ndarray, vals: np.ndarray, tol: float):
+    # vals are the eigenvalues of the Hermitian parts of the stack a
+    trace_norms = np.abs(vals).sum(axis=-1)
+    floor = ABS_FLOOR * trace_norms.max(initial=0.0)
+    op_norms = np.linalg.norm(a, 2, axis=(-2, -1))
+    hermitian = hermitian_defects(a) <= np.maximum(tol * op_norms, floor)
+    positive = vals.min(axis=-1, initial=0.0) >= -np.maximum(tol * trace_norms, floor)
+    return hermitian, positive
+
+
+def psd_mask(weights, tol: float = 1e-10) -> np.ndarray:
+    """Per-operator PSD test of a square ``(n, d, d)`` stack.
+
+    An operator passes when it is Hermitian within ``tol`` times its
+    operator norm and its smallest eigenvalue is above ``-tol`` times its
+    trace norm.  The floor is ``ABS_FLOOR`` times the largest trace norm in
+    the stack, so scaling the stack leaves the mask unchanged.
+    """
+    a = np.asarray(weights, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise DimensionError("operator entries must be finite")
+    hermitian, positive = _spectral_tests(
+        a, np.linalg.eigvalsh(_hermitian_parts(a)), tol
+    )
+    return hermitian & positive
 
 
 def psd_check(p, tol: float = 1e-10) -> bool:
     """Return True iff ``p`` is positive semi-definite within tolerance.
 
-    Requires both near-Hermitian symmetry (relative to the operator norm)
-    and smallest eigenvalue of the Hermitian part above ``-tol`` times the
-    trace norm.  The zero operator passes.
+    The single-operator case of :func:`psd_mask`: the floor is relative to
+    the operator's own trace norm.
     """
-    a = as_operator(p)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"psd_check needs a square operator, got {a.shape}")
-    op_norm = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    if _hermitian_defect(a) > max(tol * op_norm, ABS_FLOOR):
-        return False
-    herm = (a + a.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(herm)
-    trace_norm = float(np.abs(eigs).sum())
-    return bool(eigs.min(initial=0.0) >= -max(tol * trace_norm, ABS_FLOOR))
+    return bool(psd_mask(_single(p, "psd_check"), tol)[0])
+
+
+def _roots(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    vals = np.clip(vals, 0.0, None)
+    # Eigenvalues at round-off level are noise; left in place they would
+    # inflate to sqrt scale and pollute the range of the root.
+    top = vals.max(axis=-1, keepdims=True, initial=0.0)
+    vals[vals <= 256.0 * np.finfo(np.float64).eps * top] = 0.0
+    root = (vecs * np.sqrt(vals)[..., None, :]) @ _adjoints(vecs)
+    return _hermitian_parts(root)
+
+
+def psd_roots(weights: np.ndarray) -> np.ndarray:
+    """Positive square roots of a PSD stack already passed by
+    :func:`psd_mask`: negative eigenvalues are clamped to zero."""
+    return _roots(*np.linalg.eigh(_hermitian_parts(weights)))
 
 
 def psd_sqrt(p, tol: float = 1e-10) -> np.ndarray:
@@ -107,20 +163,12 @@ def psd_sqrt(p, tol: float = 1e-10) -> np.ndarray:
     taking square roots; genuinely negative spectra raise
     :class:`PositivityError`.
     """
-    a = as_operator(p)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"psd_sqrt needs a square operator, got {a.shape}")
-    if not psd_check(a, tol):
+    a = _single(p, "psd_sqrt")
+    vals, vecs = np.linalg.eigh(_hermitian_parts(a))
+    hermitian, positive = _spectral_tests(a, vals, tol)
+    if not (hermitian[0] and positive[0]):
         raise PositivityError("operator is not positive semi-definite")
-    herm = (a + a.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    vals = np.clip(vals, 0.0, None)
-    # Eigenvalues at round-off level are noise; left in place they would
-    # inflate to sqrt scale and pollute the range of the root.
-    top = float(vals.max(initial=0.0))
-    vals[vals <= 256.0 * np.finfo(np.float64).eps * top] = 0.0
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
+    return _roots(vals, vecs)[0]
 
 
 @dataclass(frozen=True)
@@ -158,33 +206,40 @@ class HermitianEigenSystem:
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     # Scale each column so its largest-modulus entry (first on ties) is
     # real positive; keeps degenerate eigenvectors reproducible.
-    lead_idx = np.argmax(np.abs(vecs), axis=0)
-    lead = vecs[lead_idx, np.arange(vecs.shape[1])]
+    lead_idx = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    lead = np.take_along_axis(vecs, lead_idx, axis=-2)
     mod = np.abs(lead)
     phase = np.where(mod > 0, lead / np.where(mod > 0, mod, 1.0), 1.0)
     return vecs * phase.conj()
 
 
-def hermitian_eig(p, tol: float = 1e-10) -> HermitianEigenSystem:
-    """Deterministic eigendecomposition of a Hermitian operator.
+def sorted_eigh(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``(n, d)`` and eigenvector columns ``(n, d, d)`` of the
+    Hermitian parts of a square stack.
 
     Eigenvalues come back non-increasing; within exact ties the solver
     order is preserved (stable sort).  Each eigenvector is phase-normalised
     so its largest-modulus entry is real positive.
     """
-    a = as_operator(p)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"hermitian_eig needs a square operator, got {a.shape}")
-    op_norm = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    if _hermitian_defect(a) > max(tol * op_norm, ABS_FLOOR):
+    vals, vecs = np.linalg.eigh(_hermitian_parts(weights))
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    return np.take_along_axis(vals, order, axis=-1), _fix_phases(vecs)
+
+
+def hermitian_eig(p, tol: float = 1e-10) -> HermitianEigenSystem:
+    """Deterministic eigendecomposition of a Hermitian operator.
+
+    The single-operator case of :func:`sorted_eigh`; a Hermitian defect
+    beyond ``tol`` times the operator norm raises :class:`SymmetryError`.
+    """
+    a = _single(p, "hermitian_eig")
+    vals, vecs = sorted_eigh(a)
+    hermitian, _ = _spectral_tests(a, vals, tol)
+    if not hermitian[0]:
         raise SymmetryError("operator is not Hermitian within tolerance")
-    herm = (a + a.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    order = np.argsort(-vals, kind="stable")
     return HermitianEigenSystem(
-        dim=a.shape[0],
-        eigenvalues=vals[order],
-        eigenvectors=_fix_phases(vecs[:, order]),
+        dim=a.shape[1], eigenvalues=vals[0], eigenvectors=vecs[0]
     )
 
 
@@ -196,16 +251,7 @@ def pinv_on_range(p, rank_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     ``pinv @ p`` projects onto the row space and ``p @ pinv`` equals the
     returned range projector.
     """
-    a = as_operator(p)
-    rows, cols = a.shape
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    keep = s > rank_tol * smax if smax > 0 else np.zeros_like(s, dtype=bool)
+    u, s, vh = np.linalg.svd(as_operator(p), full_matrices=False)
+    keep = s > rank_tol * s.max(initial=0.0)
     uk = u[:, keep]
-    pinv = (vh[keep].conj().T / s[keep]) @ uk.conj().T if keep.any() else np.zeros(
-        (cols, rows), dtype=np.complex128
-    )
-    projector = uk @ uk.conj().T if keep.any() else np.zeros(
-        (rows, rows), dtype=np.complex128
-    )
-    return pinv, projector
+    return (vh[keep].conj().T / s[keep]) @ uk.conj().T, uk @ uk.conj().T

@@ -29,9 +29,9 @@ from .errors import (
 from .operators import (
     ABS_FLOOR,
     HermitianEigenSystem,
-    hermitian_eig,
-    psd_check,
-    psd_sqrt,
+    psd_mask,
+    psd_roots,
+    sorted_eigh,
 )
 from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction, require_aligned
 
@@ -84,11 +84,12 @@ class AtomicTracePovm:
             raise DimensionError("frequencies must lie in (-pi, pi]")
         if np.any(np.diff(freqs) <= 0):
             raise DimensionError("frequencies must be strictly increasing")
-        for j, w in enumerate(weights):
-            if not psd_check(w, 1e-10):
-                raise PositivityError(
-                    f"atom {j} (frequency {freqs[j]:+.6f}) weight is not PSD"
-                )
+        psd = psd_mask(weights, 1e-10)
+        if not psd.all():
+            j = int(np.argmin(psd))
+            raise PositivityError(
+                f"atom {j} (frequency {freqs[j]:+.6f}) weight is not PSD"
+            )
 
     @classmethod
     def from_atoms(cls, dim: int, freqs, weights) -> "AtomicTracePovm":
@@ -135,16 +136,14 @@ class AtomicTracePovm:
     def sqrt_weights(self) -> np.ndarray:
         """Positive square roots ``nu_j^{1/2}`` of the atom weights, stacked.
 
-        The ``(n, dim, dim)`` stack is computed with :func:`psd_sqrt` on
+        The ``(n, dim, dim)`` stack is computed with :func:`psd_roots` on
         first use and cached on the measure; every call returns the same
         read-only array.  Like the rest of the frozen measure, the cache
         assumes the weights are not modified after construction.
         """
         roots = self.__dict__.get("_roots")
         if roots is None:
-            roots = np.empty_like(self.weights)
-            for j, w in enumerate(self.weights):
-                roots[j] = psd_sqrt(w)
+            roots = psd_roots(self.weights)
             roots.flags.writeable = False
             object.__setattr__(self, "_roots", roots)
         return roots
@@ -201,10 +200,10 @@ def radon_nikodym(nu: AtomicTracePovm, mu=None) -> PovmDensity:
             raise AbsoluteContinuityError(
                 f"atom {j} has positive mass but zero dominating weight"
             )
-    densities = np.zeros_like(nu.weights)
-    for j, wj in enumerate(w):
-        if wj > 0:
-            densities[j] = nu.weights[j] / wj
+    densities = np.divide(
+        nu.weights, w[:, None, None],
+        out=np.zeros_like(nu.weights), where=w[:, None, None] > 0,
+    )
     return PovmDensity(base_weights=w, densities=densities)
 
 
@@ -319,5 +318,5 @@ def eigendecompose(nu: AtomicTracePovm, mu=None) -> list[HermitianEigenSystem]:
     With the default dominating weights the eigenvalues of each positive
     mass atom sum to one.
     """
-    density = radon_nikodym(nu, mu)
-    return [hermitian_eig(g) for g in density.densities]
+    vals, vecs = sorted_eigh(radon_nikodym(nu, mu).densities)
+    return [HermitianEigenSystem(nu.dim, v, e) for v, e in zip(vals, vecs)]

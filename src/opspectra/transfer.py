@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DimensionError
-from .operators import ABS_FLOOR, as_operator
+from .operators import as_operator, hermitian_defects
 
 FREQ_MERGE_TOL = 1e-12
 DOMAIN_TOL = 1e-8
@@ -39,11 +39,11 @@ def require_aligned(freqs_a: np.ndarray, freqs_b: np.ndarray) -> None:
         raise AlignmentError("frequency supports do not match")
 
 
-def _check_projector(d: np.ndarray, tol: float = 1e-10) -> None:
-    scale = max(float(np.linalg.norm(d, 2)), 1.0)
-    if np.linalg.norm(d - d.conj().T, 2) > tol * scale:
+def _check_projectors(d: np.ndarray, tol: float = 1e-10) -> None:
+    bound = tol * np.maximum(np.linalg.norm(d, 2, axis=(1, 2)), 1.0)
+    if np.any(hermitian_defects(d) > bound):
         raise DimensionError("domain projector is not Hermitian")
-    if np.linalg.norm(d @ d - d, 2) > tol * scale:
+    if np.any(np.linalg.norm(d @ d - d, 2, axis=(1, 2)) > bound):
         raise DimensionError("domain projector is not idempotent")
 
 
@@ -76,8 +76,7 @@ class TransferFunction:
                 raise DimensionError(
                     f"domains must have shape {(n, self.in_dim, self.in_dim)}"
                 )
-            for d in doms:
-                _check_projector(d)
+            _check_projectors(doms)
 
     @property
     def n_atoms(self) -> int:
@@ -96,9 +95,7 @@ class TransferFunction:
             )
         if self.domains is not None:
             defect = x - x @ self.domains[j].T
-            bad = np.linalg.norm(defect, axis=-1) > np.maximum(
-                tol * np.linalg.norm(x, axis=-1), ABS_FLOOR
-            )
+            bad = np.linalg.norm(defect, axis=-1) > tol * np.linalg.norm(x, axis=-1)
             if np.any(bad):
                 raise DimensionError(
                     f"argument outside the domain of the partial operator at atom {j}"

@@ -16,6 +16,7 @@ import numpy as np
 from .bochner import (
     AutocovarianceSequence,
     autocov_from_povm,
+    grid_frequencies,
     positive_type_check,
     povm_from_autocov_grid,
 )
@@ -103,14 +104,10 @@ def _grid_povm(rng, dim, m):
     weights = np.stack(
         [random_psd(rng, dim, trace=float(rng.uniform(0.5, 1.5))) for _ in range(m)]
     )
-    from .bochner import grid_frequencies
-
     return AtomicTracePovm(dim, grid_frequencies(m), weights)
 
 
 def _is_grid_supported(nu: AtomicTracePovm) -> bool:
-    from .bochner import grid_frequencies
-
     m = nu.n_atoms
     grid = grid_frequencies(m)
     return bool(np.abs(nu.freqs - grid).max() <= 1e-9)
@@ -253,12 +250,7 @@ def check_filter_inversion(seed, extra_povms=()) -> CheckResult:
     worst = 0.0
     for _ in range(50):
         dim = int(rng.integers(2, 5))
-        n_atoms = int(rng.integers(2, 6))
-        ranks = [int(rng.integers(1, dim + 1)) for _ in range(n_atoms)]
-        nu = random_povm(rng, dim, n_atoms, ranks=ranks)
-        nu = AtomicTracePovm(
-            dim, nu.freqs, nu.weights * (n_atoms / np.trace(nu.total_mass()).real)
-        )
+        nu = _random_povm_normalized(rng, dim, int(rng.integers(2, 6)))
         cond = float(rng.uniform(10.0, 1000.0))
         phi = random_conditioned_transfer(rng, dim, nu.freqs, cond=cond)
         inv = invert_transfer(phi, nu)

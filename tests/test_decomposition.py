@@ -273,3 +273,31 @@ class TestHfpcaReport:
         report = hfpca_report(nu, 2)
         assert len(report["tie_warnings"]) == 1
         assert report["tie_warnings"][0]["atom"] == 0
+
+
+class TestStackedSpectra:
+    def test_linalg_calls_independent_of_atom_count(self, monkeypatch):
+        # every per-atom spectrum comes from one stacked call, so the number
+        # of numpy.linalg calls must not grow with the number of atoms
+        inputs = [random_povm(make_rng(620), 3, m, ranks=np.resize([1, 2, 3], m))
+                  for m in (8, 64)]
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd", "norm"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        counts = []
+        for nu in inputs:
+            calls.clear()
+            nu = AtomicTracePovm(nu.dim, nu.freqs, nu.weights)
+            nu.sqrt_weights()
+            ckl_decompose(nu)
+            hfpca_report(nu, 2)
+            counts.append(dict(calls))
+        assert counts[0] == counts[1]
+        assert counts[0]["eigh"] >= 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import opspectra.povm as povm_module
 from opspectra import (
     AlignmentError,
     AtomicTracePovm,
@@ -102,6 +103,30 @@ class TestApplyFilter:
         out = apply_filter(phi, w)
         expected = pushforward_povm(phi, nu)
         np.testing.assert_array_equal(out.intensity.weights, expected.weights)
+
+    def test_tiny_argument_outside_domain_rejected(self):
+        phi = TransferFunction(
+            2, 2, [0.0], [np.eye(2)], domains=[np.diag([1.0, 0.0])]
+        )
+        with pytest.raises(DimensionError):
+            phi.apply_at(0, np.array([0.0, 1e-15]))
+
+    def test_one_integrability_check_per_call(self, monkeypatch):
+        rng = make_rng(529)
+        nu = random_povm(rng, 3, 4, ranks=[3, 2, 3, 1])
+        phi = random_conditioned_transfer(rng, 3, nu.freqs, cond=100)
+        inv = invert_transfer(phi, nu)
+        w = apply_filter(phi, sample_gaussian_measure(nu, 8, seed=34))
+        calls = []
+        check = povm_module.square_integrability_check
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(povm_module, "square_integrability_check", counted)
+        apply_filter(inv, w)
+        assert len(calls) == 1
 
 
 class TestPushforward:

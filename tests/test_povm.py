@@ -41,6 +41,12 @@ class TestConstruction:
         with pytest.raises(PositivityError):
             AtomicTracePovm(2, [0.0], [np.diag([1.0, -1.0])])
 
+    def test_positivity_floor_scales_with_the_measure(self):
+        # a negative eigenvalue half the size of the positive one is not
+        # round-off at any scale
+        with pytest.raises(PositivityError):
+            AtomicTracePovm(2, [0.0], [1e-16 * np.diag([1.0, -0.5])])
+
     def test_requires_canonical_range(self):
         with pytest.raises(DimensionError):
             AtomicTracePovm(1, [-np.pi], np.ones((1, 1, 1)))
