@@ -70,7 +70,9 @@ class AtomicTracePovm:
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=np.float64).ravel()
-        weights = np.asarray(self.weights, dtype=np.complex128)
+        # a private read-only copy: the cached roots must not go stale
+        weights = np.array(self.weights, dtype=np.complex128)
+        weights.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "weights", weights)
         if freqs.size == 0:
@@ -138,8 +140,8 @@ class AtomicTracePovm:
 
         The ``(n, dim, dim)`` stack is computed with :func:`psd_roots` on
         first use and cached on the measure; every call returns the same
-        read-only array.  Like the rest of the frozen measure, the cache
-        assumes the weights are not modified after construction.
+        read-only array, which stays valid because the measure holds its
+        own read-only copy of the weights.
         """
         roots = self.__dict__.get("_roots")
         if roots is None:

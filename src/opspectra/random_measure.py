@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bochner import fourier_sum
 from .errors import AlignmentError, DimensionError, SampleSizeError
 from .povm import AtomicTracePovm, require_integrable
 from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction, require_aligned
@@ -193,13 +194,13 @@ def spectral_integral(
 def synthesize_process(w: RandomMeasure, period: int) -> ProcessSample:
     """Synthesise ``X_t = sum_j exp(i lambda_j t) Z_j`` for t = 0..period-1.
 
-    When all atoms lie on the even-M uniform grid the result is exactly
-    M-periodic.
+    When the atoms are exactly the M-point grid (to a few ulps) the sum is
+    an inverse DFT and ``X_{t+M} = (-1)^M X_t`` holds exactly; any other
+    support takes the dense phase sum (:func:`~opspectra.bochner.fourier_sum`).
     """
     if period < 1:
         raise DimensionError("period must be positive")
-    phases = np.exp(1j * np.outer(w.freqs, np.arange(period)))
-    values = np.moveaxis(np.tensordot(phases, w.samples, axes=(0, 0)), 0, 1)
+    values = np.moveaxis(fourier_sum(w.freqs, w.samples, period), 0, 1)
     return ProcessSample(dim=w.dim, period=period, values=values)
 
 

@@ -17,6 +17,7 @@ from .bochner import (
     AutocovarianceSequence,
     autocov_from_povm,
     grid_frequencies,
+    on_grid,
     positive_type_check,
     povm_from_autocov_grid,
 )
@@ -107,16 +108,10 @@ def _grid_povm(rng, dim, m):
     return AtomicTracePovm(dim, grid_frequencies(m), weights)
 
 
-def _is_grid_supported(nu: AtomicTracePovm) -> bool:
-    m = nu.n_atoms
-    grid = grid_frequencies(m)
-    return bool(np.abs(nu.freqs - grid).max() <= 1e-9)
-
-
 def check_herglotz_round_trip(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 1))
     instances = [_grid_povm(rng, 4, 16) for _ in range(50)]
-    instances += [nu for nu in extra_povms if _is_grid_supported(nu)]
+    instances += [nu for nu in extra_povms if on_grid(nu.freqs)]
     worst = 0.0
     for nu in instances:
         m = nu.n_atoms
@@ -283,7 +278,7 @@ def check_fir_fubini(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 6))
     worst = 0.0
     instances = [(_grid_povm(rng, 3, 16), None) for _ in range(50)]
-    instances += [(nu, None) for nu in extra_povms if _is_grid_supported(nu)]
+    instances += [(nu, None) for nu in extra_povms if on_grid(nu.freqs)]
     for nu, _ in instances:
         m = nu.n_atoms
         fir = random_fir(rng, nu.dim, 2, n_taps=int(rng.integers(1, 6)))

@@ -16,6 +16,7 @@ from opspectra import (
     sample_gaussian_measure,
     synthesize_process,
 )
+from opspectra.bochner import on_grid
 from opspectra.synthetic import make_rng, random_complex, random_grid_povm, random_povm
 
 
@@ -69,6 +70,87 @@ class TestAutocovFromPovm:
         gamma = autocov_from_povm(random_povm(rng, 2, 3), 2)
         with pytest.raises(CoverageError):
             gamma.gamma(3)
+
+
+def explicit_autocov(freqs, weights, max_lag):
+    """Oracle: the literal phase sum, one exp per (lag, atom) term."""
+    out = np.zeros((max_lag + 1,) + weights.shape[1:], dtype=complex)
+    for h in range(max_lag + 1):
+        for lam, w in zip(freqs, weights):
+            out[h] += np.exp(1j * lam * h) * w
+    return out
+
+
+def jittered_grid(rng, m, size=1e-9):
+    # every atom moves by less than size, the last one down from pi
+    freqs = grid_frequencies(m) + size * rng.uniform(-1.0, 1.0, m)
+    freqs[-1] = np.pi - size / 2
+    return freqs
+
+
+def relative_error(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+class TestFourierRoutes:
+    @pytest.mark.parametrize("m", [1, 2, 15, 16, 64])
+    @pytest.mark.parametrize("lags", ["zero", "period", "wrapped"])
+    def test_grid_autocov_matches_explicit_sum(self, m, lags):
+        max_lag = {"zero": 0, "period": m - 1, "wrapped": 2 * m + 3}[lags]
+        nu = random_grid_povm(make_rng((330, m)), 3, m)
+        assert on_grid(nu.freqs)
+        gamma = autocov_from_povm(nu, max_lag)
+        ref = explicit_autocov(nu.freqs, nu.weights, max_lag)
+        assert relative_error(gamma.values, ref) <= 1e-12
+
+    def test_jittered_grid_takes_dense_path(self):
+        # the DFT of the exact grid is ~1e-7 relative away at these lags
+        rng = make_rng(331)
+        m = 64
+        freqs = jittered_grid(rng, m)
+        assert not on_grid(freqs)
+        nu = AtomicTracePovm(3, freqs, random_grid_povm(rng, 3, m).weights)
+        gamma = autocov_from_povm(nu, 2 * m + 3)
+        ref = explicit_autocov(freqs, nu.weights, 2 * m + 3)
+        assert relative_error(gamma.values, ref) <= 1e-12
+
+    def test_grid_subset_takes_dense_path(self):
+        rng = make_rng(332)
+        freqs = np.delete(grid_frequencies(16), [3, 9])
+        assert not on_grid(freqs)
+        nu = random_povm(rng, 3, freqs.size)
+        nu = AtomicTracePovm(3, freqs, nu.weights)
+        gamma = autocov_from_povm(nu, 40)
+        ref = explicit_autocov(freqs, nu.weights, 40)
+        assert relative_error(gamma.values, ref) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 16, 64])
+    def test_grid_round_trip(self, m):
+        nu = random_grid_povm(make_rng((333, m)), 4, m)
+        recovered = povm_from_autocov_grid(autocov_from_povm(nu, m - 1), m)
+        np.testing.assert_array_equal(recovered.freqs, nu.freqs)
+        assert relative_error(recovered.weights, nu.weights) <= 1e-12
+
+    def test_grid_path_builds_no_phase_matrix(self, monkeypatch):
+        # the dense route exponentiates a (lags x atoms) array; the DFT
+        # route must never build one
+        sizes = []
+        exp = np.exp
+
+        def recorded(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recorded)
+        m = 64
+        rng = make_rng(334)
+        nu = random_grid_povm(rng, 2, m)
+        w = sample_gaussian_measure(nu, 4, seed=3)
+        autocov_from_povm(nu, 2 * m + 3)
+        synthesize_process(w, 3 * m)
+        assert max(sizes, default=0) <= m
+        autocov_from_povm(AtomicTracePovm(2, jittered_grid(rng, m), nu.weights), m - 1)
+        assert max(sizes) >= m * m
 
 
 class TestGridInversion:

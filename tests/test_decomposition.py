@@ -301,3 +301,26 @@ class TestStackedSpectra:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["eigh"] >= 1
+
+    def test_construction_takes_no_svd(self, monkeypatch):
+        # the Hermitian-defect tolerance is scaled by eigenvalues already in
+        # hand, so validating a measure needs no SVD-based operator norm
+        nu = random_povm(make_rng(621), 4, 64, ranks=np.resize([1, 2, 3, 4], 64))
+        calls = []
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counted_svd(*args, **kwargs):
+            calls.append("svd")
+            return svd(*args, **kwargs)
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append("norm2")
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "norm", counted_norm)
+        AtomicTracePovm(nu.dim, nu.freqs, nu.weights)
+        assert calls == []
+        np.linalg.norm(nu.weights, 2, axis=(-2, -1))
+        assert calls == ["norm2"]

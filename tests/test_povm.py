@@ -47,6 +47,12 @@ class TestConstruction:
         with pytest.raises(PositivityError):
             AtomicTracePovm(2, [0.0], [1e-16 * np.diag([1.0, -0.5])])
 
+    def test_requires_hermitian_weights(self):
+        # the Hermitian part [[1, 1/2], [1/2, 1]] is positive definite, so
+        # only the Hermitian-defect test can reject this atom
+        with pytest.raises(PositivityError):
+            AtomicTracePovm(2, [0.0], [[[1.0, 1.0], [0.0, 1.0]]])
+
     def test_requires_canonical_range(self):
         with pytest.raises(DimensionError):
             AtomicTracePovm(1, [-np.pi], np.ones((1, 1, 1)))
@@ -76,6 +82,19 @@ class TestSqrtWeights:
         assert nu.sqrt_weights() is roots
         assert not roots.flags.writeable
         assert np.abs(roots @ roots - nu.weights).max() <= 1e-12
+
+
+    def test_weights_are_a_read_only_copy(self):
+        weights = np.stack([np.eye(2, dtype=complex)] * 3)
+        nu = AtomicTracePovm(2, [-1.0, 0.0, 1.0], weights)
+        roots = nu.sqrt_weights()
+        weights *= 4.0
+        np.testing.assert_array_equal(nu.weights, np.stack([np.eye(2)] * 3))
+        np.testing.assert_array_equal(nu.sqrt_weights(), np.stack([np.eye(2)] * 3))
+        assert nu.sqrt_weights() is roots
+        assert not nu.weights.flags.writeable
+        with pytest.raises(ValueError):
+            nu.weights[0, 0, 0] = 2.0
 
 
 class TestVariationMeasure:

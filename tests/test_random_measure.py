@@ -12,6 +12,7 @@ from opspectra import (
     empirical_autocov,
     empirical_gramian,
     from_increment_path,
+    grid_frequencies,
     gramian_inner,
     modulate_transfer,
     sample_gaussian_measure,
@@ -19,7 +20,27 @@ from opspectra import (
     synthesize_process,
     to_increment_path,
 )
-from opspectra.synthetic import make_rng, random_complex, random_povm, random_transfer
+from opspectra.bochner import on_grid
+from opspectra.synthetic import (
+    make_rng,
+    random_complex,
+    random_grid_povm,
+    random_povm,
+    random_transfer,
+)
+
+
+def explicit_synthesis(w, period):
+    """Oracle: the literal phase sum, one exp per (time, atom) term."""
+    out = np.zeros((w.n_realizations, period, w.dim), dtype=complex)
+    for t in range(period):
+        for lam, z in zip(w.freqs, w.samples):
+            out[:, t, :] += np.exp(1j * lam * t) * z
+    return out
+
+
+def relative_error(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
 
 
 class TestSampling:
@@ -233,6 +254,44 @@ class TestSynthesis:
         x_mod = synthesize_process(w_mod, 10)
         err = np.abs(x_mod.values - x.values[:, h:, :]).max()
         assert err <= 1e-12 * max(1.0, np.abs(x.values).max())
+
+
+class TestSynthesisRoutes:
+    @pytest.mark.parametrize("m", [1, 2, 15, 16, 64])
+    @pytest.mark.parametrize("period", ["one", "short", "period", "three"])
+    def test_grid_synthesis_matches_explicit_sum(self, m, period):
+        period = {"one": 1, "short": max(m - 1, 1), "period": m, "three": 3 * m}[period]
+        nu = random_grid_povm(make_rng((420, m)), 2, m)
+        assert on_grid(nu.freqs)
+        w = sample_gaussian_measure(nu, 5, seed=m)
+        x = synthesize_process(w, period)
+        assert relative_error(x.values, explicit_synthesis(w, period)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [15, 16])
+    def test_grid_synthesis_repeats_with_sign(self, m):
+        # exp(i lambda_k M) = (-1)^M on the grid: even M is periodic, odd M
+        # changes sign after one period
+        nu = random_grid_povm(make_rng(421), 2, m)
+        x = synthesize_process(sample_gaussian_measure(nu, 3, seed=5), 3 * m)
+        np.testing.assert_array_equal(
+            x.values[:, m:2 * m], (-1.0) ** m * x.values[:, :m]
+        )
+
+    @pytest.mark.parametrize("support", ["jittered", "subset"])
+    def test_off_grid_synthesis_takes_dense_path(self, support):
+        rng = make_rng(422)
+        m = 64
+        freqs = grid_frequencies(m)
+        if support == "jittered":
+            freqs = freqs + 1e-9 * rng.uniform(-1.0, 1.0, m)
+            freqs[-1] = np.pi - 0.5e-9
+        else:
+            freqs = np.delete(freqs, [0, 17])
+        assert not on_grid(freqs)
+        nu = AtomicTracePovm(2, freqs, random_povm(rng, 2, freqs.size).weights)
+        w = sample_gaussian_measure(nu, 5, seed=6)
+        x = synthesize_process(w, 3 * m)
+        assert relative_error(x.values, explicit_synthesis(w, 3 * m)) <= 1e-12
 
 
 class TestEmpiricalGramian:
