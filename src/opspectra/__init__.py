@@ -44,6 +44,7 @@ from .errors import (
     AlignmentError,
     CoverageError,
     DimensionError,
+    FormatError,
     IntegrabilityError,
     NonInvertibleError,
     NotPositiveTypeError,
@@ -109,6 +110,7 @@ __all__ = [
     "CoverageError",
     "DimensionError",
     "FirFilter",
+    "FormatError",
     "HermitianEigenSystem",
     "IncrementPath",
     "IntegrabilityError",

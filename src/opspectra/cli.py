@@ -27,7 +27,7 @@ import numpy as np
 
 from .bochner import autocov_from_povm, povm_from_autocov_grid
 from .decomposition import ckl_decompose, hfpca_report
-from .errors import OpSpectraError
+from .errors import FormatError, OpSpectraError
 from .filtering import (
     apply_fir_time,
     compose_transfer,
@@ -46,6 +46,7 @@ from .serialization import (
     decode_series,
     decode_transfer,
     encode_autocov,
+    encode_pairs,
     encode_povm,
     encode_series,
     encode_transfer,
@@ -111,9 +112,9 @@ def _positive_int(config: dict, key: str) -> int:
 def _load(config: dict, key: str, decode):
     """Read the JSON file named by ``config[key]`` and decode it.
 
-    Unreadable files and documents the decoder cannot parse are unusable
-    configuration; domain errors raised while building the value pass
-    through.
+    Unreadable files, documents the decoder cannot parse and arrays that
+    do not match their declared counts are unusable configuration; domain
+    errors raised while building the value pass through.
     """
     path = _parse(config, key, os.fspath)
     try:
@@ -122,6 +123,8 @@ def _load(config: dict, key: str, decode):
         raise ConfigError(f"cannot read input {path!r}: {exc}") from exc
     try:
         return decode(obj)
+    except FormatError as exc:
+        raise ConfigError(f"input {path!r} is malformed: {exc}") from exc
     except OpSpectraError:
         raise
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
@@ -215,21 +218,15 @@ def _cmd_invert(config: dict) -> int:
 def _cmd_ckl(config: dict) -> int:
     nu = _load_povm(config)
     sys_ = ckl_decompose(nu)
-    atoms = []
-    for j in range(sys_.n_atoms):
-        vectors = [
-            [[float(z.real), float(z.imag)] for z in sys_.eigenvectors[j][:, n]]
-            for n in range(sys_.dim)
-        ]
-        atoms.append(
-            {
-                "freq": float(sys_.povm.freqs[j]),
-                "sigmas": [float(s) for s in sys_.eigenvalues[j]],
-                "vectors": vectors,
-                "rank": int(sys_.ranks[j]),
-                "base_weight": float(sys_.base_weights[j]),
-            }
+    # vectors[j][n] is the n-th eigenvector (column) of atom j
+    vectors = encode_pairs(np.swapaxes(sys_.eigenvectors, 1, 2))
+    atoms = [
+        {"freq": f, "sigmas": s, "vectors": v, "rank": r, "base_weight": w}
+        for f, s, v, r, w in zip(
+            sys_.povm.freqs.tolist(), sys_.eigenvalues.tolist(), vectors,
+            sys_.ranks.tolist(), sys_.base_weights.tolist(),
         )
+    ]
     _write(config, {"dim": sys_.dim, "atoms": atoms})
     _info(f"wrote eigendecompositions of {sys_.n_atoms} atoms")
     return 0

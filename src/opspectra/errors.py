@@ -14,6 +14,10 @@ class DimensionError(OpSpectraError, ValueError):
     """Operands have incompatible or invalid shapes."""
 
 
+class FormatError(DimensionError):
+    """An input document's arrays do not match the counts it declares."""
+
+
 class SymmetryError(OpSpectraError, ValueError):
     """A Hermitian operator was expected but the input is not self-adjoint."""
 

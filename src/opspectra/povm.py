@@ -69,9 +69,11 @@ class AtomicTracePovm:
     weights: np.ndarray
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=np.float64).ravel()
-        # a private read-only copy: the cached roots must not go stale
+        # private read-only copies: the cached roots must not go stale and
+        # the frequencies must stay strictly increasing
+        freqs = np.array(self.freqs, dtype=np.float64).ravel()
         weights = np.array(self.weights, dtype=np.complex128)
+        freqs.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "weights", weights)

@@ -2,7 +2,17 @@
 
 Complex numbers are serialised as two-element arrays ``[re, im]``
 everywhere; floats keep full precision (shortest round-trip decimal), so a
-write followed by a read reproduces every value exactly.
+write followed by a read reproduces every value exactly.  Whole arrays
+cross the boundary in one step: :func:`encode_pairs` turns a complex array
+of any shape into nested lists ending in ``[re, im]``, and
+:func:`decode_pairs` reads them back with one ``np.asarray`` and a shape
+check against the counts the document declares.  A document whose arrays
+do not match those counts raises :class:`~opspectra.errors.FormatError`.
+
+Files are written compactly (sorted keys, no insignificant whitespace):
+any ``indent`` makes :mod:`json` fall back from its C encoder to the
+pure-Python one, which dominated the time of every command that writes a
+series.  Any JSON layout is accepted on read.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bochner import AutocovarianceSequence
-from .errors import DimensionError
+from .errors import DimensionError, FormatError
 from .povm import AtomicTracePovm
 from .random_measure import ProcessSample
 from .transfer import FirFilter, TransferFunction
@@ -22,12 +32,14 @@ __all__ = [
     "decode_autocov",
     "decode_fir",
     "decode_operator",
+    "decode_pairs",
     "decode_povm",
     "decode_series",
     "decode_transfer",
     "encode_autocov",
     "encode_fir",
     "encode_operator",
+    "encode_pairs",
     "encode_povm",
     "encode_series",
     "encode_transfer",
@@ -36,84 +48,118 @@ __all__ = [
 ]
 
 
-def _pairs(a: np.ndarray) -> list:
-    flat = np.asarray(a, dtype=np.complex128).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
+def encode_pairs(a) -> list:
+    """A complex array of any shape as nested lists ending in ``[re, im]``."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _from_pairs(pairs, shape) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=np.float64)
-    expected = (int(np.prod(shape)), 2)
-    if arr.shape != expected:
-        raise DimensionError(f"expected {expected[0]} [re, im] pairs")
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(shape)
+def decode_pairs(pairs, shape) -> np.ndarray:
+    """Inverse of :func:`encode_pairs` for an array of the given shape.
+
+    Short, long or ragged nesting raises :class:`FormatError`.
+    """
+    shape = tuple(shape)
+    try:
+        arr = np.ascontiguousarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"expected {shape} [re, im] pairs: {exc}") from exc
+    if arr.size == 0 and 0 in shape:
+        # an empty list carries no inner axes to compare
+        arr = arr.reshape(shape + (2,))
+    if arr.shape != shape + (2,):
+        raise FormatError(
+            f"expected {shape} [re, im] pairs, got an array of shape {arr.shape}"
+        )
+    # a view, bit-exact with signed zeros, where re + 1j * im is not
+    return arr.view(np.complex128).reshape(shape)
+
+
+def _encode_stack(stack) -> list:
+    """One operator document per matrix of an ``(n, rows, cols)`` stack."""
+    n, rows, cols = stack.shape
+    entries = encode_pairs(np.reshape(stack, (n, rows * cols)))
+    return [{"rows": rows, "cols": cols, "entries": e} for e in entries]
+
+
+def _decode_stack(objs, shape) -> np.ndarray:
+    """Inverse of :func:`_encode_stack`; ``shape`` is the declared
+    ``(n, rows, cols)`` and every document must match it."""
+    n, rows, cols = shape
+    for obj in objs:
+        if (int(obj["rows"]), int(obj["cols"])) != (rows, cols):
+            raise FormatError(
+                f"expected {rows}x{cols} operators,"
+                f" got {obj['rows']}x{obj['cols']}"
+            )
+    flat = decode_pairs([obj["entries"] for obj in objs], (n, rows * cols))
+    return flat.reshape(shape)
 
 
 def encode_operator(a) -> dict:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError("operators are 2-d")
-    return {"rows": a.shape[0], "cols": a.shape[1], "entries": _pairs(a)}
+    return _encode_stack(a[None])[0]
 
 
 def decode_operator(obj) -> np.ndarray:
     rows, cols = int(obj["rows"]), int(obj["cols"])
-    return _from_pairs(obj["entries"], (rows, cols))
+    return decode_pairs(obj["entries"], (rows * cols,)).reshape(rows, cols)
 
 
 def encode_povm(nu: AtomicTracePovm) -> dict:
     return {
         "dim": nu.dim,
         "atoms": [
-            {"freq": float(f), "weight": encode_operator(w)}
-            for f, w in zip(nu.freqs, nu.weights)
+            {"freq": f, "weight": w}
+            for f, w in zip(nu.freqs.tolist(), _encode_stack(nu.weights))
         ],
     }
 
 
 def decode_povm(obj) -> AtomicTracePovm:
     dim = int(obj["dim"])
-    freqs = [a["freq"] for a in obj["atoms"]]
-    weights = [decode_operator(a["weight"]) for a in obj["atoms"]]
-    return AtomicTracePovm(dim=dim, freqs=np.array(freqs), weights=np.array(weights))
+    atoms = obj["atoms"]
+    freqs = np.asarray([a["freq"] for a in atoms], dtype=np.float64)
+    weights = _decode_stack([a["weight"] for a in atoms], (len(atoms), dim, dim))
+    return AtomicTracePovm(dim=dim, freqs=freqs, weights=weights)
 
 
 def encode_autocov(g: AutocovarianceSequence) -> dict:
-    return {
-        "dim": g.dim,
-        "max_lag": g.max_lag,
-        "values": [encode_operator(v) for v in g.values],
-    }
+    return {"dim": g.dim, "max_lag": g.max_lag, "values": _encode_stack(g.values)}
 
 
 def decode_autocov(obj) -> AutocovarianceSequence:
-    values = np.array([decode_operator(v) for v in obj["values"]])
-    return AutocovarianceSequence(
-        dim=int(obj["dim"]), max_lag=int(obj["max_lag"]), values=values
-    )
+    dim, max_lag = int(obj["dim"]), int(obj["max_lag"])
+    values = _decode_stack(obj["values"], (max_lag + 1, dim, dim))
+    return AutocovarianceSequence(dim=dim, max_lag=max_lag, values=values)
 
 
 def encode_transfer(phi: TransferFunction) -> dict:
     out = {
         "in_dim": phi.in_dim,
         "out_dim": phi.out_dim,
-        "freqs": [float(f) for f in phi.freqs],
-        "ops": [encode_operator(op) for op in phi.ops],
+        "freqs": phi.freqs.tolist(),
+        "ops": _encode_stack(phi.ops),
     }
     if phi.domains is not None:
-        out["domains"] = [encode_operator(d) for d in phi.domains]
+        out["domains"] = _encode_stack(phi.domains)
     return out
 
 
 def decode_transfer(obj) -> TransferFunction:
+    in_dim, out_dim = int(obj["in_dim"]), int(obj["out_dim"])
+    freqs = np.asarray(obj["freqs"], dtype=np.float64)
+    n = freqs.size
     domains = obj.get("domains")
     if domains is not None:
-        domains = np.array([decode_operator(d) for d in domains])
+        domains = _decode_stack(domains, (n, in_dim, in_dim))
     return TransferFunction(
-        in_dim=int(obj["in_dim"]),
-        out_dim=int(obj["out_dim"]),
-        freqs=np.array([float(f) for f in obj["freqs"]]),
-        ops=np.array([decode_operator(op) for op in obj["ops"]]),
+        in_dim=in_dim,
+        out_dim=out_dim,
+        freqs=freqs,
+        ops=_decode_stack(obj["ops"], (n, out_dim, in_dim)),
         domains=domains,
     )
 
@@ -138,29 +184,24 @@ def encode_series(x: ProcessSample) -> dict:
         "dim": x.dim,
         "period": x.period,
         "realizations": x.n_realizations,
-        "values": [
-            [_pairs(x.values[r, t]) for t in range(x.period)]
-            for r in range(x.n_realizations)
-        ],
+        "values": encode_pairs(x.values),
     }
 
 
 def decode_series(obj) -> ProcessSample:
-    dim, period = int(obj["dim"]), int(obj["period"])
-    n = int(obj["realizations"])
-    values = np.empty((n, period, dim), dtype=np.complex128)
-    raw = obj["values"]
-    if len(raw) != n:
-        raise DimensionError("realization count does not match the values")
-    for r in range(n):
-        for t in range(period):
-            values[r, t] = _from_pairs(raw[r][t], (dim,))
-    return ProcessSample(dim=dim, period=period, values=values)
+    shape = (int(obj["realizations"]), int(obj["period"]), int(obj["dim"]))
+    values = decode_pairs(obj["values"], shape)
+    return ProcessSample(dim=shape[2], period=shape[1], values=values)
 
 
 def write_json(obj, path) -> None:
-    """Deterministic JSON dump: sorted keys, full-precision floats."""
-    text = json.dumps(obj, sort_keys=True, indent=1)
+    """Deterministic compact JSON dump: sorted keys, full-precision floats,
+    no insignificant whitespace.
+
+    Compact separators keep :mod:`json` on its C encoder; any ``indent``
+    forces the pure-Python encoder, several times slower on large series.
+    """
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     Path(path).write_text(text + "\n")
 
 

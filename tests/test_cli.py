@@ -270,12 +270,37 @@ class TestConfigErrors:
             {"command": "hfpca", "povm": "bundled", "q": "x", "out": "h.json"},
             {"command": "autocov", "povm": "bundled", "max_lag": 2,
              "out": "no_such_dir/g.json"},
+            {"command": "filter", "fir": "fir.json",
+             "series": "unpaired_value.json", "out": "y.json"},
+            {"command": "filter", "fir": "fir.json",
+             "series": "missing_realization.json", "out": "y.json"},
+            {"command": "filter", "fir": "fir.json",
+             "series": "missing_time_step.json", "out": "y.json"},
+            {"command": "filter", "fir": "fir_extra_entry.json",
+             "series": "series.json", "out": "y.json"},
         ],
         ids=["measure-without-atoms", "text-realizations", "text-q",
-             "unwritable-out"],
+             "unwritable-out", "series-value-not-a-pair",
+             "series-missing-realization", "series-missing-time-step",
+             "operator-entry-count"],
     )
     def test_malformed_input_exits_two(self, workdir, capsys, config):
         write_json({"dim": 3}, workdir / "no_atoms.json")
+        one = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
+        write_json({"taps": [{"s": 0, "op": one}]}, workdir / "fir.json")
+        write_json(
+            {"taps": [{"s": 0, "op": one | {"entries": [[1.0, 0.0]] * 2}}]},
+            workdir / "fir_extra_entry.json",
+        )
+        series = {"dim": 1, "period": 2, "realizations": 1,
+                  "values": [[[[1.0, 0.0]], [[2.0, 0.0]]]]}
+        for name, doc in {
+            "series.json": series,
+            "unpaired_value.json": series | {"values": [[[1.0], [[2.0, 0.0]]]]},
+            "missing_realization.json": series | {"realizations": 2},
+            "missing_time_step.json": series | {"values": [[[[1.0, 0.0]]]]},
+        }.items():
+            write_json(doc, workdir / name)
         assert run_config(workdir, "run.json", config) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

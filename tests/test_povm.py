@@ -96,6 +96,15 @@ class TestSqrtWeights:
         with pytest.raises(ValueError):
             nu.weights[0, 0, 0] = 2.0
 
+    def test_freqs_are_a_read_only_copy(self):
+        freqs = np.array([-1.0, 0.0, 1.0])
+        nu = AtomicTracePovm(1, freqs, np.ones((3, 1, 1)))
+        freqs[:] = 1.0
+        np.testing.assert_array_equal(nu.freqs, [-1.0, 0.0, 1.0])
+        assert not nu.freqs.flags.writeable
+        with pytest.raises(ValueError):
+            nu.freqs[0] = 2.0
+
 
 class TestVariationMeasure:
     def test_identity_atom(self):
