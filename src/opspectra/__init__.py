@@ -51,7 +51,6 @@ from .errors import (
     OpSpectraError,
     PositivityError,
     SampleSizeError,
-    SymmetryError,
 )
 from .filtering import (
     apply_filter,
@@ -63,22 +62,16 @@ from .filtering import (
     pushforward_povm,
 )
 from .operators import (
-    HermitianEigenSystem,
     adjoint,
-    hermitian_eig,
     outer,
-    pinv_on_range,
     psd_check,
     psd_sqrt,
-    schatten_norm,
 )
 from .povm import (
     AtomicTracePovm,
     PovmDensity,
-    eigendecompose,
     gramian_inner,
     gramian_norm,
-    operator_integral,
     radon_nikodym,
     scalar_integral,
     square_integrability_check,
@@ -111,7 +104,6 @@ __all__ = [
     "DimensionError",
     "FirFilter",
     "FormatError",
-    "HermitianEigenSystem",
     "IncrementPath",
     "IntegrabilityError",
     "NonInvertibleError",
@@ -122,7 +114,6 @@ __all__ = [
     "ProcessSample",
     "RandomMeasure",
     "SampleSizeError",
-    "SymmetryError",
     "TransferFunction",
     "adjoint",
     "apply_filter",
@@ -134,7 +125,6 @@ __all__ = [
     "ckl_scalar_component",
     "component_transfer",
     "compose_transfer",
-    "eigendecompose",
     "empirical_autocov",
     "empirical_gramian",
     "fir_to_transfer",
@@ -142,7 +132,6 @@ __all__ = [
     "gramian_inner",
     "gramian_norm",
     "grid_frequencies",
-    "hermitian_eig",
     "hermitian_nnd_check",
     "hfpca_error",
     "hfpca_optimal_error",
@@ -150,9 +139,7 @@ __all__ = [
     "hfpca_report",
     "invert_transfer",
     "modulate_transfer",
-    "operator_integral",
     "outer",
-    "pinv_on_range",
     "positive_type_check",
     "povm_from_autocov_grid",
     "psd_check",
@@ -163,7 +150,6 @@ __all__ = [
     "sample_real_gaussian_measure",
     "scalar_component_transfer",
     "scalar_integral",
-    "schatten_norm",
     "spectral_integral",
     "square_integrability_check",
     "synthesize_process",

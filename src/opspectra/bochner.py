@@ -116,11 +116,7 @@ class AutocovarianceSequence:
 
     def gamma(self, h: int) -> np.ndarray:
         """Value at a signed lag, using the Hermitian symmetry for h < 0."""
-        if abs(h) > self.max_lag:
-            raise CoverageError(f"lag {h} outside stored range +-{self.max_lag}")
-        if h >= 0:
-            return self.values[h]
-        return self.values[-h].conj().T
+        return _lag_table(self, [h, 0])[0, 1]
 
 
 def autocov_from_povm(nu: AtomicTracePovm, max_lag: int) -> AutocovarianceSequence:
@@ -162,16 +158,20 @@ def povm_from_autocov_grid(gamma: AutocovarianceSequence, m: int) -> AtomicTrace
         ) from exc
 
 
-def _block_matrix(gamma: AutocovarianceSequence, times) -> np.ndarray:
-    t = [int(x) for x in times]
-    if not t:
-        raise DimensionError("at least one time point is required")
-    n, d = len(t), gamma.dim
-    block = np.zeros((n * d, n * d), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            block[i * d:(i + 1) * d, j * d:(j + 1) * d] = gamma.gamma(t[i] - t[j])
-    return block
+def _lag_table(gamma: AutocovarianceSequence, times) -> np.ndarray:
+    """``table[i, j] = Gamma(t_i - t_j)``, shape ``(n, n, dim, dim)``: the
+    stored value at ``|t_i - t_j|``, conjugate-transposed for negative lags."""
+    t = np.array([int(x) for x in times], dtype=np.int64)
+    lags = t[:, None] - t[None, :]
+    outside = np.abs(lags) > gamma.max_lag
+    if outside.any():
+        raise CoverageError(
+            f"lag {lags[outside][0]} outside stored range +-{gamma.max_lag}"
+        )
+    table = gamma.values[np.abs(lags)]
+    negative = lags < 0
+    table[negative] = table[negative].conj().swapaxes(-1, -2)
+    return table
 
 
 def positive_type_check(
@@ -182,16 +182,21 @@ def positive_type_check(
     Assembles the block matrix ``[Gamma(t_i - t_j)]`` and checks it is PSD,
     which certifies ``sum <Gamma(t_i - t_j) x_j, x_i> >= 0`` for every
     choice of vectors.  When explicit ``vectors`` are given, only that
-    quadratic form is evaluated.
+    quadratic form is evaluated, against ``tol`` times the block's trace
+    norm (its trace, as ``Gamma(0)`` is PSD), so the answer does not change
+    when the sequence is scaled.
     """
-    block = _block_matrix(gamma, times)
+    table = _lag_table(gamma, times)
+    n, d = table.shape[0], gamma.dim
+    if n == 0:
+        raise DimensionError("at least one time point is required")
+    block = table.swapaxes(1, 2).reshape(n * d, n * d)
     if vectors is not None:
         x = np.asarray(vectors, dtype=np.complex128).reshape(-1)
         if x.size != block.shape[0]:
             raise DimensionError("stacked vectors must match the block size")
         form = (x.conj() @ block @ x).real
-        scale = float(np.abs(np.trace(block))) + 1.0
-        return bool(form >= -tol * scale)
+        return bool(form >= -tol * float(np.abs(np.trace(block))))
     return psd_check(block, tol)
 
 
@@ -202,15 +207,11 @@ def hermitian_nnd_check(
 
     Checks that ``sum_ij a_i conj(a_j) Gamma(t_i - t_j)`` is PSD.
     """
-    t = [int(x) for x in times]
+    table = _lag_table(gamma, times)
     a = np.asarray(coeffs, dtype=np.complex128).ravel()
-    if a.size != len(t):
+    if a.size != table.shape[0]:
         raise DimensionError("one coefficient per time point is required")
-    acc = np.zeros((gamma.dim, gamma.dim), dtype=np.complex128)
-    for i in range(len(t)):
-        for j in range(len(t)):
-            acc += a[i] * a[j].conjugate() * gamma.gamma(t[i] - t[j])
-    return psd_check(acc, tol)
+    return psd_check(np.einsum("i,j,ijab->ab", a, a.conj(), table), tol)
 
 
 def empirical_autocov(sample, max_lag: int):

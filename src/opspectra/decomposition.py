@@ -62,10 +62,6 @@ class CklSystem:
     def n_atoms(self) -> int:
         return self.povm.n_atoms
 
-    def atom_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the atoms ``nu_j`` themselves (weights folded in)."""
-        return self.base_weights[:, None] * self.eigenvalues
-
     def range_projectors(self) -> np.ndarray:
         """Per-atom projector onto the range of the atom weight."""
         return _top_projectors(self.eigenvectors, self.ranks)
@@ -199,7 +195,8 @@ def hfpca_optimal_error(sys: CklSystem, q) -> float:
     """Closed-form minimum ``sum_j sum_{n >= q_j} sigma_n(nu_j)``."""
     ranks = normalize_ranks(q, sys.n_atoms, sys.dim)
     tail = np.arange(sys.dim) >= ranks[:, None]
-    return float(sys.atom_eigenvalues()[tail].sum())
+    # eigenvalues of the atoms themselves: base weights folded back in
+    return float((sys.base_weights[:, None] * sys.eigenvalues)[tail].sum())
 
 
 def hfpca_report(nu: AtomicTracePovm, q, sys: CklSystem | None = None) -> dict:

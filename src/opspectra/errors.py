@@ -18,10 +18,6 @@ class FormatError(DimensionError):
     """An input document's arrays do not match the counts it declares."""
 
 
-class SymmetryError(OpSpectraError, ValueError):
-    """A Hermitian operator was expected but the input is not self-adjoint."""
-
-
 class PositivityError(OpSpectraError, ValueError):
     """A positive semi-definite operator was expected."""
 

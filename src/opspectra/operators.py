@@ -3,8 +3,8 @@
 Operators between finite-dimensional complex Hilbert spaces are plain 2-d
 ``numpy`` arrays of ``complex128``.  This module collects the primitives the
 rest of the library is built on: adjoints, outer products, positivity
-checks, positive square roots, Schatten norms, deterministic Hermitian
-eigendecompositions and pseudoinverses restricted to the range.
+checks, positive square roots and deterministic Hermitian
+eigendecompositions.
 
 The spectral conventions are written once, over ``(n, d, d)`` stacks such
 as the atom weights of a measure; single-operator functions are the n = 1
@@ -14,28 +14,22 @@ floored at ``ABS_FLOOR`` times the largest trace norm of the stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionError, PositivityError, SymmetryError
+from .errors import DimensionError, PositivityError
 
 ABS_FLOOR = 1e-14
 
 __all__ = [
     "ABS_FLOOR",
-    "HermitianEigenSystem",
     "adjoint",
     "as_operator",
     "hermitian_defects",
-    "hermitian_eig",
     "outer",
-    "pinv_on_range",
     "psd_check",
     "psd_mask",
     "psd_roots",
     "psd_sqrt",
-    "schatten_norm",
     "sorted_eigh",
 ]
 
@@ -63,23 +57,6 @@ def outer(x, y) -> np.ndarray:
     xv = np.ravel(np.asarray(x, dtype=np.complex128))
     yv = np.ravel(np.asarray(y, dtype=np.complex128))
     return np.outer(xv, yv.conj())
-
-
-def schatten_norm(p, order) -> float:
-    """Schatten norm of ``p`` for ``order`` in ``{1, 2, inf}``.
-
-    ``order=1`` is the trace norm (sum of singular values), ``order=2`` the
-    Hilbert-Schmidt (Frobenius) norm and ``order=inf`` the operator norm.
-    """
-    a = as_operator(p)
-    if order == 2:
-        return float(np.linalg.norm(a))
-    s = np.linalg.svd(a, compute_uv=False)
-    if order == 1:
-        return float(s.sum())
-    if order == np.inf:
-        return float(s[0]) if s.size else 0.0
-    raise ValueError(f"unsupported Schatten order {order!r}")
 
 
 def _adjoints(a: np.ndarray) -> np.ndarray:
@@ -173,38 +150,6 @@ def psd_sqrt(p, tol: float = 1e-10) -> np.ndarray:
     return _roots(vals, vecs)[0]
 
 
-@dataclass(frozen=True)
-class HermitianEigenSystem:
-    """Eigendecomposition of a Hermitian operator.
-
-    ``eigenvalues`` are sorted non-increasing and ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    dim: int
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        vecs = np.asarray(self.eigenvectors, dtype=np.complex128)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-        if vecs.shape != (self.dim, self.dim) or vals.shape != (self.dim,):
-            raise DimensionError("inconsistent eigensystem shapes")
-        if np.any(np.diff(vals) > 0):
-            raise ValueError("eigenvalues must be sorted non-increasing")
-        gram_defect = np.linalg.norm(
-            vecs.conj().T @ vecs - np.eye(self.dim), 2
-        )
-        if gram_defect > 1e-12:
-            raise ValueError("eigenvectors are not orthonormal")
-
-    def reconstruct(self) -> np.ndarray:
-        """Assemble ``V diag(vals) V^H``."""
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     # Scale each column so its largest-modulus entry (first on ties) is
     # real positive; keeps degenerate eigenvectors reproducible.
@@ -227,33 +172,3 @@ def sorted_eigh(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-vals, axis=-1, kind="stable")
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     return np.take_along_axis(vals, order, axis=-1), _fix_phases(vecs)
-
-
-def hermitian_eig(p, tol: float = 1e-10) -> HermitianEigenSystem:
-    """Deterministic eigendecomposition of a Hermitian operator.
-
-    The single-operator case of :func:`sorted_eigh`; a Hermitian defect
-    beyond ``tol`` times the operator norm raises :class:`SymmetryError`.
-    """
-    a = _single(p, "hermitian_eig")
-    vals, vecs = sorted_eigh(a)
-    hermitian, _ = _spectral_tests(a, vals, tol)
-    if not hermitian[0]:
-        raise SymmetryError("operator is not Hermitian within tolerance")
-    return HermitianEigenSystem(
-        dim=a.shape[1], eigenvalues=vals[0], eigenvectors=vecs[0]
-    )
-
-
-def pinv_on_range(p, rank_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Moore-Penrose pseudoinverse plus the projector onto the range.
-
-    Singular values at or below ``rank_tol`` times the largest one are
-    treated as zero.  Returns ``(pinv, range_projector)`` where
-    ``pinv @ p`` projects onto the row space and ``p @ pinv`` equals the
-    returned range projector.
-    """
-    u, s, vh = np.linalg.svd(as_operator(p), full_matrices=False)
-    keep = s > rank_tol * s.max(initial=0.0)
-    uk = u[:, keep]
-    return (vh[keep].conj().T / s[keep]) @ uk.conj().T, uk @ uk.conj().T

@@ -7,8 +7,7 @@ makes the identities of the operator calculus exactly testable:
 * variation measure and Radon-Nikodym densities,
 * integrals of scalar and operator-valued functions,
 * the Gramian ``<Phi, Psi>_nu`` and its norm,
-* square-integrability of (possibly partial) transfer functions,
-* per-atom eigendecompositions.
+* square-integrability of (possibly partial) transfer functions.
 
 Absolutely continuous spectra are represented by atoms on a fine uniform
 grid with quadrature weights folded into the atom weights.
@@ -26,23 +25,15 @@ from .errors import (
     IntegrabilityError,
     PositivityError,
 )
-from .operators import (
-    ABS_FLOOR,
-    HermitianEigenSystem,
-    psd_mask,
-    psd_roots,
-    sorted_eigh,
-)
+from .operators import ABS_FLOOR, psd_mask, psd_roots
 from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction, require_aligned
 
 __all__ = [
     "AtomicTracePovm",
     "CheckReport",
     "PovmDensity",
-    "eigendecompose",
     "gramian_inner",
     "gramian_norm",
-    "operator_integral",
     "radon_nikodym",
     "require_integrable",
     "scalar_integral",
@@ -288,10 +279,10 @@ def require_integrable(
         )
 
 
-def operator_integral(
-    phi: TransferFunction, nu: AtomicTracePovm, psi: TransferFunction
+def gramian_inner(
+    phi: TransferFunction, psi: TransferFunction, nu: AtomicTracePovm
 ) -> np.ndarray:
-    """The integral ``int Phi dnu Psi^H = sum_j Phi_j nu_j Psi_j^H``.
+    """Gramian ``<Phi, Psi>_nu = int Phi dnu Psi^H = sum_j Phi_j nu_j Psi_j^H``.
 
     Both transfer functions must be square integrable against the measure;
     on a partial atom the weight's range lies in the domain, so the same
@@ -302,25 +293,7 @@ def operator_integral(
     return np.einsum("jab,jbc,jdc->ad", phi.ops, nu.weights, psi.ops.conj())
 
 
-def gramian_inner(
-    phi: TransferFunction, psi: TransferFunction, nu: AtomicTracePovm
-) -> np.ndarray:
-    """Gramian ``<Phi, Psi>_nu = int Phi dnu Psi^H``, see
-    :func:`operator_integral`."""
-    return operator_integral(phi, nu, psi)
-
-
 def gramian_norm(phi: TransferFunction, nu: AtomicTracePovm) -> float:
     """Gramian norm ``||Phi||_nu = trace(<Phi, Phi>_nu)^{1/2}``."""
     tr = np.trace(gramian_inner(phi, phi, nu)).real
     return float(np.sqrt(max(tr, 0.0)))
-
-
-def eigendecompose(nu: AtomicTracePovm, mu=None) -> list[HermitianEigenSystem]:
-    """Per-atom eigendecomposition of the density against ``mu``.
-
-    With the default dominating weights the eigenvalues of each positive
-    mass atom sum to one.
-    """
-    vals, vecs = sorted_eigh(radon_nikodym(nu, mu).densities)
-    return [HermitianEigenSystem(nu.dim, v, e) for v, e in zip(vals, vecs)]

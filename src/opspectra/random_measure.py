@@ -136,7 +136,8 @@ def sample_real_gaussian_measure(
 
     Requires a symmetric support: every atom at ``0 < lambda < pi`` needs a
     mirror atom at ``-lambda`` with the transposed weight, and the weights
-    at ``0`` and ``pi`` must be real.  Samples at mirror atoms are complex
+    at ``0`` and ``pi`` must be real, both to within ``1e-10`` times the
+    largest atom trace.  Samples at mirror atoms are complex
     conjugates and samples at the self-paired atoms are real Gaussian, so
     the synthesised process is real-valued.  The atom covariances still
     match the intensity, but the self-paired atoms are not circularly
@@ -159,17 +160,19 @@ def sample_real_gaussian_measure(
         partner[j] = int(match[0])
     out = np.empty((freqs.size, n, dim), dtype=np.complex128)
     roots = nu.sqrt_weights()
+    # relative to the largest trace norm, so scaling nu changes no decision
+    floor = 1e-10 * nu.traces().max()
     for j in range(freqs.size):
         k = int(partner[j])
         if k == j:
-            if np.abs(nu.weights[j].imag).max() > 1e-10:
+            if np.abs(nu.weights[j].imag).max() > floor:
                 raise DimensionError(
                     f"self-paired atom {j} needs a real weight for real output"
                 )
             out[j] = _atom_rng(seed, j).standard_normal((n, dim)) @ roots[j].real.T
         elif k > j:
             mirror_defect = np.abs(nu.weights[k] - nu.weights[j].T).max()
-            if mirror_defect > 1e-10 * max(1.0, np.abs(nu.weights[j]).max()):
+            if mirror_defect > floor:
                 raise DimensionError(
                     f"atoms {j} and {k} are not transposes of each other"
                 )

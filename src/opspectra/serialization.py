@@ -7,7 +7,8 @@ cross the boundary in one step: :func:`encode_pairs` turns a complex array
 of any shape into nested lists ending in ``[re, im]``, and
 :func:`decode_pairs` reads them back with one ``np.asarray`` and a shape
 check against the counts the document declares.  A document whose arrays
-do not match those counts raises :class:`~opspectra.errors.FormatError`.
+do not match those counts raises :class:`~opspectra.errors.FormatError`,
+and so does a count that is not a JSON integer.
 
 Files are written compactly (sorted keys, no insignificant whitespace):
 any ``indent`` makes :mod:`json` fall back from its C encoder to the
@@ -75,6 +76,17 @@ def decode_pairs(pairs, shape) -> np.ndarray:
     return arr.view(np.complex128).reshape(shape)
 
 
+def _integer(obj, key: str, signed: bool = False) -> int:
+    """``obj[key]`` as declared: an integer that is not a boolean, and
+    non-negative unless ``signed``; anything else raises
+    :class:`FormatError` instead of being truncated."""
+    value = obj[key]
+    if type(value) is not int or (value < 0 and not signed):
+        kind = "an integer" if signed else "a non-negative integer"
+        raise FormatError(f"{key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def _encode_stack(stack) -> list:
     """One operator document per matrix of an ``(n, rows, cols)`` stack."""
     n, rows, cols = stack.shape
@@ -87,7 +99,7 @@ def _decode_stack(objs, shape) -> np.ndarray:
     ``(n, rows, cols)`` and every document must match it."""
     n, rows, cols = shape
     for obj in objs:
-        if (int(obj["rows"]), int(obj["cols"])) != (rows, cols):
+        if (_integer(obj, "rows"), _integer(obj, "cols")) != (rows, cols):
             raise FormatError(
                 f"expected {rows}x{cols} operators,"
                 f" got {obj['rows']}x{obj['cols']}"
@@ -104,7 +116,7 @@ def encode_operator(a) -> dict:
 
 
 def decode_operator(obj) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _integer(obj, "rows"), _integer(obj, "cols")
     return decode_pairs(obj["entries"], (rows * cols,)).reshape(rows, cols)
 
 
@@ -119,7 +131,7 @@ def encode_povm(nu: AtomicTracePovm) -> dict:
 
 
 def decode_povm(obj) -> AtomicTracePovm:
-    dim = int(obj["dim"])
+    dim = _integer(obj, "dim")
     atoms = obj["atoms"]
     freqs = np.asarray([a["freq"] for a in atoms], dtype=np.float64)
     weights = _decode_stack([a["weight"] for a in atoms], (len(atoms), dim, dim))
@@ -131,7 +143,7 @@ def encode_autocov(g: AutocovarianceSequence) -> dict:
 
 
 def decode_autocov(obj) -> AutocovarianceSequence:
-    dim, max_lag = int(obj["dim"]), int(obj["max_lag"])
+    dim, max_lag = _integer(obj, "dim"), _integer(obj, "max_lag")
     values = _decode_stack(obj["values"], (max_lag + 1, dim, dim))
     return AutocovarianceSequence(dim=dim, max_lag=max_lag, values=values)
 
@@ -149,7 +161,7 @@ def encode_transfer(phi: TransferFunction) -> dict:
 
 
 def decode_transfer(obj) -> TransferFunction:
-    in_dim, out_dim = int(obj["in_dim"]), int(obj["out_dim"])
+    in_dim, out_dim = _integer(obj, "in_dim"), _integer(obj, "out_dim")
     freqs = np.asarray(obj["freqs"], dtype=np.float64)
     n = freqs.size
     domains = obj.get("domains")
@@ -175,7 +187,10 @@ def encode_fir(fir: FirFilter) -> dict:
 
 def decode_fir(obj) -> FirFilter:
     return FirFilter(
-        taps={int(t["s"]): decode_operator(t["op"]) for t in obj["taps"]}
+        taps={
+            _integer(t, "s", signed=True): decode_operator(t["op"])
+            for t in obj["taps"]
+        }
     )
 
 
@@ -189,7 +204,7 @@ def encode_series(x: ProcessSample) -> dict:
 
 
 def decode_series(obj) -> ProcessSample:
-    shape = (int(obj["realizations"]), int(obj["period"]), int(obj["dim"]))
+    shape = tuple(_integer(obj, k) for k in ("realizations", "period", "dim"))
     values = decode_pairs(obj["values"], shape)
     return ProcessSample(dim=shape[2], period=shape[1], values=values)
 

@@ -20,7 +20,6 @@ __all__ = [
     "random_povm",
     "random_psd",
     "random_transfer",
-    "random_unitary",
 ]
 
 
@@ -71,14 +70,13 @@ def random_povm(
     return AtomicTracePovm(dim=dim, freqs=freqs, weights=weights)
 
 
-def random_grid_povm(
-    rng: np.random.Generator, dim: int, m: int, ranks=None
-) -> AtomicTracePovm:
-    """Random measure supported by the full uniform M-point grid."""
-    if ranks is None:
-        ranks = [dim] * m
-    weights = np.stack([random_psd(rng, dim, rank=r) for r in ranks])
-    return AtomicTracePovm(dim=dim, freqs=grid_frequencies(m), weights=weights)
+def random_grid_povm(rng: np.random.Generator, dim: int, m: int) -> AtomicTracePovm:
+    """Random full-rank measure on the uniform M-point grid, each atom's
+    trace drawn from ``uniform(0.5, 1.5)``."""
+    weights = np.stack(
+        [random_psd(rng, dim, trace=float(rng.uniform(0.5, 1.5))) for _ in range(m)]
+    )
+    return AtomicTracePovm(dim, grid_frequencies(m), weights)
 
 
 def random_transfer(
@@ -87,12 +85,6 @@ def random_transfer(
     freqs = np.asarray(freqs, dtype=np.float64)
     ops = random_complex(rng, (freqs.size, out_dim, in_dim))
     return TransferFunction(in_dim, out_dim, freqs, ops)
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(random_complex(rng, (dim, dim)))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def haar_frame(rng: np.random.Generator, dim: int, q: int) -> np.ndarray:
@@ -110,8 +102,8 @@ def random_conditioned_transfer(
     freqs = np.asarray(freqs, dtype=np.float64)
     ops = np.empty((freqs.size, dim, dim), dtype=np.complex128)
     for j in range(freqs.size):
-        u = random_unitary(rng, dim)
-        v = random_unitary(rng, dim)
+        u = haar_frame(rng, dim, dim)
+        v = haar_frame(rng, dim, dim)
         log_s = rng.uniform(-np.log(cond), 0.0, dim)
         ops[j] = (u * np.exp(log_s)) @ v.conj().T
     return TransferFunction(dim, dim, freqs, ops)

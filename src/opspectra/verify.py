@@ -16,7 +16,6 @@ import numpy as np
 from .bochner import (
     AutocovarianceSequence,
     autocov_from_povm,
-    grid_frequencies,
     on_grid,
     positive_type_check,
     povm_from_autocov_grid,
@@ -52,8 +51,8 @@ from .synthetic import (
     make_rng,
     random_conditioned_transfer,
     random_fir,
+    random_grid_povm,
     random_povm,
-    random_psd,
     random_transfer,
 )
 from .transfer import TransferFunction
@@ -101,16 +100,9 @@ def _random_povm_normalized(rng, dim, n_atoms, allow_deficient=True):
     return AtomicTracePovm(dim, nu.freqs, nu.weights * (n_atoms / scale))
 
 
-def _grid_povm(rng, dim, m):
-    weights = np.stack(
-        [random_psd(rng, dim, trace=float(rng.uniform(0.5, 1.5))) for _ in range(m)]
-    )
-    return AtomicTracePovm(dim, grid_frequencies(m), weights)
-
-
 def check_herglotz_round_trip(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 1))
-    instances = [_grid_povm(rng, 4, 16) for _ in range(50)]
+    instances = [random_grid_povm(rng, 4, 16) for _ in range(50)]
     instances += [nu for nu in extra_povms if on_grid(nu.freqs)]
     worst = 0.0
     for nu in instances:
@@ -129,7 +121,7 @@ def check_herglotz_round_trip(seed, extra_povms=()) -> CheckResult:
 
 def check_positive_type(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 2))
-    instances = [_grid_povm(rng, 4, 16) for _ in range(50)]
+    instances = [random_grid_povm(rng, 4, 16) for _ in range(50)]
     instances += list(extra_povms)
     failures = 0
     total = 0
@@ -277,7 +269,7 @@ def check_filter_inversion(seed, extra_povms=()) -> CheckResult:
 def check_fir_fubini(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 6))
     worst = 0.0
-    instances = [(_grid_povm(rng, 3, 16), None) for _ in range(50)]
+    instances = [(random_grid_povm(rng, 3, 16), None) for _ in range(50)]
     instances += [(nu, None) for nu in extra_povms if on_grid(nu.freqs)]
     for nu, _ in instances:
         m = nu.n_atoms

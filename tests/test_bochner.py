@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import opspectra.bochner as bochner_module
 from opspectra import (
     AtomicTracePovm,
     AutocovarianceSequence,
     CoverageError,
+    DimensionError,
     NotPositiveTypeError,
     SampleSizeError,
     autocov_from_povm,
@@ -229,6 +231,15 @@ class TestPositiveType:
         vectors = random_complex(rng, (3, 2))
         assert positive_type_check(gamma, [0, 2, 4], vectors=vectors)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-150])
+    def test_vector_form_test_is_scale_free(self, scale):
+        # x = (1, -1) gives the form -2 s, whatever s
+        bad = AutocovarianceSequence(1, 1, scale * np.array([[[1.0]], [[2.0]]]))
+        assert not positive_type_check(bad, [0, 1], vectors=[1.0, -1.0])
+        good = AutocovarianceSequence(1, 1, scale * np.array([[[1.0]], [[0.5]]]))
+        assert positive_type_check(good, [0, 1], vectors=[1.0, -1.0])
+        assert positive_type_check(good, [0, 1], vectors=[1.0, 1.0])
+
     def test_random_time_sets_always_pass(self):
         rng = make_rng(311)
         nu = random_povm(rng, 2, 6)
@@ -237,6 +248,68 @@ class TestPositiveType:
             n = int(rng.integers(1, 7))
             times = rng.choice(13, size=n, replace=False)
             assert positive_type_check(gamma, times, tol=1e-10)
+
+
+def stored(gamma, h):
+    """Reference ``Gamma(h)`` read straight from the stored lags."""
+    return gamma.values[h] if h >= 0 else gamma.values[-h].conj().T
+
+
+class TestLagTable:
+    """Both certificates read ``Gamma(t_i - t_j)`` from one lag table."""
+
+    @pytest.mark.parametrize(
+        "times", [[4, 0, 2, 1], [3, 1, 3, 0, 1]], ids=["unsorted", "repeated"]
+    )
+    def test_block_matches_double_loop(self, times, monkeypatch):
+        rng = make_rng(314)
+        gamma = autocov_from_povm(random_povm(rng, 3, 5), 4)
+        blocks = []
+        monkeypatch.setattr(
+            bochner_module, "psd_check", lambda block, tol: blocks.append(block)
+        )
+        positive_type_check(gamma, times)
+        ref = np.block([[stored(gamma, ti - tj) for tj in times] for ti in times])
+        np.testing.assert_array_equal(blocks[0], ref)
+
+    @pytest.mark.parametrize(
+        "times", [[4, 0, 2, 1], [3, 1, 3, 0, 1]], ids=["unsorted", "repeated"]
+    )
+    def test_nnd_sum_matches_double_loop(self, times, monkeypatch):
+        rng = make_rng(315)
+        gamma = autocov_from_povm(random_povm(rng, 2, 5), 4)
+        a = random_complex(rng, len(times))
+        sums = []
+        check = bochner_module.psd_check
+        monkeypatch.setattr(
+            bochner_module, "psd_check",
+            lambda op, tol: sums.append(op) or check(op, tol),
+        )
+        assert hermitian_nnd_check(gamma, times, a)
+        ref = sum(
+            a[i] * a[j].conjugate() * stored(gamma, ti - tj)
+            for i, ti in enumerate(times)
+            for j, tj in enumerate(times)
+        )
+        assert np.abs(sums[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda gamma, times: positive_type_check(gamma, times),
+            lambda gamma, times: hermitian_nnd_check(gamma, times, np.ones(len(times))),
+        ],
+        ids=["positive_type", "hermitian_nnd"],
+    )
+    def test_lag_beyond_max_lag(self, check):
+        gamma = autocov_from_povm(random_povm(make_rng(316), 2, 3), 2)
+        with pytest.raises(CoverageError, match=r"lag -3 outside stored range \+-2"):
+            check(gamma, [0, 3, 1])
+
+    def test_empty_time_list(self):
+        gamma = autocov_from_povm(random_povm(make_rng(317), 2, 3), 2)
+        with pytest.raises(DimensionError, match="at least one time point"):
+            positive_type_check(gamma, [])
 
 
 class TestHermitianNnd:

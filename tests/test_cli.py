@@ -278,11 +278,13 @@ class TestConfigErrors:
              "series": "missing_time_step.json", "out": "y.json"},
             {"command": "filter", "fir": "fir_extra_entry.json",
              "series": "series.json", "out": "y.json"},
+            {"command": "filter", "fir": "fir.json",
+             "series": "fractional_dim.json", "out": "y.json"},
         ],
         ids=["measure-without-atoms", "text-realizations", "text-q",
              "unwritable-out", "series-value-not-a-pair",
              "series-missing-realization", "series-missing-time-step",
-             "operator-entry-count"],
+             "operator-entry-count", "series-fractional-dim"],
     )
     def test_malformed_input_exits_two(self, workdir, capsys, config):
         write_json({"dim": 3}, workdir / "no_atoms.json")
@@ -299,6 +301,7 @@ class TestConfigErrors:
             "unpaired_value.json": series | {"values": [[[1.0], [[2.0, 0.0]]]]},
             "missing_realization.json": series | {"realizations": 2},
             "missing_time_step.json": series | {"values": [[[[1.0, 0.0]]]]},
+            "fractional_dim.json": series | {"dim": 1.9},
         }.items():
             write_json(doc, workdir / name)
         assert run_config(workdir, "run.json", config) == 2

@@ -16,7 +16,6 @@ from opspectra import (
     gramian_inner,
     invert_transfer,
     modulate_transfer,
-    pinv_on_range,
     pushforward_povm,
     sample_gaussian_measure,
     square_integrability_check,
@@ -24,6 +23,7 @@ from opspectra import (
 )
 from opspectra.synthetic import (
     bundled_example_povm,
+    haar_frame,
     make_rng,
     random_complex,
     random_conditioned_transfer,
@@ -31,7 +31,6 @@ from opspectra.synthetic import (
     random_grid_povm,
     random_povm,
     random_transfer,
-    random_unitary,
 )
 
 
@@ -46,7 +45,8 @@ class TestCheckFilterable:
         nu = random_povm(rng, 3, 3)
         rank1 = np.zeros((3, 3), dtype=complex)
         rank1[1, 1] = 2.0
-        pinv, proj = pinv_on_range(rank1)
+        pinv = np.linalg.pinv(rank1, rcond=1e-12)
+        proj = rank1 @ pinv
         phi_inv = TransferFunction(
             3, 3, nu.freqs, np.stack([pinv] * 3), np.stack([proj] * 3)
         )
@@ -139,7 +139,7 @@ class TestPushforward:
     def test_unitary_preserves_traces(self):
         rng = make_rng(510)
         nu = random_povm(rng, 3, 3)
-        u = random_unitary(rng, 3)
+        u = haar_frame(rng, 3, 3)
         out = pushforward_povm(TransferFunction.constant(u, nu.freqs), nu)
         for j in range(3):
             expected = u @ nu.weights[j] @ u.conj().T
@@ -233,7 +233,8 @@ class TestCompose:
         # and a genuinely failing psi fails both ways
         rank1 = np.zeros((3, 3), dtype=complex)
         rank1[0, 0] = 1.0
-        pinv, proj = pinv_on_range(rank1)
+        pinv = np.linalg.pinv(rank1, rcond=1e-12)
+        proj = rank1 @ pinv
         bad = TransferFunction(
             3, 3, nu.freqs, np.stack([pinv] * 4), np.stack([proj] * 4)
         )
@@ -258,7 +259,7 @@ class TestInvert:
     def test_unitary_inverts_to_adjoint(self):
         rng = make_rng(519)
         nu = random_povm(rng, 3, 3)
-        u = random_unitary(rng, 3)
+        u = haar_frame(rng, 3, 3)
         phi = TransferFunction.constant(u, nu.freqs)
         inv = invert_transfer(phi, nu)
         for j in range(3):
@@ -329,7 +330,8 @@ class TestInvert:
         nu = random_povm(rng, 3, 2)  # full-rank atoms
         rank1 = np.zeros((3, 3), dtype=complex)
         rank1[0, 0] = 1.0
-        pinv, proj = pinv_on_range(rank1)
+        pinv = np.linalg.pinv(rank1, rcond=1e-12)
+        proj = rank1 @ pinv
         phi = TransferFunction(
             3, 3, nu.freqs, np.stack([pinv] * 2), np.stack([proj] * 2)
         )

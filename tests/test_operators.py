@@ -7,16 +7,13 @@ from hypothesis.extra.numpy import arrays
 from opspectra import (
     DimensionError,
     PositivityError,
-    SymmetryError,
     adjoint,
-    hermitian_eig,
     outer,
-    pinv_on_range,
     psd_check,
     psd_sqrt,
-    schatten_norm,
 )
-from opspectra.synthetic import make_rng, random_complex, random_psd, random_unitary
+from opspectra.operators import sorted_eigh
+from opspectra.synthetic import make_rng, random_complex, random_psd
 
 
 def complex_matrices(rows, cols, scale=3.0):
@@ -106,7 +103,7 @@ class TestPsdSqrt:
         p = random_psd(rng, 5)
         s = psd_sqrt(p)
         assert psd_check(s, 1e-10)
-        assert np.abs(s @ s - p).max() <= 1e-10 * schatten_norm(p, np.inf)
+        assert np.abs(s @ s - p).max() <= 1e-10 * np.linalg.norm(p, 2)
 
     def test_rejects_indefinite(self):
         with pytest.raises(PositivityError):
@@ -121,69 +118,38 @@ class TestPsdSqrt:
         assert s[2] <= 1e-14 * s[0]
 
 
-class TestSchattenNorm:
-    def test_diagonal_values(self):
-        p = np.diag([3.0, 4.0])
-        assert schatten_norm(p, 1) == pytest.approx(7.0, abs=1e-12)
-        assert schatten_norm(p, 2) == pytest.approx(5.0, abs=1e-12)
-        assert schatten_norm(p, np.inf) == pytest.approx(4.0, abs=1e-12)
-
-    def test_rank_one(self):
-        rng = make_rng(106)
-        x = random_complex(rng, 4)
-        y = random_complex(rng, 4)
-        value = float(np.linalg.norm(x) * np.linalg.norm(y))
-        assert schatten_norm(outer(x, y), 1) == pytest.approx(value, rel=1e-12)
-        assert schatten_norm(outer(x, y), 2) == pytest.approx(value, rel=1e-12)
-
-    def test_frobenius_oracle(self):
-        rng = make_rng(107)
-        a = random_complex(rng, (4, 3))
-        expected = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-        assert schatten_norm(a, 2) == pytest.approx(expected, abs=1e-12)
-
-    @settings(max_examples=50)
-    @given(complex_matrices(3, 3))
-    def test_norm_chain(self, a):
-        n_inf = schatten_norm(a, np.inf)
-        n_2 = schatten_norm(a, 2)
-        n_1 = schatten_norm(a, 1)
-        assert n_inf <= n_2 + 1e-12
-        assert n_2 <= n_1 + 1e-12
-
-    def test_trace_equals_trace_norm_for_psd(self):
-        rng = make_rng(108)
-        for _ in range(20):
-            p = random_psd(rng, 4)
-            assert np.trace(p).real == pytest.approx(
-                schatten_norm(p, 1), abs=1e-12 * max(1.0, np.trace(p).real)
-            )
+def eig(h):
+    """The single-operator case of the batched eigensolver."""
+    vals, vecs = sorted_eigh(np.asarray(h, dtype=np.complex128)[None])
+    return vals[0], vecs[0]
 
 
 class TestHermitianEig:
+    """``sorted_eigh`` on single operators."""
+
     def test_diagonal_permutation(self):
-        eig = hermitian_eig(np.diag([1.0, 3.0, 2.0]))
-        np.testing.assert_allclose(eig.eigenvalues, [3.0, 2.0, 1.0], atol=1e-14)
+        vals, _ = eig(np.diag([1.0, 3.0, 2.0]))
+        np.testing.assert_allclose(vals, [3.0, 2.0, 1.0], atol=1e-14)
 
     def test_degenerate_identity(self):
-        eig = hermitian_eig(np.eye(2))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, 1.0], atol=1e-14)
-        gram = eig.eigenvectors.conj().T @ eig.eigenvectors
+        vals, vecs = eig(np.eye(2))
+        np.testing.assert_allclose(vals, [1.0, 1.0], atol=1e-14)
+        gram = vecs.conj().T @ vecs
         assert np.abs(gram - np.eye(2)).max() <= 1e-12
 
     def test_reconstruction_oracle(self):
         rng = make_rng(109)
         a = random_complex(rng, (6, 6))
         h = (a + a.conj().T) / 2.0
-        eig = hermitian_eig(h)
-        scale = schatten_norm(h, np.inf)
-        assert np.abs(eig.reconstruct() - h).max() <= 1e-10 * scale
+        vals, vecs = eig(h)
+        scale = np.linalg.norm(h, 2)
+        assert np.abs((vecs * vals) @ vecs.conj().T - h).max() <= 1e-10 * scale
 
     def test_phase_convention(self):
         rng = make_rng(110)
         h = random_psd(rng, 5)
-        eig = hermitian_eig(h)
-        for col in eig.eigenvectors.T:
+        _, vecs = eig(h)
+        for col in vecs.T:
             lead = col[np.argmax(np.abs(col))]
             assert lead.real > 0
             assert abs(lead.imag) <= 1e-14 * abs(lead)
@@ -191,51 +157,7 @@ class TestHermitianEig:
     def test_determinism_bitwise(self):
         rng = make_rng(111)
         h = random_psd(rng, 4)
-        first = hermitian_eig(h)
-        second = hermitian_eig(h.copy())
-        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
-        np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(SymmetryError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPinvOnRange:
-    def test_diagonal(self):
-        pinv, proj = pinv_on_range(np.diag([2.0, 0.0]))
-        np.testing.assert_allclose(pinv, np.diag([0.5, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_unitary(self):
-        rng = make_rng(112)
-        u = random_unitary(rng, 4)
-        pinv, proj = pinv_on_range(u)
-        assert np.abs(pinv - u.conj().T).max() <= 1e-12
-        assert np.abs(proj - np.eye(4)).max() <= 1e-12
-
-    def test_left_inverse_oracle(self):
-        rng = make_rng(113)
-        a = random_complex(rng, (4, 2))
-        pinv, proj = pinv_on_range(a)
-        assert np.abs(pinv @ a - np.eye(2)).max() <= 1e-10
-        assert np.abs(a @ pinv - proj).max() <= 1e-10
-
-    def test_zero_operator(self):
-        pinv, proj = pinv_on_range(np.zeros((3, 2)))
-        assert not pinv.any() and not proj.any()
-        assert pinv.shape == (2, 3)
-
-    def test_weak_inverse_identity(self):
-        rng = make_rng(114)
-        for cols in (2, 3, 5):
-            a = random_complex(rng, (4, cols))
-            pinv, _ = pinv_on_range(a)
-            scale = schatten_norm(a, np.inf)
-            assert np.abs(a @ pinv @ a - a).max() <= 1e-10 * scale
-
-    def test_rank_cut(self):
-        a = np.diag([1.0, 1e-14])
-        pinv, proj = pinv_on_range(a, rank_tol=1e-12)
-        np.testing.assert_allclose(pinv, np.diag([1.0, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(proj, np.diag([1.0, 0.0]), atol=1e-14)
+        first = eig(h)
+        second = eig(h.copy())
+        np.testing.assert_array_equal(first[0], second[0])
+        np.testing.assert_array_equal(first[1], second[1])

@@ -9,11 +9,9 @@ from opspectra import (
     IntegrabilityError,
     PositivityError,
     TransferFunction,
-    eigendecompose,
+    ckl_decompose,
     gramian_inner,
     gramian_norm,
-    operator_integral,
-    pinv_on_range,
     psd_check,
     radon_nikodym,
     scalar_integral,
@@ -212,21 +210,21 @@ class TestOperatorIntegral:
         rng = make_rng(208)
         nu = random_povm(rng, 3, 4)
         ident = TransferFunction.identity(3, nu.freqs)
-        result = operator_integral(ident, nu, ident)
+        result = gramian_inner(ident, ident, nu)
         assert np.abs(result - nu.total_mass()).max() <= 1e-12
 
     def test_zero_transfer(self):
         rng = make_rng(209)
         nu = random_povm(rng, 3, 4)
         zero = TransferFunction.constant(np.zeros((2, 3)), nu.freqs)
-        assert not operator_integral(zero, nu, zero).any()
+        assert not gramian_inner(zero, zero, nu).any()
 
     def test_direct_sum_oracle(self):
         rng = make_rng(210)
         nu = random_povm(rng, 3, 5)
         phi = TransferFunction(3, 2, nu.freqs, random_complex(rng, (5, 2, 3)))
         psi = TransferFunction(3, 4, nu.freqs, random_complex(rng, (5, 4, 3)))
-        result = operator_integral(phi, nu, psi)
+        result = gramian_inner(phi, psi, nu)
         assert np.abs(result - direct_integral(phi, nu, psi)).max() <= 1e-12
 
 
@@ -302,7 +300,8 @@ class TestSquareIntegrability:
         nu = random_povm(rng, 3, 2)
         rank_one = np.zeros((3, 3), dtype=complex)
         rank_one[0, 0] = 1.0
-        pinv, proj = pinv_on_range(rank_one)
+        pinv = np.linalg.pinv(rank_one, rcond=1e-12)
+        proj = rank_one @ pinv
         phi = TransferFunction(
             3, 3, nu.freqs, np.stack([pinv, pinv]), np.stack([proj, proj])
         )
@@ -314,7 +313,7 @@ class TestSquareIntegrability:
         rng = make_rng(218)
         nu = random_povm(rng, 3, 2, ranks=[2, 1])
         domains = np.stack(
-            [pinv_on_range(w)[1] for w in nu.weights]
+            [w @ np.linalg.pinv(w, rcond=1e-12, hermitian=True) for w in nu.weights]
         )
         phi = TransferFunction(
             3, 3, nu.freqs, random_complex(rng, (2, 3, 3)), domains
@@ -341,7 +340,7 @@ class TestSquareIntegrability:
             np.stack([empty, empty]),
         )
         with pytest.raises(IntegrabilityError, match="atom"):
-            operator_integral(phi, nu, phi)
+            gramian_inner(phi, phi, nu)
 
     def test_shape_mismatch(self):
         rng = make_rng(220)
@@ -354,10 +353,9 @@ class TestSquareIntegrability:
         "call",
         [
             lambda phi, nu: square_integrability_check(phi, nu),
-            lambda phi, nu: operator_integral(phi, nu, phi),
             lambda phi, nu: gramian_inner(phi, phi, nu),
         ],
-        ids=["check", "operator_integral", "gramian_inner"],
+        ids=["check", "gramian_inner"],
     )
     def test_shifted_support_of_same_size(self, call):
         rng = make_rng(222)
@@ -369,26 +367,28 @@ class TestSquareIntegrability:
 
 
 class TestEigendecompose:
+    """Per-atom eigensystems of the unit-trace densities, from
+    ``ckl_decompose``."""
+
     def test_diagonal_atom(self):
         nu = AtomicTracePovm(2, [0.0], [np.diag([0.7, 0.3])])
-        eig = eigendecompose(nu)[0]
-        np.testing.assert_allclose(eig.eigenvalues, [0.7, 0.3], atol=1e-14)
-        assert np.abs(np.abs(eig.eigenvectors) - np.eye(2)).max() <= 1e-12
+        sys = ckl_decompose(nu)
+        np.testing.assert_allclose(sys.eigenvalues[0], [0.7, 0.3], atol=1e-14)
+        assert np.abs(np.abs(sys.eigenvectors[0]) - np.eye(2)).max() <= 1e-12
 
     def test_degenerate_atom(self):
         nu = AtomicTracePovm(2, [0.0], [np.eye(2)])
-        eig = eigendecompose(nu)[0]
-        np.testing.assert_allclose(eig.eigenvalues, [0.5, 0.5], atol=1e-14)
-        gram = eig.eigenvectors.conj().T @ eig.eigenvectors
-        assert np.abs(gram - np.eye(2)).max() <= 1e-12
+        sys = ckl_decompose(nu)
+        np.testing.assert_allclose(sys.eigenvalues[0], [0.5, 0.5], atol=1e-14)
+        vecs = sys.eigenvectors[0]
+        assert np.abs(vecs.conj().T @ vecs - np.eye(2)).max() <= 1e-12
 
     def test_reconstruction_and_unit_trace(self):
         rng = make_rng(221)
         nu = random_povm(rng, 4, 5)
         density = radon_nikodym(nu)
-        for eig, g in zip(eigendecompose(nu), density.densities):
-            assert np.abs(eig.reconstruct() - g).max() <= 1e-10
-            assert eig.eigenvalues.sum() == pytest.approx(1.0, abs=1e-12)
-            assert eig.eigenvalues.sum() == pytest.approx(
-                np.trace(g).real, abs=1e-12
-            )
+        sys = ckl_decompose(nu)
+        for vals, vecs, g in zip(sys.eigenvalues, sys.eigenvectors, density.densities):
+            assert np.abs((vecs * vals) @ vecs.conj().T - g).max() <= 1e-10
+            assert vals.sum() == pytest.approx(1.0, abs=1e-12)
+            assert vals.sum() == pytest.approx(np.trace(g).real, abs=1e-12)

@@ -146,6 +146,30 @@ class TestRealSampling:
         with pytest.raises(DimensionError):
             sample_real_gaussian_measure(nu, 4, seed=28)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    @pytest.mark.parametrize(
+        "freqs, weights",
+        [
+            ([-1.2, 1.2], [np.diag([1.0, 2.0]), np.diag([2.0, 1.0])]),
+            ([0.0], [np.array([[1.0, 0.5j], [-0.5j, 1.0]])]),
+        ],
+        ids=["mirror-not-transposed", "complex-self-paired"],
+    )
+    def test_rejection_does_not_depend_on_scale(self, freqs, weights, scale):
+        from opspectra import DimensionError, sample_real_gaussian_measure
+
+        nu = AtomicTracePovm(2, freqs, scale * np.stack(weights).astype(complex))
+        with pytest.raises(DimensionError):
+            sample_real_gaussian_measure(nu, 4, seed=29)
+
+    def test_tiny_symmetric_measure_synthesis_is_real(self):
+        from opspectra import sample_real_gaussian_measure
+
+        base = self._symmetric_povm(make_rng(422))
+        nu = AtomicTracePovm(2, base.freqs, 1e-12 * base.weights)
+        x = synthesize_process(sample_real_gaussian_measure(nu, 32, seed=30), 8)
+        assert np.abs(x.values.imag).max() <= 1e-12 * np.abs(x.values.real).max()
+
 
 class TestSpectralIntegral:
     def test_indicator_times_operator(self):

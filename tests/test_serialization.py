@@ -348,9 +348,33 @@ class TestDeclaredCounts:
                "values": [[[[1.0, 0.0]], [[2.0, 0.0]]]]}
         assert decode_series(doc).values.shape == (1, 2, 1)
         for bad in [{"realizations": 2}, {"period": 3}, {"dim": 2},
-                    {"values": [[[[1.0, 0.0]]]]}, {"values": [[[1.0], [[2.0, 0.0]]]]}]:
+                    {"values": [[[[1.0, 0.0]]]]}, {"values": [[[1.0], [[2.0, 0.0]]]]},
+                    {"dim": 1.9}, {"period": 2.0}, {"realizations": True},
+                    {"realizations": -1}]:
             with pytest.raises(FormatError):
                 decode_series(doc | bad)
+
+    def test_every_decoder_reads_integer_counts(self):
+        rng = make_rng(716)
+        nu = random_povm(rng, 2, 3)
+        op = encode_operator(np.eye(2))
+        transfer = encode_transfer(random_transfer(rng, 2, 2, nu.freqs))
+        cases = [
+            (decode_operator, op, "rows"),
+            (decode_operator, op, "cols"),
+            (decode_povm, encode_povm(nu), "dim"),
+            (decode_autocov, encode_autocov(autocov_from_povm(nu, 2)), "max_lag"),
+            (decode_transfer, transfer, "in_dim"),
+            (decode_transfer, transfer, "out_dim"),
+        ]
+        for decode, doc, key in cases:
+            with pytest.raises(FormatError, match=key):
+                decode(doc | {key: float(doc[key]) + 0.5})
+        doc = {"taps": [{"s": -1.5, "op": op}]}
+        with pytest.raises(FormatError, match="'s'"):
+            decode_fir(doc)
+        # FIR lags are signed
+        assert set(decode_fir({"taps": [{"s": -1, "op": op}]}).taps) == {-1}
 
     def test_empty_measure_reaches_the_constructor(self):
         with pytest.raises(DimensionError, match="at least one atom") as info:
