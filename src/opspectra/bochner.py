@@ -103,7 +103,9 @@ class AutocovarianceSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        # a private read-only copy, so the caller's array cannot change it
+        vals = np.array(self.values, dtype=np.complex128)
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.max_lag + 1, self.dim, self.dim):
             raise DimensionError(
@@ -160,8 +162,16 @@ def povm_from_autocov_grid(gamma: AutocovarianceSequence, m: int) -> AtomicTrace
 
 def _lag_table(gamma: AutocovarianceSequence, times) -> np.ndarray:
     """``table[i, j] = Gamma(t_i - t_j)``, shape ``(n, n, dim, dim)``: the
-    stored value at ``|t_i - t_j|``, conjugate-transposed for negative lags."""
-    t = np.array([int(x) for x in times], dtype=np.int64)
+    stored value at ``|t_i - t_j|``, conjugate-transposed for negative lags.
+
+    Times must be Python or numpy integers (not ``bool``); anything else
+    raises :class:`DimensionError` rather than being truncated."""
+    times = list(times)
+    if not all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in times
+    ):
+        raise DimensionError("time points and lags must be integers")
+    t = np.array(times, dtype=np.int64)
     lags = t[:, None] - t[None, :]
     outside = np.abs(lags) > gamma.max_lag
     if outside.any():

@@ -163,19 +163,19 @@ def hfpca_tie_warnings(sys: CklSystem, q, rel_tol: float = 1e-9) -> list:
     eigenspace; the achieved error is unaffected.
     """
     ranks = normalize_ranks(q, sys.n_atoms, sys.dim)
-    warnings = []
-    for j in range(sys.n_atoms):
-        k = int(ranks[j])
-        if k >= sys.dim:
-            continue
-        top = float(sys.eigenvalues[j].max(initial=0.0))
-        gap = sys.eigenvalues[j][k - 1] - sys.eigenvalues[j][k]
-        if gap <= rel_tol * max(top, 1e-300):
-            warnings.append(
-                {"atom": j, "freq": float(sys.povm.freqs[j]), "rank": k,
-                 "tied_value": float(sys.eigenvalues[j][k])}
-            )
-    return warnings
+    vals = sys.eigenvalues
+    # neighbours at the cut: eigenvalues k - 1 and k of each atom (ranks
+    # are at least 1; atoms with k = dim have no cut and are masked below)
+    cut = np.minimum(ranks, sys.dim - 1)[:, None]
+    gap = (np.take_along_axis(vals, np.maximum(cut - 1, 0), 1)
+           - np.take_along_axis(vals, cut, 1))[:, 0]
+    top = np.maximum(vals.max(axis=1, initial=0.0), 1e-300)
+    tied = (ranks < sys.dim) & (gap <= rel_tol * top)
+    return [
+        {"atom": int(j), "freq": float(sys.povm.freqs[j]), "rank": int(ranks[j]),
+         "tied_value": float(vals[j, ranks[j]])}
+        for j in np.flatnonzero(tied)
+    ]
 
 
 def hfpca_error(nu: AtomicTracePovm, theta: TransferFunction) -> float:

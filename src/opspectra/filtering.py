@@ -37,29 +37,27 @@ def pushforward_povm(phi: TransferFunction, nu: AtomicTracePovm) -> AtomicTraceP
 
 def _pushforward(phi: TransferFunction, nu: AtomicTracePovm) -> AtomicTracePovm:
     # callers have checked that phi is square integrable against nu
-    roots = nu.sqrt_weights()
-    weights = np.empty((nu.n_atoms, phi.out_dim, phi.out_dim), dtype=np.complex128)
-    for j in range(nu.n_atoms):
-        b = phi.ops[j] @ roots[j]
-        w = b @ b.conj().T
-        weights[j] = (w + w.conj().T) / 2.0
-    return AtomicTracePovm(dim=phi.out_dim, freqs=nu.freqs, weights=weights)
+    b = phi.ops @ nu.sqrt_weights()
+    w = b @ b.conj().swapaxes(1, 2)
+    w += w.conj().swapaxes(1, 2)
+    w /= 2.0
+    return AtomicTracePovm._from_gram(phi.out_dim, nu.freqs, w)
 
 
 def apply_filter(
     phi: TransferFunction, w: RandomMeasure, tol: float = DOMAIN_TOL
 ) -> RandomMeasure:
-    """Filter a sampled measure: samples ``Phi_j Z_j``, pushforward intensity."""
+    """Filter a sampled measure: samples ``Phi_j Z_j``, pushforward intensity.
+
+    The samples are one stacked :meth:`TransferFunction.apply`, so a sample
+    outside the domain of a partial atom raises, naming the first such
+    atom.
+    """
     require_integrable(phi, w.intensity, tol)
-    samples = np.empty(
-        (w.n_atoms, w.n_realizations, phi.out_dim), dtype=np.complex128
-    )
-    for j in range(w.n_atoms):
-        samples[j] = phi.apply_at(j, w.samples[j], tol)
     return RandomMeasure(
         dim=phi.out_dim,
         freqs=w.freqs,
-        samples=samples,
+        samples=phi.apply(w.samples, tol),
         intensity=_pushforward(phi, w.intensity),
     )
 
@@ -116,35 +114,64 @@ def invert_transfer(
     ``Phi_j(range(nu_j))``.  With ``strict=True`` every positive-mass atom
     operator must be injective on the whole space and the inverse is the
     pseudoinverse with domain ``Im(Phi_j)``.  Zero-mass atoms invert to the
-    zero operator.
+    zero operator with the identity domain.
+
+    All atoms are inverted by one stacked SVD of ``Phi_j V_j``, where the
+    columns of ``V_j`` past the support rank ``r_j`` are zeroed (in strict
+    mode ``V_j = I``); each atom keeps its top ``r_j`` singular triplets.
+    A positive-mass atom is rejected with :class:`NonInvertibleError`,
+    naming the first such atom, when its ``r_j``-th singular value is at
+    most ``rank_tol`` times ``||Phi_j||_2``, read off the largest
+    eigenvalue of ``Phi_j^H Phi_j``.
     """
     # a transfer must be applicable to the measure before it can be inverted
     require_integrable(phi, nu)
     mask = nu.positive_mass_mask()
-    smax = np.linalg.norm(phi.ops, 2, axis=(1, 2))
-    if not strict:
-        vals, vecs = sorted_eigh(nu.weights)
+    gram = phi.ops.conj().swapaxes(1, 2) @ phi.ops
+    smax = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    if strict:
+        op, rank = phi.ops, np.full(phi.n_atoms, phi.in_dim)
+    else:
+        # the range of nu_j is spanned by its leading eigenvectors above the
+        # cut; the rest of the basis is zeroed, which pads every operator
+        # Phi_j V_j with zero columns and adds only zero singular values
+        vals, basis = sorted_eigh(nu.weights)
         support = vals > rank_tol * np.maximum(vals[:, :1], 0.0)
-    inv_ops = np.zeros((phi.n_atoms, phi.in_dim, phi.out_dim), dtype=np.complex128)
-    domains = np.tile(np.eye(phi.out_dim, dtype=np.complex128), (phi.n_atoms, 1, 1))
-    for j in np.flatnonzero(mask):
-        # the range of nu_j is the span of its eigenvectors above the cut
-        basis = None if strict else vecs[j][:, support[j]]
-        op = phi.ops[j] if strict else phi.ops[j] @ basis
-        u, s, vh = np.linalg.svd(op, full_matrices=False)
-        smin = float(s[-1]) if s.size == op.shape[1] else 0.0
-        if smin <= rank_tol * smax[j]:
-            where = "" if strict else " on the supported subspace"
-            raise NonInvertibleError(
-                f"atom {j}: operator is not injective{where}"
-                f" (singular value gap {smin:.3e} vs"
-                f" threshold {rank_tol * smax[j]:.3e})"
-            )
-        # the gap test puts every singular value above rank_tol * s[0], so
-        # the range pseudoinverse keeps them all
-        pinv = (vh.conj().T / s) @ u.conj().T
-        inv_ops[j] = pinv if strict else basis @ pinv
-        domains[j] = u @ u.conj().T
+        basis *= support[:, None, :]
+        op, rank = phi.ops @ basis, support.sum(axis=1)
+    u, s, vh = np.linalg.svd(op, full_matrices=False)
+    # the (n, d, d) stacks op, vh, basis and u are freed as soon as they are
+    # used, which halves the transient memory of the inversion
+    del op
+    # the r_j-th singular value of an injective Phi_j V_j; zero when the
+    # operator has fewer rows than r_j
+    k = s.shape[1]
+    gap = np.where(rank <= k, s[np.arange(phi.n_atoms), np.clip(rank, 1, k) - 1], 0.0)
+    failing = mask & (gap <= rank_tol * smax)
+    if failing.any():
+        j = int(np.argmax(failing))
+        where = "" if strict else " on the supported subspace"
+        raise NonInvertibleError(
+            f"atom {j}: operator is not injective{where}"
+            f" (singular value gap {gap[j]:.3e} vs"
+            f" threshold {rank_tol * smax[j]:.3e})"
+        )
+    # keep the top r_j triplets of each positive-mass atom; the gap test put
+    # them all above rank_tol * s[0], so the range pseudoinverse keeps them
+    # all, and zero-mass atoms invert to zero with the identity domain
+    keep = (np.arange(k) < rank[:, None]) & mask[:, None]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    vh = vh.conj().swapaxes(1, 2)
+    vh *= s_inv[:, None, :]
+    inv_ops = vh @ u.conj().swapaxes(1, 2)
+    del vh
+    if not strict:
+        inv_ops = basis @ inv_ops
+        del basis
+    u *= keep[:, None, :]
+    domains = u @ u.conj().swapaxes(1, 2)
+    del u
+    domains[~mask] = np.eye(phi.out_dim)
     return TransferFunction(
         in_dim=phi.out_dim,
         out_dim=phi.in_dim,

@@ -186,12 +186,14 @@ def sample_real_gaussian_measure(
 def spectral_integral(
     phi: TransferFunction, w: RandomMeasure, tol: float = DOMAIN_TOL
 ) -> np.ndarray:
-    """Stochastic integral ``int Phi dW`` per realization, shape (R, out)."""
+    """Stochastic integral ``int Phi dW`` per realization, shape (R, out).
+
+    The per-atom terms ``Phi_j Z_j`` are one stacked
+    :meth:`TransferFunction.apply`, summed over the atoms; a sample outside
+    the domain of a partial atom raises, naming the first such atom.
+    """
     require_integrable(phi, w.intensity, tol)
-    acc = np.zeros((w.n_realizations, phi.out_dim), dtype=np.complex128)
-    for j in range(w.n_atoms):
-        acc += phi.apply_at(j, w.samples[j], tol)
-    return acc
+    return phi.apply(w.samples, tol).sum(axis=0)
 
 
 def synthesize_process(w: RandomMeasure, period: int) -> ProcessSample:

@@ -391,6 +391,8 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
             mc_total += 1
             if z <= 5.0:
                 mc_inside += 1
+        # release this instance's ensembles before the next one is drawn
+        del w, filtered, residual
     ok = (
         worst_closed <= 1e-10
         and worst_beat <= 1e-12

@@ -311,6 +311,36 @@ class TestLagTable:
         with pytest.raises(DimensionError, match="at least one time point"):
             positive_type_check(gamma, [])
 
+    @pytest.mark.parametrize(
+        "times", [[0.4, 1.9], [0, 1.0], [0, np.float64(1.0)], [True, 0]],
+        ids=["fractional", "float", "numpy-float", "bool"],
+    )
+    def test_non_integer_times_rejected(self, times):
+        gamma = autocov_from_povm(random_povm(make_rng(318), 1, 3), 2)
+        with pytest.raises(DimensionError, match="must be integers"):
+            positive_type_check(gamma, times)
+        with pytest.raises(DimensionError, match="must be integers"):
+            hermitian_nnd_check(gamma, times, np.ones(len(times)))
+        with pytest.raises(DimensionError, match="must be integers"):
+            gamma.gamma(times[0] if times[0] != 0 else times[1])
+
+    def test_numpy_integer_times_accepted(self):
+        gamma = autocov_from_povm(random_povm(make_rng(319), 2, 3), 2)
+        times = np.array([2, 0, 1], dtype=np.int32)
+        assert positive_type_check(gamma, times) == positive_type_check(gamma, [2, 0, 1])
+        np.testing.assert_array_equal(gamma.gamma(np.int64(-2)), gamma.gamma(-2))
+
+
+class TestAutocovarianceValues:
+    def test_values_are_a_read_only_copy(self):
+        v = np.ones((2, 1, 1), dtype=complex)
+        g = AutocovarianceSequence(1, 1, v)
+        v[0] = -5.0
+        assert g.values[0, 0, 0] == 1.0
+        assert not g.values.flags.writeable
+        with pytest.raises(ValueError):
+            g.values[0] = 2.0
+
 
 class TestHermitianNnd:
     def test_single_coefficient(self):

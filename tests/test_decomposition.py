@@ -22,6 +22,7 @@ from opspectra import (
     spectral_integral,
     synthesize_process,
 )
+from opspectra.decomposition import hfpca_tie_warnings
 from opspectra.synthetic import haar_frame, make_rng, random_povm
 
 
@@ -273,6 +274,37 @@ class TestHfpcaReport:
         report = hfpca_report(nu, 2)
         assert len(report["tie_warnings"]) == 1
         assert report["tie_warnings"][0]["atom"] == 0
+
+    def test_tie_warnings_match_loop_over_atoms(self):
+        diagonals = [
+            [0.5, 0.25, 0.25, 0.0],   # tie at the cut for q = 2
+            [0.4, 0.3, 0.2, 0.1],     # no tie
+            [0.25, 0.25, 0.25, 0.25],  # ties everywhere
+            [1.0, 0.0, 0.0, 0.0],     # rank one, zeros tied below the cut
+            [0.0, 0.0, 0.0, 0.0],     # zero mass
+            [0.3, 0.3, 0.2, 0.2],     # tie above the cut only for q = 1
+        ]
+        nu = AtomicTracePovm(4, np.linspace(-2.0, 2.0, 6),
+                             [np.diag(d) for d in diagonals])
+        sys = ckl_decompose(nu)
+        for q in (1, 2, 3, 4, [1, 2, 3, 4, 2, 1], [4, 3, 2, 1, 1, 3]):
+            ranks = np.minimum(np.resize(q, 6), 4)
+            expected = []
+            for j in range(6):
+                k = int(ranks[j])
+                if k >= 4:
+                    continue
+                top = float(sys.eigenvalues[j].max(initial=0.0))
+                gap = sys.eigenvalues[j][k - 1] - sys.eigenvalues[j][k]
+                if gap <= 1e-9 * max(top, 1e-300):
+                    expected.append({"atom": j, "freq": float(nu.freqs[j]), "rank": k,
+                                     "tied_value": float(sys.eigenvalues[j][k])})
+            got = hfpca_tie_warnings(sys, q)
+            assert got == expected
+            assert [type(v) for e in got for v in e.values()] == [
+                type(v) for e in expected for v in e.values()
+            ]
+        assert len(hfpca_tie_warnings(sys, 2)) >= 3
 
 
 class TestStackedSpectra:

@@ -21,6 +21,7 @@ from opspectra import (
     square_integrability_check,
     synthesize_process,
 )
+from opspectra.operators import sorted_eigh
 from opspectra.synthetic import (
     bundled_example_povm,
     haar_frame,
@@ -109,7 +110,7 @@ class TestApplyFilter:
             2, 2, [0.0], [np.eye(2)], domains=[np.diag([1.0, 0.0])]
         )
         with pytest.raises(DimensionError):
-            phi.apply_at(0, np.array([0.0, 1e-15]))
+            phi.apply(np.array([0.0, 1e-15]).reshape(1, 1, 2))
 
     def test_one_integrability_check_per_call(self, monkeypatch):
         rng = make_rng(529)
@@ -118,13 +119,13 @@ class TestApplyFilter:
         inv = invert_transfer(phi, nu)
         w = apply_filter(phi, sample_gaussian_measure(nu, 8, seed=34))
         calls = []
-        check = povm_module.square_integrability_check
+        check = povm_module._range_defects
 
         def counted(*args, **kwargs):
             calls.append(1)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(povm_module, "square_integrability_check", counted)
+        monkeypatch.setattr(povm_module, "_range_defects", counted)
         apply_filter(inv, w)
         assert len(calls) == 1
 
@@ -434,3 +435,242 @@ class TestModulate:
         y = synthesize_process(shifted, 8)
         scale = max(1.0, np.abs(x.values).max())
         assert np.abs(y.values - x.values[:, h:, :]).max() <= 1e-12 * scale
+
+
+def spectral_projector_ok(d, tol=1e-10):
+    """Reference for the domain projector tests, one spectral norm per atom."""
+    for dj in d:
+        bound = tol * max(np.linalg.norm(dj, 2), 1.0)
+        if np.linalg.norm(dj - dj.conj().T, 2) > bound:
+            return False
+        if np.linalg.norm(dj @ dj - dj, 2) > bound:
+            return False
+    return True
+
+
+class TestProjectorScreen:
+    """The Frobenius pre-screen of domain projectors decides as the
+    spectral tests do, also where it cannot clear an atom itself."""
+
+    @staticmethod
+    def perturbed_stacks(kind):
+        frame = haar_frame(make_rng(540), 4, 4)
+        p = frame[:, :2] @ frame[:, :2].conj().T
+        if kind == "hermitian":
+            # anti-Hermitian across range and kernel, so d @ d - d is only
+            # delta^2 e^2; four equal singular values: ||e||_F = 2 ||e||_2
+            cross = frame[:, :2] @ frame[:, 2:].conj().T
+            e = cross - cross.conj().T
+        else:
+            # Hermitian inside the range, two equal singular values:
+            # d @ d - d = delta e + delta^2 e^2
+            e = frame[:, :2] @ np.diag([1.0, -1.0]) @ frame[:, :2].conj().T
+        # the defect grows linearly in the perturbation, to first order
+        d = p + 1e-6 * e
+        defect = d - d.conj().T if kind == "hermitian" else d @ d - d
+        unit = np.linalg.norm(defect, 2) / 1e-6
+        for ratio in (0.2, 0.4, 0.6, 0.9, 0.99, 1.01, 1.1, 2.0):
+            # one perturbed atom among exact projectors
+            d = np.stack([p, p + ratio * 1e-10 / unit * e, p, np.eye(4), np.zeros((4, 4))])
+            yield ratio, d
+
+    @pytest.mark.parametrize("kind", ["hermitian", "idempotent"])
+    def test_accepts_exactly_when_spectral_reference_does(self, kind):
+        decisions, frobenius_unsure = [], 0
+        for ratio, d in self.perturbed_stacks(kind):
+            ref = spectral_projector_ok(d)
+            try:
+                TransferFunction(4, 4, np.linspace(-1, 1, 5),
+                                 np.zeros((5, 4, 4)), d)
+                got = True
+            except DimensionError as exc:
+                assert kind in str(exc).lower()
+                got = False
+            assert got == ref, ratio
+            decisions.append(got)
+            sq, herm = d[1] @ d[1] - d[1], d[1] - d[1].conj().T
+            if ref and max(np.linalg.norm(sq), np.linalg.norm(herm)) > 1e-10:
+                frobenius_unsure += 1
+        assert True in decisions and False in decisions
+        # some accepted stacks were not cleared by the Frobenius bound alone
+        assert frobenius_unsure >= 1
+
+
+class TestTransferApply:
+    def test_matches_per_atom_products(self):
+        rng = make_rng(541)
+        phi = random_transfer(rng, 3, 2, np.linspace(-1, 1, 4))
+        x = random_complex(rng, (4, 5, 3))
+        out = phi.apply(x)
+        for j in range(4):
+            np.testing.assert_array_equal(out[j], x[j] @ phi.ops[j].T)
+
+    def test_error_names_first_atom_outside_domain(self):
+        d = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.eye(2), np.diag([1.0, 0.0])])
+        phi = TransferFunction(2, 2, [-1.0, 0.0, 1.0, 2.0], d.astype(complex), d)
+        x = np.ones((4, 3, 2), dtype=complex)
+        x[1, :, 1] = 0.0
+        with pytest.raises(DimensionError, match="at atom 3"):
+            phi.apply(x)
+        x[3, :, 1] = 0.0
+        np.testing.assert_array_equal(phi.apply(x), x)
+
+    def test_wrong_shape_rejected(self):
+        phi = TransferFunction.identity(2, [0.0, 1.0])
+        with pytest.raises(DimensionError):
+            phi.apply(np.ones((3, 1, 2)))
+        with pytest.raises(DimensionError):
+            phi.apply(np.ones((2, 1, 3)))
+
+    def test_freqs_are_a_read_only_copy(self):
+        freqs = np.array([0.0, 1.0])
+        phi = TransferFunction(1, 1, freqs, np.ones((2, 1, 1)))
+        freqs[:] = 0.0
+        np.testing.assert_array_equal(phi.freqs, [0.0, 1.0])
+        assert not phi.freqs.flags.writeable
+        with pytest.raises(ValueError):
+            phi.freqs[0] = 2.0
+
+
+def reference_inverse(phi, nu, rank_tol=1e-10, strict=False):
+    """One SVD per positive-mass atom, as the inversion is defined."""
+    mask = nu.positive_mass_mask()
+    vals, vecs = sorted_eigh(nu.weights)
+    ops = np.zeros((phi.n_atoms, phi.in_dim, phi.out_dim), dtype=complex)
+    domains = np.tile(np.eye(phi.out_dim, dtype=complex), (phi.n_atoms, 1, 1))
+    for j in np.flatnonzero(mask):
+        if strict:
+            basis = np.eye(phi.in_dim)
+        else:
+            basis = vecs[j][:, vals[j] > rank_tol * max(vals[j, 0], 0.0)]
+        op = phi.ops[j] @ basis
+        u, s, vh = np.linalg.svd(op, full_matrices=False)
+        smin = s[-1] if s.size == op.shape[1] else 0.0
+        if smin <= rank_tol * np.linalg.norm(phi.ops[j], 2):
+            raise NonInvertibleError(f"atom {j}")
+        ops[j] = basis @ (vh.conj().T / s) @ u.conj().T
+        domains[j] = u @ u.conj().T
+    return ops, domains
+
+
+class TestStackedInversion:
+    @staticmethod
+    def case(out_dim):
+        rng = make_rng(542)
+        # rank-deficient supports and a zero-mass atom
+        nu = random_povm(rng, 3, 6, ranks=[3, 1, 2, 0, 2, 1])
+        if out_dim == 3:
+            phi = random_conditioned_transfer(rng, 3, nu.freqs, cond=100)
+        else:
+            phi = random_transfer(rng, 3, out_dim, nu.freqs)
+        return phi, nu
+
+    @pytest.mark.parametrize(
+        "out_dim,strict", [(3, False), (3, True), (4, False), (4, True), (2, False)]
+    )
+    def test_matches_per_atom_svd(self, out_dim, strict):
+        phi, nu = self.case(out_dim)
+        if out_dim == 2:
+            # a support of rank 3 cannot be injected into two dimensions
+            nu = AtomicTracePovm(3, nu.freqs, np.stack(
+                [nu.weights[1]] * 3 + [nu.weights[3]] + [nu.weights[4]] * 2))
+        assert not nu.positive_mass_mask()[3]
+        inv = invert_transfer(phi, nu, strict=strict)
+        ops, domains = reference_inverse(phi, nu, strict=strict)
+        assert np.abs(inv.ops - ops).max() <= 1e-12 * np.abs(ops).max()
+        assert np.abs(inv.domains - domains).max() <= 1e-12
+        assert not inv.ops[3].any()
+        np.testing.assert_array_equal(inv.domains[3], np.eye(out_dim))
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_names_the_same_first_failing_atom(self, strict):
+        phi, nu = self.case(3)
+        ops = phi.ops.copy()
+        # atom 3 has zero mass, so its zero operator is no failure
+        ops[3] = 0.0
+        # atoms 1 and 4 map a supported direction to zero
+        for j in (1, 4):
+            v = np.linalg.eigh(nu.weights[j])[1][:, -1]
+            ops[j] = ops[j] - np.outer(ops[j] @ v, v.conj())
+        phi = TransferFunction(3, 3, nu.freqs, ops)
+        with pytest.raises(NonInvertibleError, match="^atom 1$"):
+            reference_inverse(phi, nu, strict=strict)
+        with pytest.raises(NonInvertibleError, match="^atom 1: operator is not"):
+            invert_transfer(phi, nu, strict=strict)
+        # once atom 1 is repaired, both name atom 4
+        ops[1] = np.eye(3)
+        phi = TransferFunction(3, 3, nu.freqs, ops)
+        with pytest.raises(NonInvertibleError, match="^atom 4$"):
+            reference_inverse(phi, nu, strict=strict)
+        with pytest.raises(NonInvertibleError, match="^atom 4: operator is not"):
+            invert_transfer(phi, nu, strict=strict)
+
+    @pytest.mark.parametrize("smin", [0.5e-10, 0.99e-10, 1.01e-10, 1.3e-10, 2e-10])
+    def test_gap_near_threshold_decides_as_reference(self, smin):
+        # ||op||_2 = 1 while ||op||_F = sqrt(2): the threshold is spectral
+        nu = random_povm(make_rng(545), 3, 3)
+        frame = haar_frame(make_rng(546), 3, 3)
+        ops = np.stack([np.eye(3, dtype=complex)] * 3)
+        ops[1] = frame @ np.diag([1.0, 1.0, smin]) @ frame.conj().T
+        phi = TransferFunction(3, 3, nu.freqs, ops)
+        try:
+            reference_inverse(phi, nu, strict=True)
+            ref = True
+        except NonInvertibleError:
+            ref = False
+        assert ref == (smin > 1e-10)
+        if ref:
+            invert_transfer(phi, nu, strict=True)
+        else:
+            with pytest.raises(NonInvertibleError, match="^atom 1: .* threshold 1.000e-10"):
+                invert_transfer(phi, nu, strict=True)
+
+    def test_svd_and_norm2_calls_independent_of_atom_count(self, monkeypatch):
+        calls = {}
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] = calls.get("svd", 0) + 1
+            return svd(*args, **kwargs)
+
+        def counted_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls["norm2"] = calls.get("norm2", 0) + 1
+            return norm(x, ord, *args, **kwargs)
+
+        counts = []
+        for m in (8, 64):
+            rng = make_rng(543)
+            nu = random_povm(rng, 3, m, ranks=np.resize([1, 2, 3], m))
+            phi = random_conditioned_transfer(rng, 3, nu.freqs, cond=100)
+            filtered = apply_filter(phi, sample_gaussian_measure(nu, 4, seed=44))
+            monkeypatch.setattr(np.linalg, "svd", counted_svd)
+            monkeypatch.setattr(np.linalg, "norm", counted_norm)
+            calls.clear()
+            apply_filter(invert_transfer(phi, nu), filtered)
+            counts.append(dict(calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1]
+
+
+class TestPushforwardWeights:
+    def test_gram_path_matches_checked_constructor(self):
+        rng = make_rng(544)
+        nu = random_povm(rng, 3, 5, ranks=[3, 1, 0, 2, 3])
+        phi = random_transfer(rng, 3, 2, nu.freqs)
+        push = pushforward_povm(phi, nu)
+        checked = AtomicTracePovm(2, push.freqs, push.weights)
+        np.testing.assert_array_equal(push.weights, checked.weights)
+        assert not push.weights.flags.writeable
+        assert not push.freqs.flags.writeable
+        ref = [
+            (b @ b.conj().T + (b @ b.conj().T).conj().T) / 2.0
+            for b in phi.ops @ nu.sqrt_weights()
+        ]
+        np.testing.assert_array_equal(push.weights, ref)
+
+    def test_non_finite_weights_rejected(self):
+        weights = np.ones((2, 1, 1), dtype=complex)
+        weights[1] = np.inf
+        with pytest.raises(DimensionError, match="finite"):
+            AtomicTracePovm._from_gram(1, [0.0, 1.0], weights)

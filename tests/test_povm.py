@@ -392,3 +392,72 @@ class TestEigendecompose:
             assert np.abs((vecs * vals) @ vecs.conj().T - g).max() <= 1e-10
             assert vals.sum() == pytest.approx(1.0, abs=1e-12)
             assert vals.sum() == pytest.approx(np.trace(g).real, abs=1e-12)
+
+
+class TestIntegrabilityScreen:
+    """The guard's Frobenius pre-screen decides as the spectral residual
+    ``||(I - D_j) nu_j^{1/2}||_2 <= tol ||nu_j^{1/2}||_2`` does."""
+
+    @staticmethod
+    def instance(eps):
+        frame = make_rng(230).standard_normal((4, 4)) + 0j
+        frame = np.linalg.qr(frame)[0]
+        inside, leak = frame[:, :2], frame[:, 2]
+        dom = inside @ inside.conj().T
+        b = inside @ np.array([[1.0, 0.3], [0.2, 0.8]]) + eps * np.outer(leak, [1.0, 0.5])
+        weights = np.stack([
+            # below the mass floor and outside the domain: skipped
+            1e-20 * np.outer(leak, leak.conj()),
+            b @ b.conj().T,
+            inside @ inside.conj().T,
+            np.eye(4),
+        ])
+        domains = np.stack([dom, dom, dom, np.eye(4)])
+        nu = AtomicTracePovm(4, [-2.0, -1.0, 0.0, 1.0], weights)
+        phi = TransferFunction(4, 4, nu.freqs, np.zeros((4, 4, 4)), domains)
+        return phi, nu
+
+    @staticmethod
+    def spectral_reference(phi, nu, tol):
+        roots = nu.sqrt_weights()
+        mask = nu.positive_mass_mask()
+        ok = True
+        for j in np.flatnonzero(mask):
+            defect = roots[j] - phi.domains[j] @ roots[j]
+            ok &= np.linalg.norm(defect, 2) <= tol * np.linalg.norm(roots[j], 2)
+        return bool(ok)
+
+    def test_accepts_exactly_when_spectral_reference_does(self):
+        from opspectra.povm import require_integrable
+
+        tol = 1e-8
+        decisions, unsure_but_accepted = [], 0
+        for eps in np.geomspace(1e-9, 1e-7, 60):
+            phi, nu = self.instance(eps)
+            assert not nu.positive_mass_mask()[0]
+            ref = self.spectral_reference(phi, nu, tol)
+            try:
+                require_integrable(phi, nu, tol)
+                got = True
+            except IntegrabilityError as exc:
+                assert "first failing atom: 1," in str(exc)
+                got = False
+            assert got == ref, eps
+            assert bool(square_integrability_check(phi, nu, tol)) == ref
+            decisions.append(got)
+            root = nu.sqrt_weights()[1]
+            fro = np.linalg.norm(root - phi.domains[1] @ root)
+            if ref and fro > tol * np.linalg.norm(root) / 2.0:
+                unsure_but_accepted += 1
+        assert True in decisions and False in decisions
+        # accepted instances the Frobenius bound alone could not clear
+        assert unsure_but_accepted >= 1
+
+    def test_report_keeps_spectral_residuals(self):
+        phi, nu = self.instance(3e-8)
+        report = square_integrability_check(phi, nu)
+        roots = nu.sqrt_weights()
+        defect = roots[1] - phi.domains[1] @ roots[1]
+        expected = np.linalg.norm(defect, 2) / np.linalg.norm(roots[1], 2)
+        assert report.entries[1]["residual"] == pytest.approx(expected, rel=1e-12)
+        assert report.entries[0]["reason"] == "zero mass"
