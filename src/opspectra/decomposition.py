@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DimensionError
 from .filtering import apply_filter
-from .operators import sorted_eigh
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import RandomMeasure
 from .transfer import TransferFunction
@@ -75,10 +74,18 @@ def _top_projectors(eigenvectors: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 
 def ckl_decompose(nu: AtomicTracePovm, rank_tol: float = 1e-12) -> CklSystem:
-    """Eigendecompose the default density (weight over trace) of every
-    atom; zero-trace atoms get zero eigenvalues and rank zero."""
+    """Eigensystems of the default density (weight over trace) of every
+    atom; zero-trace atoms get zero eigenvalues and rank zero.
+
+    The eigenvalues are those of the measure's cached
+    :meth:`~opspectra.povm.AtomicTracePovm.eigensystem` divided by the
+    atom traces, and ``eigenvectors`` *is* its read-only eigenvector
+    stack, shared with the measure (copy it before writing): decomposing a
+    measure takes no eigendecomposition once it has been sampled or
+    inverted against, and none the second time.
+    """
     traces = nu.traces()
-    vals, eigenvectors = sorted_eigh(nu.weights)
+    vals, eigenvectors = nu.eigensystem()
     eigenvalues = np.divide(
         vals, traces[:, None], out=np.zeros_like(vals), where=traces[:, None] > 0
     )
@@ -133,7 +140,7 @@ def ckl_completeness_residual(sys: CklSystem) -> float:
     """
     massive = sys.base_weights > 0
     eye = np.eye(sys.dim, dtype=np.complex128)
-    defect = (sys.range_projectors()[massive] - eye) @ sys.povm.sqrt_weights()[massive]
+    defect = (sys.range_projectors()[massive] - eye) @ sys.povm.gram_factors()[massive]
     return float(np.linalg.norm(defect))
 
 
@@ -181,14 +188,16 @@ def hfpca_tie_warnings(sys: CklSystem, q, rel_tol: float = 1e-9) -> list:
 def hfpca_error(nu: AtomicTracePovm, theta: TransferFunction) -> float:
     """Mean-square reconstruction error of the filter ``theta``.
 
-    Equals ``sum_j ||(I - Theta_j) nu_j^{1/2}||_2^2``, the exact value of
-    ``E || X_t - [filtered X]_t ||^2`` for every t.
+    Equals ``sum_j ||(I - Theta_j) F_j||_F^2 = sum_j tr((I - Theta_j) nu_j
+    (I - Theta_j)^H)`` for the Gram factors ``F_j`` of the measure, the
+    exact value of ``E || X_t - [filtered X]_t ||^2`` for every t.
     """
     require_integrable(theta, nu, label="projector family")
     if theta.out_dim != nu.dim:
         raise DimensionError("projector family must map the space to itself")
-    roots = nu.sqrt_weights()
-    return float(np.linalg.norm(roots - theta.ops @ roots) ** 2)
+    factors = nu.gram_factors()
+    residual = factors - theta.ops @ factors
+    return float(np.vdot(residual, residual).real)
 
 
 def hfpca_optimal_error(sys: CklSystem, q) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NonInvertibleError
-from .operators import sorted_eigh
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import ProcessSample, RandomMeasure
 from .transfer import DOMAIN_TOL, FirFilter, TransferFunction, require_aligned
@@ -30,18 +29,19 @@ __all__ = [
 
 
 def pushforward_povm(phi: TransferFunction, nu: AtomicTracePovm) -> AtomicTracePovm:
-    """Intensity of the filtered measure: atoms ``(Phi_j nu_j^{1/2})(...)^H``."""
+    """Intensity of the filtered measure: atoms ``(Phi_j F_j)(Phi_j F_j)^H``
+    for the Gram factors ``F_j`` of ``nu``; the result keeps ``Phi_j F_j``
+    as its own factors, so filtering a filtered measure again takes no
+    eigendecomposition."""
     require_integrable(phi, nu)
     return _pushforward(phi, nu)
 
 
 def _pushforward(phi: TransferFunction, nu: AtomicTracePovm) -> AtomicTracePovm:
     # callers have checked that phi is square integrable against nu
-    b = phi.ops @ nu.sqrt_weights()
-    w = b @ b.conj().swapaxes(1, 2)
-    w += w.conj().swapaxes(1, 2)
-    w /= 2.0
-    return AtomicTracePovm._from_gram(phi.out_dim, nu.freqs, w)
+    return AtomicTracePovm._from_factors(
+        phi.out_dim, nu.freqs, phi.ops @ nu.gram_factors()
+    )
 
 
 def apply_filter(
@@ -119,6 +119,10 @@ def invert_transfer(
     All atoms are inverted by one stacked SVD of ``Phi_j V_j``, where the
     columns of ``V_j`` past the support rank ``r_j`` are zeroed (in strict
     mode ``V_j = I``); each atom keeps its top ``r_j`` singular triplets.
+    ``V_j`` comes from the measure's cached
+    :meth:`~opspectra.povm.AtomicTracePovm.eigensystem`, read and never
+    written, so inverting against a measure already sampled or decomposed
+    takes no eigendecomposition of its weights.
     A positive-mass atom is rejected with :class:`NonInvertibleError`,
     naming the first such atom, when its ``r_j``-th singular value is at
     most ``rank_tol`` times ``||Phi_j||_2``, read off the largest
@@ -135,9 +139,9 @@ def invert_transfer(
         # the range of nu_j is spanned by its leading eigenvectors above the
         # cut; the rest of the basis is zeroed, which pads every operator
         # Phi_j V_j with zero columns and adds only zero singular values
-        vals, basis = sorted_eigh(nu.weights)
+        vals, vecs = nu.eigensystem()
         support = vals > rank_tol * np.maximum(vals[:, :1], 0.0)
-        basis *= support[:, None, :]
+        basis = vecs * support[:, None, :]
         op, rank = phi.ops @ basis, support.sum(axis=1)
     u, s, vh = np.linalg.svd(op, full_matrices=False)
     # the (n, d, d) stacks op, vh, basis and u are freed as soon as they are

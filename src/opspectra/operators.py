@@ -28,9 +28,10 @@ __all__ = [
     "outer",
     "psd_check",
     "psd_mask",
-    "psd_roots",
     "psd_sqrt",
+    "scaled_norms",
     "sorted_eigh",
+    "sqrt_from_eigh",
 ]
 
 
@@ -81,6 +82,33 @@ def hermitian_defects(a: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(diff)).max(axis=-1, initial=0.0)
 
 
+def _squared_norms(a: np.ndarray) -> np.ndarray:
+    # squared Frobenius norms of a contiguous (n, p, q) stack, with no
+    # temporary stack
+    v = a.reshape(a.shape[0], -1).view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def scaled_norms(ref: np.ndarray, defect: np.ndarray, axis=-1) -> tuple:
+    """Euclidean norms over ``axis`` of ``ref`` and of ``defect`` (no larger
+    than ``ref``), both divided by the largest entry modulus of ``ref``
+    over that axis (1 where ``ref`` vanishes).
+
+    No square overflows or underflows, whatever the scale of ``ref``, so a
+    test that compares the two norms decides the same at every scale.
+    """
+    mods = np.abs(ref)
+    scale = mods.max(axis=axis, keepdims=True)
+    scale[scale == 0.0] = 1.0
+
+    def norms(m):
+        m /= scale
+        np.square(m, out=m)
+        return np.sqrt(m.sum(axis=axis))
+
+    return norms(mods), norms(np.abs(defect))
+
+
 def _spectral_tests(a: np.ndarray, vals: np.ndarray, tol: float):
     # vals are the eigenvalues of the Hermitian parts of the stack a
     trace_norms = np.abs(vals).sum(axis=-1)
@@ -92,6 +120,57 @@ def _spectral_tests(a: np.ndarray, vals: np.ndarray, tol: float):
     return hermitian, positive
 
 
+def _certified(a: np.ndarray, tol: float) -> bool:
+    """True when exact bounds clear every operator of both tests of
+    :func:`_spectral_tests`, without an eigenvalue.
+
+    The stack is first rescaled by an exact power of two, so its largest
+    entry lies in ``[1/2, 1)`` whatever the scale of the measure: no square
+    below overflows, and the rescale changes no decision.  With ``h_j`` the
+    Hermitian parts and ``f_j = ||h_j||_F``, the bounds are:
+
+    * ``f_j <= ||h_j||_1`` (trace norm) and ``f_j <= sqrt(d) ||h_j||_2``,
+      so ``t_j = max(tol f_j, ABS_FLOOR max_k f_k)`` is at most the
+      positivity threshold and the Hermitian tolerance with ``f_j /
+      sqrt(d)`` in place of ``f_j`` is at most the Hermitian one; the
+      defect passes when its Frobenius norm (at least its operator norm)
+      is below that.
+    * A computed Cholesky factor ``R_j`` of ``h_j + (t_j / 2) I`` is exact
+      for a matrix within ``4 (d + 2) eps ||R_j||_F^2`` of it (the
+      backward error of Cholesky, ``|dA| <= gamma_{d+1} |R^H| |R|``, with
+      room for complex arithmetic and for forming ``h_j``); below
+      ``t_j / 2`` it puts every eigenvalue of ``h_j`` above ``-t_j``.
+    """
+    n, d = a.shape[0], a.shape[-1]
+    parts = a.view(np.float64)
+    top = max(parts.max(initial=0.0), -parts.min(initial=0.0))
+    if top == 0.0:
+        return False
+    # ldexp takes the exponent whole, so subnormal stacks do not overflow
+    # a scale factor 2**-k
+    a = np.ldexp(parts, -np.frexp(top)[1]).view(np.complex128)
+    h = a.conj().swapaxes(-1, -2).copy()
+    h += a
+    h /= 2.0
+    # a - h is half the defect a - a^H; the stacks are updated in place to
+    # keep the certificate's transient memory at three stacks
+    a -= h
+    defects = 2.0 * np.sqrt(_squared_norms(a))
+    del a
+    fro = np.sqrt(_squared_norms(h))
+    floor = ABS_FLOOR * fro.max(initial=0.0)
+    if np.any(defects > np.maximum(tol * fro / np.sqrt(d), floor)):
+        return False
+    shift = np.maximum(tol * fro, floor) / 2.0
+    h.reshape(n, d * d)[:, :: d + 1] += shift[:, None]
+    try:
+        r = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    backward = 4.0 * (d + 2) * np.finfo(np.float64).eps * _squared_norms(r)
+    return bool(np.all(backward < shift))
+
+
 def psd_mask(weights, tol: float = 1e-10) -> np.ndarray:
     """Per-operator PSD test of a square ``(n, d, d)`` stack.
 
@@ -100,10 +179,17 @@ def psd_mask(weights, tol: float = 1e-10) -> np.ndarray:
     above ``-tol`` times its trace norm.  The floor is ``ABS_FLOOR`` times
     the largest trace norm in the stack, so scaling the stack leaves the
     mask unchanged.
+
+    A certificate decides first, with no eigenvalue: a Frobenius bound
+    clears the Hermitian defects and one stacked Cholesky of the shifted
+    Hermitian parts clears positivity (see :func:`_certified`).  When it
+    does not clear every operator, the eigenvalue tests decide the mask.
     """
-    a = np.asarray(weights, dtype=np.complex128)
+    a = np.ascontiguousarray(weights, dtype=np.complex128)
     if not np.isfinite(a).all():
         raise DimensionError("operator entries must be finite")
+    if _certified(a, tol):
+        return np.ones(a.shape[0], dtype=bool)
     hermitian, positive = _spectral_tests(
         a, np.linalg.eigvalsh(_hermitian_parts(a)), tol
     )
@@ -119,7 +205,9 @@ def psd_check(p, tol: float = 1e-10) -> bool:
     return bool(psd_mask(_single(p, "psd_check"), tol)[0])
 
 
-def _roots(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def sqrt_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Positive square roots of a PSD stack from its Hermitian eigensystem
+    (any eigenvalue order): negative eigenvalues are clamped to zero."""
     vals = np.clip(vals, 0.0, None)
     # Eigenvalues at round-off level are noise; left in place they would
     # inflate to sqrt scale and pollute the range of the root.
@@ -127,12 +215,6 @@ def _roots(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     vals[vals <= 256.0 * np.finfo(np.float64).eps * top] = 0.0
     root = (vecs * np.sqrt(vals)[..., None, :]) @ _adjoints(vecs)
     return _hermitian_parts(root)
-
-
-def psd_roots(weights: np.ndarray) -> np.ndarray:
-    """Positive square roots of a PSD stack already passed by
-    :func:`psd_mask`: negative eigenvalues are clamped to zero."""
-    return _roots(*np.linalg.eigh(_hermitian_parts(weights)))
 
 
 def psd_sqrt(p, tol: float = 1e-10) -> np.ndarray:
@@ -147,7 +229,7 @@ def psd_sqrt(p, tol: float = 1e-10) -> np.ndarray:
     hermitian, positive = _spectral_tests(a, vals, tol)
     if not (hermitian[0] and positive[0]):
         raise PositivityError("operator is not positive semi-definite")
-    return _roots(vals, vecs)[0]
+    return sqrt_from_eigh(vals, vecs)[0]
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import (
     IntegrabilityError,
     PositivityError,
 )
-from .operators import ABS_FLOOR, psd_mask, psd_roots
+from .operators import ABS_FLOOR, psd_mask, scaled_norms, sorted_eigh, sqrt_from_eigh
 from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction, require_aligned
 
 __all__ = [
@@ -68,11 +68,11 @@ class AtomicTracePovm:
                 f"atom {j} (frequency {self.freqs[j]:+.6f}) weight is not PSD"
             )
 
-    def _store(self) -> None:
-        # private read-only copies: the cached roots must not go stale and
-        # the frequencies must stay strictly increasing
+    def _store(self, copy: bool = True) -> None:
+        # private read-only copies: the cached eigensystem and roots must not
+        # go stale and the frequencies must stay strictly increasing
         freqs = np.array(self.freqs, dtype=np.float64).ravel()
-        weights = np.array(self.weights, dtype=np.complex128)
+        weights = np.array(self.weights, dtype=np.complex128, copy=copy)
         freqs.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
@@ -90,16 +90,26 @@ class AtomicTracePovm:
             raise DimensionError("frequencies must be strictly increasing")
 
     @classmethod
-    def _from_gram(cls, dim: int, freqs, weights) -> "AtomicTracePovm":
+    def _from_factors(cls, dim: int, freqs, factors) -> "AtomicTracePovm":
         """Measure whose weights are ``(B_j B_j^H + h.c.) / 2`` for finite
-        ``B_j``: Hermitian and PSD by construction, so the PSD test of the
-        constructor is skipped; the copies and every other check stay."""
+        factors ``B_j`` of shape ``(dim, k)``: Hermitian and PSD by
+        construction, so the PSD test of the constructor is skipped; the
+        copies and every other check stay.  The measure keeps ``B`` (not
+        copied, made read-only) as its :meth:`gram_factors`."""
+        factors = np.asarray(factors, dtype=np.complex128)
+        # an overflowing product is reported by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = factors @ factors.conj().swapaxes(1, 2)
+            weights += weights.conj().swapaxes(1, 2)
+            weights /= 2.0
         nu = object.__new__(cls)
         for name, value in (("dim", dim), ("freqs", freqs), ("weights", weights)):
             object.__setattr__(nu, name, value)
-        nu._store()
+        nu._store(copy=False)
         if not np.isfinite(nu.weights).all():
             raise DimensionError("operator entries must be finite")
+        factors.flags.writeable = False
+        object.__setattr__(nu, "_factors", factors)
         return nu
 
     @classmethod
@@ -144,20 +154,52 @@ class AtomicTracePovm:
         tr = self.traces()
         return tr > ABS_FLOOR * tr.max()
 
+    def _cached(self, name: str, compute):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = compute()
+            for a in value if isinstance(value, tuple) else (value,):
+                a.flags.writeable = False
+            object.__setattr__(self, name, value)
+        return value
+
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`~opspectra.operators.sorted_eigh` of the atom weights:
+        non-increasing eigenvalues ``(n, dim)`` and phase-fixed eigenvector
+        columns ``(n, dim, dim)``.
+
+        This is the measure's only eigendecomposition.  It is computed on
+        first use and cached; every call returns the same read-only arrays,
+        which stay valid because the measure holds its own read-only copy
+        of the weights.  :meth:`sqrt_weights`, the support basis of
+        :func:`~opspectra.filtering.invert_transfer` and
+        :func:`~opspectra.decomposition.ckl_decompose` all read it.
+        """
+        return self._cached("_eigensystem", lambda: sorted_eigh(self.weights))
+
     def sqrt_weights(self) -> np.ndarray:
         """Positive square roots ``nu_j^{1/2}`` of the atom weights, stacked.
 
-        The ``(n, dim, dim)`` stack is computed with :func:`psd_roots` on
-        first use and cached on the measure; every call returns the same
-        read-only array, which stays valid because the measure holds its
-        own read-only copy of the weights.
+        The ``(n, dim, dim)`` stack is built from :meth:`eigensystem` on
+        first use (no further eigendecomposition) and cached; every call
+        returns the same read-only array.  Only sampling needs these roots
+        themselves; norms read any factor, see :meth:`gram_factors`.
         """
-        roots = self.__dict__.get("_roots")
-        if roots is None:
-            roots = psd_roots(self.weights)
-            roots.flags.writeable = False
-            object.__setattr__(self, "_roots", roots)
-        return roots
+        return self._cached("_roots", lambda: sqrt_from_eigh(*self.eigensystem()))
+
+    def gram_factors(self) -> np.ndarray:
+        """A read-only stack ``F_j`` with ``F_j F_j^H = nu_j``.
+
+        A filtered measure ``Phi nu Phi^H`` keeps ``Phi_j F_j`` from the
+        measure it was built from; any other measure returns
+        :meth:`sqrt_weights`.  Since ``||X F_j||_F^2 = tr(X nu_j X^H)`` and
+        ``||X F_j||_2^2 = ||X nu_j X^H||_2``, every norm read through a
+        factor is the same for any choice of it, so integrability tests,
+        HFPCA errors and the CKL residual take no eigendecomposition of a
+        filtered measure.
+        """
+        factors = self.__dict__.get("_factors")
+        return self.sqrt_weights() if factors is None else factors
 
 
 @dataclass(frozen=True)
@@ -246,8 +288,9 @@ def _range_defects(phi: TransferFunction, nu: AtomicTracePovm):
     """The containment data shared by the integrability check and guard.
 
     Checks alignment and dimensions, then returns the positive-mass mask
-    and, for a partial ``phi``, the stacks ``(I - D_j) nu_j^{1/2}`` and
-    ``nu_j^{1/2}`` (both ``None`` for a total ``phi``).
+    and, for a partial ``phi``, the stacks ``(I - D_j) F_j`` and ``F_j``
+    for the measure's :meth:`~AtomicTracePovm.gram_factors` ``F`` (both
+    ``None`` for a total ``phi``).
     """
     require_aligned(phi.freqs, nu.freqs)
     if phi.in_dim != nu.dim:
@@ -257,18 +300,18 @@ def _range_defects(phi: TransferFunction, nu: AtomicTracePovm):
     mask = nu.positive_mass_mask()
     if phi.domains is None:
         return mask, None, None
-    roots = nu.sqrt_weights()
-    defects = phi.domains @ roots
-    np.subtract(roots, defects, out=defects)
-    return mask, defects, roots
+    factors = nu.gram_factors()
+    defects = phi.domains @ factors
+    np.subtract(factors, defects, out=defects)
+    return mask, defects, factors
 
 
-def _containment_report(nu, mask, defects, roots, tol) -> CheckReport:
+def _containment_report(nu, mask, defects, factors, tol) -> CheckReport:
     residuals = np.zeros(nu.n_atoms)
     reason = "total operator"
     if defects is not None:
         np.divide(np.linalg.norm(defects, 2, axis=(1, 2)),
-                  np.linalg.norm(roots, 2, axis=(1, 2)), out=residuals, where=mask)
+                  np.linalg.norm(factors, 2, axis=(1, 2)), out=residuals, where=mask)
         reason = "range containment"
     entries = [
         {"atom": j, "freq": float(nu.freqs[j]),
@@ -286,8 +329,9 @@ def square_integrability_check(
 
     The frequency supports must coincide.  At finite dimension a total
     operator is always square integrable; a partial atom additionally needs
-    the range of ``nu_j^{1/2}`` inside its domain, checked as
-    ``||(I - D_j) nu_j^{1/2}|| <= tol ||nu_j^{1/2}||``.  Zero-mass atoms
+    the range of ``nu_j`` inside its domain, checked as
+    ``||(I - D_j) F_j||_2 <= tol ||F_j||_2`` for any factor ``F_j F_j^H =
+    nu_j`` (both sides are the same for every factor).  Zero-mass atoms
     are skipped (they carry no variation mass).
     """
     return _containment_report(nu, *_range_defects(phi, nu), tol)
@@ -304,18 +348,20 @@ def require_integrable(
     failing atom.
 
     The decision is that of the check, reached first by an exact Frobenius
-    bound: since ``||R||_F <= sqrt(dim) ||R||_2``, a defect with
-    ``||(I - D_j) R_j||_F <= tol ||R_j||_F / sqrt(dim)`` passes the
-    spectral test.  Only when the bound does not clear every positive-mass
-    atom is the spectral report built.
+    bound: since ``||F||_F <= sqrt(dim) ||F||_2``, a defect with
+    ``||(I - D_j) F_j||_F <= tol ||F_j||_F / sqrt(dim)`` passes the
+    spectral test.  Both norms are taken relative to the largest entry of
+    ``F_j``, so the bound neither overflows nor underflows at any scale.
+    Only when the bound does not clear every positive-mass atom is the
+    spectral report built.
     """
-    mask, defects, roots = _range_defects(phi, nu)
+    mask, defects, factors = _range_defects(phi, nu)
     if defects is None:
         return
-    bound = tol * np.linalg.norm(roots, axis=(1, 2)) / np.sqrt(nu.dim)
-    if np.all((np.linalg.norm(defects, axis=(1, 2)) <= bound)[mask]):
+    sizes, misses = scaled_norms(factors, defects, axis=(1, 2))
+    if np.all((misses <= tol * sizes / np.sqrt(nu.dim))[mask]):
         return
-    report = _containment_report(nu, mask, defects, roots, tol)
+    report = _containment_report(nu, mask, defects, factors, tol)
     if not report:
         bad = report.failures()[0]
         raise IntegrabilityError(

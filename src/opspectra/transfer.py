@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DimensionError
-from .operators import as_operator, hermitian_defects
+from .operators import as_operator, hermitian_defects, scaled_norms
 
 FREQ_MERGE_TOL = 1e-12
 DOMAIN_TOL = 1e-8
@@ -101,9 +101,10 @@ class TransferFunction:
 
         ``x`` has shape ``(n_atoms, R, in_dim)``.  On partial atoms every
         argument must lie in the domain: one stacked test compares each
-        defect ``x - D_j x`` with ``tol`` times ``x``, and a failure raises
-        :class:`DimensionError` naming the first failing atom rather than
-        silently projecting.
+        defect ``x - D_j x`` with ``tol`` times ``x``, both norms taken
+        relative to the largest entry of ``x`` so that the test decides the
+        same at every scale, and a failure raises :class:`DimensionError`
+        naming the first failing atom rather than silently projecting.
         """
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim != 3 or x.shape[0] != self.n_atoms or x.shape[2] != self.in_dim:
@@ -114,9 +115,10 @@ class TransferFunction:
         if self.domains is not None:
             defect = x @ self.domains.swapaxes(1, 2)
             np.subtract(x, defect, out=defect)
-            bad = np.linalg.norm(defect, axis=-1) > tol * np.linalg.norm(x, axis=-1)
+            sizes, misses = scaled_norms(x, defect)
             # free the defect before the output is allocated
             del defect
+            bad = misses > tol * sizes
             if bad.any():
                 j = int(np.argmax(bad.any(axis=1)))
                 raise DimensionError(

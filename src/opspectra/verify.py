@@ -377,10 +377,13 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
             qhs = np.einsum("cak,au->cku", qmat.conj(), roots[j])
             errors += total_sq - np.linalg.norm(qhs, axis=(1, 2)) ** 2
         worst_beat = max(worst_beat, float(optimal - errors.min()))
-        # Monte Carlo corroboration of the error formula at three times
+        # Monte Carlo corroboration of the error formula at three times; the
+        # residual X - [Theta X] is filtered with I - Theta in one step, so
+        # only two ensembles are ever held
         w = sample_gaussian_measure(nu, MC_ENSEMBLE, seed=int(rng.integers(2**31)))
-        filtered = apply_filter(theta, w)
-        residual = w.samples - filtered.samples
+        complement = TransferFunction(dim, dim, nu.freqs, np.eye(dim) - theta.ops)
+        residual = apply_filter(complement, w).samples
+        del w
         scale = float(np.trace(nu.total_mass()).real)
         for t in (0, 3, 6):
             phases = np.exp(1j * nu.freqs * t)
@@ -391,8 +394,8 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
             mc_total += 1
             if z <= 5.0:
                 mc_inside += 1
-        # release this instance's ensembles before the next one is drawn
-        del w, filtered, residual
+        # release this instance's residual before the next ensemble is drawn
+        del residual
     ok = (
         worst_closed <= 1e-10
         and worst_beat <= 1e-12

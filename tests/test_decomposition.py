@@ -17,13 +17,14 @@ from opspectra import (
     hfpca_optimal_error,
     hfpca_projector,
     hfpca_report,
+    invert_transfer,
     sample_gaussian_measure,
     scalar_component_transfer,
     spectral_integral,
     synthesize_process,
 )
 from opspectra.decomposition import hfpca_tie_warnings
-from opspectra.synthetic import haar_frame, make_rng, random_povm
+from opspectra.synthetic import haar_frame, make_rng, random_povm, random_transfer
 
 
 class TestCklDecompose:
@@ -333,6 +334,35 @@ class TestStackedSpectra:
             counts.append(dict(calls))
         assert counts[0] == counts[1]
         assert counts[0]["eigh"] >= 1
+
+    def test_one_eigendecomposition_per_measure(self, monkeypatch):
+        # the measure caches its one eigensystem, filtered measures carry
+        # Gram factors and construction is certified by a Cholesky: the whole
+        # pipeline takes one eigh (the cache), one eigvalsh (the operator
+        # norms in invert_transfer) and one svd (the inversion), at any M
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        for m in (8, 64):
+            rng = make_rng(622)
+            ref = random_povm(rng, 3, m, ranks=np.resize([1, 2, 3, 0], m))
+            phi = random_transfer(rng, 3, 3, ref.freqs)
+            calls.clear()
+            nu = AtomicTracePovm(ref.dim, ref.freqs, ref.weights)
+            assert calls == {}
+            w = sample_gaussian_measure(nu, 10, seed=7)
+            inverse = invert_transfer(phi, nu)
+            apply_filter(inverse, apply_filter(phi, w))
+            ckl_decompose(nu)
+            hfpca_report(nu, 2)
+            assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}, m
 
     def test_construction_takes_no_svd(self, monkeypatch):
         # the Hermitian-defect tolerance is scaled by eigenvalues already in

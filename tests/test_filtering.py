@@ -515,6 +515,22 @@ class TestTransferApply:
         x[3, :, 1] = 0.0
         np.testing.assert_array_equal(phi.apply(x), x)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-15, 1.0, 1e160, 1e300])
+    def test_domain_test_is_scale_free(self, scale):
+        # squares of the entries under- or overflow at these scales; the
+        # decision must not
+        phi = TransferFunction(2, 2, [0.0], [np.eye(2)], domains=[np.diag([1.0, 0.0])])
+        for outside in ([0.0, scale], [1e-6 * scale, scale]):
+            with pytest.raises(DimensionError, match="outside the domain"):
+                phi.apply(np.array(outside).reshape(1, 1, 2))
+        inside = np.array([[scale, 0.0], [scale, 1e-9 * scale], [0.0, 0.0]])
+        np.testing.assert_array_equal(phi.apply(inside[None]), inside[None])
+        # one row outside among rows of other scales is still found
+        mixed = np.array([[1.0, 0.0], [0.0, scale], [1e300, 0.0]])
+        with pytest.raises(DimensionError, match="at atom 0"):
+            phi.apply(mixed[None])
+
     def test_wrong_shape_rejected(self):
         phi = TransferFunction.identity(2, [0.0, 1.0])
         with pytest.raises(DimensionError):
@@ -670,7 +686,9 @@ class TestPushforwardWeights:
         np.testing.assert_array_equal(push.weights, ref)
 
     def test_non_finite_weights_rejected(self):
-        weights = np.ones((2, 1, 1), dtype=complex)
-        weights[1] = np.inf
-        with pytest.raises(DimensionError, match="finite"):
-            AtomicTracePovm._from_gram(1, [0.0, 1.0], weights)
+        # a non-finite factor, and finite factors whose Gram products overflow
+        for big in (np.inf, 1e200):
+            factors = np.ones((2, 1, 1), dtype=complex)
+            factors[1] = big
+            with pytest.raises(DimensionError, match="finite"):
+                AtomicTracePovm._from_factors(1, [0.0, 1.0], factors)
