@@ -90,7 +90,7 @@ def fourier_sum(freqs, stack, count: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutocovarianceSequence:
     """Autocovariance operators for lags ``0..max_lag``.
 
@@ -184,17 +184,16 @@ def _lag_table(gamma: AutocovarianceSequence, times) -> np.ndarray:
     return table
 
 
-def positive_type_check(
-    gamma: AutocovarianceSequence, times, vectors=None, tol: float = 1e-10
-) -> bool:
+def positive_type_check(gamma: AutocovarianceSequence, times, vectors=None) -> bool:
     """Positive-type certificate over a finite set of time points.
 
-    Assembles the block matrix ``[Gamma(t_i - t_j)]`` and checks it is PSD,
-    which certifies ``sum <Gamma(t_i - t_j) x_j, x_i> >= 0`` for every
-    choice of vectors.  When explicit ``vectors`` are given, only that
-    quadratic form is evaluated, against ``tol`` times the block's trace
-    norm (its trace, as ``Gamma(0)`` is PSD), so the answer does not change
-    when the sequence is scaled.
+    Assembles the block matrix ``[Gamma(t_i - t_j)]`` and checks it is PSD
+    (:func:`~opspectra.operators.psd_check` at ``1e-10``), which certifies
+    ``sum <Gamma(t_i - t_j) x_j, x_i> >= 0`` for every choice of vectors.
+    When explicit ``vectors`` are given, only that quadratic form is
+    evaluated, against ``1e-10`` times the block's trace norm (its trace,
+    as ``Gamma(0)`` is PSD), so the answer does not change when the
+    sequence is scaled.
     """
     table = _lag_table(gamma, times)
     n, d = table.shape[0], gamma.dim
@@ -206,22 +205,21 @@ def positive_type_check(
         if x.size != block.shape[0]:
             raise DimensionError("stacked vectors must match the block size")
         form = (x.conj() @ block @ x).real
-        return bool(form >= -tol * float(np.abs(np.trace(block))))
-    return psd_check(block, tol)
+        return bool(form >= -1e-10 * float(np.abs(np.trace(block))))
+    return psd_check(block, 1e-10)
 
 
-def hermitian_nnd_check(
-    gamma: AutocovarianceSequence, times, coeffs, tol: float = 1e-10
-) -> bool:
+def hermitian_nnd_check(gamma: AutocovarianceSequence, times, coeffs) -> bool:
     """Hermitian non-negative definiteness over times and scalar weights.
 
-    Checks that ``sum_ij a_i conj(a_j) Gamma(t_i - t_j)`` is PSD.
+    Checks that ``sum_ij a_i conj(a_j) Gamma(t_i - t_j)`` is PSD, by
+    :func:`~opspectra.operators.psd_check` at ``1e-10``.
     """
     table = _lag_table(gamma, times)
     a = np.asarray(coeffs, dtype=np.complex128).ravel()
     if a.size != table.shape[0]:
         raise DimensionError("one coefficient per time point is required")
-    return psd_check(np.einsum("i,j,ijab->ab", a, a.conj(), table), tol)
+    return psd_check(np.einsum("i,j,ijab->ab", a, a.conj(), table), 1e-10)
 
 
 def empirical_autocov(sample, max_lag: int):

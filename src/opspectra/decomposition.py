@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CklSystem:
     """Per-atom eigensystems of the spectral measure densities.
 
@@ -73,9 +73,11 @@ def _top_projectors(eigenvectors: np.ndarray, ranks: np.ndarray) -> np.ndarray:
     return v @ v.conj().swapaxes(-1, -2)
 
 
-def ckl_decompose(nu: AtomicTracePovm, rank_tol: float = 1e-12) -> CklSystem:
+def ckl_decompose(nu: AtomicTracePovm) -> CklSystem:
     """Eigensystems of the default density (weight over trace) of every
-    atom; zero-trace atoms get zero eigenvalues and rank zero.
+    atom; zero-trace atoms get zero eigenvalues and rank zero, and an
+    eigenvalue counts towards the rank when it exceeds ``1e-12`` times the
+    atom's largest.
 
     The eigenvalues are those of the measure's cached
     :meth:`~opspectra.povm.AtomicTracePovm.eigensystem` divided by the
@@ -90,7 +92,7 @@ def ckl_decompose(nu: AtomicTracePovm, rank_tol: float = 1e-12) -> CklSystem:
         vals, traces[:, None], out=np.zeros_like(vals), where=traces[:, None] > 0
     )
     top = eigenvalues.max(axis=1, keepdims=True, initial=0.0)
-    ranks = np.where(top[:, 0] > 0, np.sum(eigenvalues > rank_tol * top, axis=1), 0)
+    ranks = np.where(top[:, 0] > 0, np.sum(eigenvalues > 1e-12 * top, axis=1), 0)
     return CklSystem(
         povm=nu,
         base_weights=traces,
@@ -163,8 +165,9 @@ def hfpca_projector(sys: CklSystem, q) -> TransferFunction:
     return TransferFunction(sys.dim, sys.dim, sys.povm.freqs, ops)
 
 
-def hfpca_tie_warnings(sys: CklSystem, q, rel_tol: float = 1e-9) -> list:
-    """Atoms where an eigenvalue tie straddles the rank cut.
+def hfpca_tie_warnings(sys: CklSystem, q) -> list:
+    """Atoms where an eigenvalue tie, a gap of at most ``1e-9`` times the
+    atom's largest eigenvalue, straddles the rank cut.
 
     There the projector is well defined only up to a choice inside the tied
     eigenspace; the achieved error is unaffected.
@@ -177,7 +180,7 @@ def hfpca_tie_warnings(sys: CklSystem, q, rel_tol: float = 1e-9) -> list:
     gap = (np.take_along_axis(vals, np.maximum(cut - 1, 0), 1)
            - np.take_along_axis(vals, cut, 1))[:, 0]
     top = np.maximum(vals.max(axis=1, initial=0.0), 1e-300)
-    tied = (ranks < sys.dim) & (gap <= rel_tol * top)
+    tied = (ranks < sys.dim) & (gap <= 1e-9 * top)
     return [
         {"atom": int(j), "freq": float(sys.povm.freqs[j]), "rank": int(ranks[j]),
          "tied_value": float(vals[j, ranks[j]])}

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionError, NonInvertibleError
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import ProcessSample, RandomMeasure
-from .transfer import DOMAIN_TOL, FirFilter, TransferFunction, require_aligned
+from .transfer import FirFilter, TransferFunction, require_aligned
 
 __all__ = [
     "apply_filter",
@@ -44,21 +44,16 @@ def _pushforward(phi: TransferFunction, nu: AtomicTracePovm) -> AtomicTracePovm:
     )
 
 
-def apply_filter(
-    phi: TransferFunction, w: RandomMeasure, tol: float = DOMAIN_TOL
-) -> RandomMeasure:
+def apply_filter(phi: TransferFunction, w: RandomMeasure) -> RandomMeasure:
     """Filter a sampled measure: samples ``Phi_j Z_j``, pushforward intensity.
 
     The samples are one stacked :meth:`TransferFunction.apply`, so a sample
     outside the domain of a partial atom raises, naming the first such
     atom.
     """
-    require_integrable(phi, w.intensity, tol)
+    require_integrable(phi, w.intensity)
     return RandomMeasure(
-        dim=phi.out_dim,
-        freqs=w.freqs,
-        samples=phi.apply(w.samples, tol),
-        intensity=_pushforward(phi, w.intensity),
+        samples=phi.apply(w.samples), intensity=_pushforward(phi, w.intensity)
     )
 
 

@@ -217,16 +217,16 @@ def sqrt_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return _hermitian_parts(root)
 
 
-def psd_sqrt(p, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(p) -> np.ndarray:
     """Positive square root of a PSD operator.
 
-    Eigenvalues in ``[-tol * trace_norm, 0)`` are clamped to zero before
+    Eigenvalues in ``[-1e-10 * trace_norm, 0)`` are clamped to zero before
     taking square roots; genuinely negative spectra raise
     :class:`PositivityError`.
     """
     a = _single(p, "psd_sqrt")
     vals, vecs = np.linalg.eigh(_hermitian_parts(a))
-    hermitian, positive = _spectral_tests(a, vals, tol)
+    hermitian, positive = _spectral_tests(a, vals, 1e-10)
     if not (hermitian[0] and positive[0]):
         raise PositivityError("operator is not positive semi-definite")
     return sqrt_from_eigh(vals, vecs)[0]

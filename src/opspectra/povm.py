@@ -51,7 +51,7 @@ def wrap_frequencies(freqs) -> np.ndarray:
     return r - np.pi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicTracePovm:
     """Finite atomic trace-class p.o.v.m. with strictly increasing atoms."""
 
@@ -202,7 +202,7 @@ class AtomicTracePovm:
         return self.sqrt_weights() if factors is None else factors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PovmDensity:
     """Radon-Nikodym data: scalar base weights and per-atom PSD densities."""
 
@@ -306,7 +306,7 @@ def _range_defects(phi: TransferFunction, nu: AtomicTracePovm):
     return mask, defects, factors
 
 
-def _containment_report(nu, mask, defects, factors, tol) -> CheckReport:
+def _containment_report(nu, mask, defects, factors) -> CheckReport:
     residuals = np.zeros(nu.n_atoms)
     reason = "total operator"
     if defects is not None:
@@ -315,7 +315,7 @@ def _containment_report(nu, mask, defects, factors, tol) -> CheckReport:
         reason = "range containment"
     entries = [
         {"atom": j, "freq": float(nu.freqs[j]),
-         "passed": bool(residuals[j] <= tol), "residual": float(residuals[j]),
+         "passed": bool(residuals[j] <= DOMAIN_TOL), "residual": float(residuals[j]),
          "reason": reason if mask[j] else "zero mass"}
         for j in range(nu.n_atoms)
     ]
@@ -323,25 +323,22 @@ def _containment_report(nu, mask, defects, factors, tol) -> CheckReport:
 
 
 def square_integrability_check(
-    phi: TransferFunction, nu: AtomicTracePovm, tol: float = DOMAIN_TOL
+    phi: TransferFunction, nu: AtomicTracePovm
 ) -> CheckReport:
     """Square integrability of ``phi`` against the measure.
 
     The frequency supports must coincide.  At finite dimension a total
     operator is always square integrable; a partial atom additionally needs
     the range of ``nu_j`` inside its domain, checked as
-    ``||(I - D_j) F_j||_2 <= tol ||F_j||_2`` for any factor ``F_j F_j^H =
-    nu_j`` (both sides are the same for every factor).  Zero-mass atoms
-    are skipped (they carry no variation mass).
+    ``||(I - D_j) F_j||_2 <= DOMAIN_TOL ||F_j||_2`` for any factor
+    ``F_j F_j^H = nu_j`` (both sides are the same for every factor).
+    Zero-mass atoms are skipped (they carry no variation mass).
     """
-    return _containment_report(nu, *_range_defects(phi, nu), tol)
+    return _containment_report(nu, *_range_defects(phi, nu))
 
 
 def require_integrable(
-    phi: TransferFunction,
-    nu: AtomicTracePovm,
-    tol: float = DOMAIN_TOL,
-    label: str = "transfer function",
+    phi: TransferFunction, nu: AtomicTracePovm, label: str = "transfer function"
 ) -> None:
     """Raise :class:`IntegrabilityError` unless ``phi`` passes
     :func:`square_integrability_check`; the message names the first
@@ -349,7 +346,7 @@ def require_integrable(
 
     The decision is that of the check, reached first by an exact Frobenius
     bound: since ``||F||_F <= sqrt(dim) ||F||_2``, a defect with
-    ``||(I - D_j) F_j||_F <= tol ||F_j||_F / sqrt(dim)`` passes the
+    ``||(I - D_j) F_j||_F <= DOMAIN_TOL ||F_j||_F / sqrt(dim)`` passes the
     spectral test.  Both norms are taken relative to the largest entry of
     ``F_j``, so the bound neither overflows nor underflows at any scale.
     Only when the bound does not clear every positive-mass atom is the
@@ -359,9 +356,9 @@ def require_integrable(
     if defects is None:
         return
     sizes, misses = scaled_norms(factors, defects, axis=(1, 2))
-    if np.all((misses <= tol * sizes / np.sqrt(nu.dim))[mask]):
+    if np.all((misses <= DOMAIN_TOL * sizes / np.sqrt(nu.dim))[mask]):
         return
-    report = _containment_report(nu, mask, defects, factors, tol)
+    report = _containment_report(nu, mask, defects, factors)
     if not report:
         bad = report.failures()[0]
         raise IntegrabilityError(

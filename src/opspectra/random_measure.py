@@ -23,7 +23,7 @@ import numpy as np
 from .bochner import fourier_sum
 from .errors import AlignmentError, DimensionError, SampleSizeError
 from .povm import AtomicTracePovm, require_integrable
-from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction, require_aligned
+from .transfer import FREQ_MERGE_TOL, TransferFunction, require_aligned
 
 __all__ = [
     "IncrementPath",
@@ -39,29 +39,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomMeasure:
-    """Sampled random measure: per-atom complex Gaussian ensembles."""
+    """Sampled random measure: per-atom complex Gaussian ensembles.
 
-    dim: int
-    freqs: np.ndarray
+    The support and the space are those of the intensity: ``dim``,
+    ``freqs`` and ``n_atoms`` are read from it, and ``samples`` must have
+    shape ``(n_atoms, R, dim)``.
+    """
+
     samples: np.ndarray
     intensity: AtomicTracePovm
 
     def __post_init__(self):
-        freqs = np.asarray(self.freqs, dtype=np.float64).ravel()
         samples = np.asarray(self.samples, dtype=np.complex128)
-        object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 3 or samples.shape[0] != freqs.size:
-            raise DimensionError("samples must have shape (atoms, R, dim)")
-        if samples.shape[2] != self.dim:
-            raise DimensionError("sample vectors must match the space dimension")
-        require_aligned(freqs, self.intensity.freqs)
+        n, dim = self.n_atoms, self.dim
+        if samples.ndim != 3 or samples.shape[0] != n or samples.shape[2] != dim:
+            raise DimensionError(
+                f"samples must have shape ({n}, R, {dim}), got {samples.shape}"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.intensity.dim
+
+    @property
+    def freqs(self) -> np.ndarray:
+        return self.intensity.freqs
 
     @property
     def n_atoms(self) -> int:
-        return self.freqs.size
+        return self.intensity.n_atoms
 
     @property
     def n_realizations(self) -> int:
@@ -75,7 +84,7 @@ class RandomMeasure:
         return self.samples[mask].sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessSample:
     """Ensemble of time series over one period: values of shape (R, M, N)."""
 
@@ -126,7 +135,7 @@ def sample_gaussian_measure(
         draws = _atom_rng(seed, j).standard_normal((n, 2 * dim))
         xi = (draws[:, :dim] + 1j * draws[:, dim:]) * np.sqrt(0.5)
         out[j] = xi @ roots[j].T
-    return RandomMeasure(dim=dim, freqs=nu.freqs, samples=out, intensity=nu)
+    return RandomMeasure(samples=out, intensity=nu)
 
 
 def sample_real_gaussian_measure(
@@ -180,20 +189,18 @@ def sample_real_gaussian_measure(
             xi = (draws[:, :dim] + 1j * draws[:, dim:]) * np.sqrt(0.5)
             out[j] = xi @ roots[j].T
             out[k] = out[j].conj()
-    return RandomMeasure(dim=dim, freqs=freqs, samples=out, intensity=nu)
+    return RandomMeasure(samples=out, intensity=nu)
 
 
-def spectral_integral(
-    phi: TransferFunction, w: RandomMeasure, tol: float = DOMAIN_TOL
-) -> np.ndarray:
+def spectral_integral(phi: TransferFunction, w: RandomMeasure) -> np.ndarray:
     """Stochastic integral ``int Phi dW`` per realization, shape (R, out).
 
     The per-atom terms ``Phi_j Z_j`` are one stacked
     :meth:`TransferFunction.apply`, summed over the atoms; a sample outside
     the domain of a partial atom raises, naming the first such atom.
     """
-    require_integrable(phi, w.intensity, tol)
-    return phi.apply(w.samples, tol).sum(axis=0)
+    require_integrable(phi, w.intensity)
+    return phi.apply(w.samples).sum(axis=0)
 
 
 def synthesize_process(w: RandomMeasure, period: int) -> ProcessSample:
@@ -230,7 +237,7 @@ def empirical_gramian(u, v) -> np.ndarray:
     return (uc.T @ vc.conj()) / r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncrementPath:
     """Orthogonal-increment path of a sampled measure.
 
@@ -280,13 +287,8 @@ def to_increment_path(w: RandomMeasure) -> IncrementPath:
 def from_increment_path(path: IncrementPath, intensity: AtomicTracePovm) -> RandomMeasure:
     """Recover the per-atom samples of a path, given the generating measure.
 
-    Breakpoints must align with the intensity atoms; the round trip with
-    :func:`to_increment_path` is exact.
+    Breakpoints must align with the intensity atoms and the path must live
+    in its space; the round trip with :func:`to_increment_path` is exact.
     """
     require_aligned(path.breakpoints, intensity.freqs)
-    return RandomMeasure(
-        dim=path.dim,
-        freqs=intensity.freqs,
-        samples=path.increments,
-        intensity=intensity,
-    )
+    return RandomMeasure(samples=path.increments, intensity=intensity)

@@ -110,12 +110,10 @@ def random_conditioned_transfer(
 
 
 def random_fir(
-    rng: np.random.Generator, in_dim: int, out_dim: int, n_taps: int,
-    max_abs_lag: int = 3,
+    rng: np.random.Generator, in_dim: int, out_dim: int, n_taps: int
 ) -> FirFilter:
-    lags = rng.choice(
-        np.arange(-max_abs_lag, max_abs_lag + 1), size=n_taps, replace=False
-    )
+    """FIR filter with ``n_taps`` distinct lags drawn from ``-3..3``."""
+    lags = rng.choice(np.arange(-3, 4), size=n_taps, replace=False)
     return FirFilter(
         taps={int(s): random_complex(rng, (out_dim, in_dim)) for s in lags}
     )

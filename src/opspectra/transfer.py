@@ -39,11 +39,12 @@ def require_aligned(freqs_a: np.ndarray, freqs_b: np.ndarray) -> None:
         raise AlignmentError("frequency supports do not match")
 
 
-def _check_projectors(d: np.ndarray, tol: float = 1e-10) -> None:
+def _check_projectors(d: np.ndarray) -> None:
     # The spectral bound is tol * max(||d_j||_2, 1) >= tol and the Frobenius
     # norm dominates the spectral one, so an atom whose two defects are
     # within tol in Frobenius norm passes both tests; only the others take
     # the eigenvalue and SVD-norm tests.
+    tol = 1e-10
     square = d @ d
     unsure = (np.linalg.norm(d - d.conj().swapaxes(1, 2), axis=(1, 2)) > tol) | (
         np.linalg.norm(square - d, axis=(1, 2)) > tol
@@ -58,7 +59,7 @@ def _check_projectors(d: np.ndarray, tol: float = 1e-10) -> None:
         raise DimensionError("domain projector is not idempotent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferFunction:
     """Per-atom operator table ``op_j`` with optional domain projectors."""
 
@@ -96,12 +97,12 @@ class TransferFunction:
     def n_atoms(self) -> int:
         return self.freqs.size
 
-    def apply(self, x: np.ndarray, tol: float = DOMAIN_TOL) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply every atom to its own vectors: ``out[j] = x[j] @ op_j^T``.
 
         ``x`` has shape ``(n_atoms, R, in_dim)``.  On partial atoms every
         argument must lie in the domain: one stacked test compares each
-        defect ``x - D_j x`` with ``tol`` times ``x``, both norms taken
+        defect ``x - D_j x`` with ``DOMAIN_TOL`` times ``x``, both norms taken
         relative to the largest entry of ``x`` so that the test decides the
         same at every scale, and a failure raises :class:`DimensionError`
         naming the first failing atom rather than silently projecting.
@@ -118,7 +119,7 @@ class TransferFunction:
             sizes, misses = scaled_norms(x, defect)
             # free the defect before the output is allocated
             del defect
-            bad = misses > tol * sizes
+            bad = misses > DOMAIN_TOL * sizes
             if bad.any():
                 j = int(np.argmax(bad.any(axis=1)))
                 raise DimensionError(
@@ -167,7 +168,7 @@ class TransferFunction:
         return cls(op.shape[1], op.shape[0], freqs, ops)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirFilter:
     """Finite impulse response filter: a finite map lag -> operator."""
 

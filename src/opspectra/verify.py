@@ -9,7 +9,7 @@ checks use 5 standard-error bands.  The same functions back the CLI
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -100,10 +100,27 @@ def _random_povm_normalized(rng, dim, n_atoms, allow_deficient=True):
     return AtomicTracePovm(dim, nu.freqs, nu.weights * (n_atoms / scale))
 
 
+def _pool(rng, count, max_dim, max_atoms, extra):
+    """``count`` normalized measures of dimension ``2..max_dim`` with
+    ``2..max_atoms`` atoms, rank-deficient atoms allowed, then ``extra``."""
+    pool = []
+    for _ in range(count):
+        dim = int(rng.integers(2, max_dim + 1))
+        n_atoms = int(rng.integers(2, max_atoms + 1))
+        pool.append(_random_povm_normalized(rng, dim, n_atoms))
+    return pool + list(extra)
+
+
+def _grid_pool(rng, dim, extra):
+    """50 random measures of dimension ``dim`` on the 16-point grid, then the
+    grid-supported measures of ``extra``."""
+    pool = [random_grid_povm(rng, dim, 16) for _ in range(50)]
+    return pool + [nu for nu in extra if on_grid(nu.freqs)]
+
+
 def check_herglotz_round_trip(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 1))
-    instances = [random_grid_povm(rng, 4, 16) for _ in range(50)]
-    instances += [nu for nu in extra_povms if on_grid(nu.freqs)]
+    instances = _grid_pool(rng, 4, extra_povms)
     worst = 0.0
     for nu in instances:
         m = nu.n_atoms
@@ -132,13 +149,13 @@ def check_positive_type(seed, extra_povms=()) -> CheckResult:
             n = int(rng.integers(1, 9))
             times = rng.choice(max_lag + 1, size=min(n, max_lag + 1), replace=False)
             total += 1
-            if not positive_type_check(gamma, times, tol=1e-10):
+            if not positive_type_check(gamma, times):
                 failures += 1
     # constructed non-example: lag-1 value dominating lag 0
     bad = AutocovarianceSequence(
         2, 1, np.stack([np.eye(2) + 0j, 1.5 * np.eye(2) + 0j])
     )
-    rejected = not positive_type_check(bad, [0, 1], tol=1e-10)
+    rejected = not positive_type_check(bad, [0, 1])
     return _result(
         "positive-type",
         "finite block matrices of a valid autocovariance are PSD and a"
@@ -153,12 +170,7 @@ def check_positive_type(seed, extra_povms=()) -> CheckResult:
 def check_gramian_isometry(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 3))
     worst = 0.0
-    pool = [
-        _random_povm_normalized(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
-        for _ in range(100)
-    ]
-    pool += list(extra_povms)
-    for nu in pool:
+    for nu in _pool(rng, 100, 4, 6, extra_povms):
         phi = random_transfer(rng, nu.dim, 3, nu.freqs)
         psi = random_transfer(rng, nu.dim, 3, nu.freqs)
         model = sum(
@@ -205,11 +217,7 @@ def check_gramian_isometry(seed, extra_povms=()) -> CheckResult:
 def check_filter_composition(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 4))
     worst = 0.0
-    pool = [
-        _random_povm_normalized(rng, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
-        for _ in range(100)
-    ]
-    pool += list(extra_povms)
+    pool = _pool(rng, 100, 4, 6, extra_povms)
     for nu in pool:
         phi = random_transfer(rng, nu.dim, 2, nu.freqs)
         psi = random_transfer(rng, 2, 3, nu.freqs)
@@ -269,9 +277,8 @@ def check_filter_inversion(seed, extra_povms=()) -> CheckResult:
 def check_fir_fubini(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 6))
     worst = 0.0
-    instances = [(random_grid_povm(rng, 3, 16), None) for _ in range(50)]
-    instances += [(nu, None) for nu in extra_povms if on_grid(nu.freqs)]
-    for nu, _ in instances:
+    instances = _grid_pool(rng, 3, extra_povms)
+    for nu in instances:
         m = nu.n_atoms
         fir = random_fir(rng, nu.dim, 2, n_taps=int(rng.integers(1, 6)))
         w = sample_gaussian_measure(nu, 8, seed=int(rng.integers(2**31)))
@@ -294,13 +301,7 @@ def check_fir_fubini(seed, extra_povms=()) -> CheckResult:
 
 def check_ckl(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 7))
-    pool = []
-    for _ in range(50):
-        dim = int(rng.integers(2, 6))
-        pool.append(
-            _random_povm_normalized(rng, dim, int(rng.integers(2, 9)))
-        )
-    pool += list(extra_povms)
+    pool = _pool(rng, 50, 5, 8, extra_povms)
     worst_recon, worst_cross, worst_complete, worst_diag = 0.0, 0.0, 0.0, 0.0
     for nu in pool:
         sys = ckl_decompose(nu)
@@ -342,13 +343,7 @@ def check_ckl(seed, extra_povms=()) -> CheckResult:
 
 def check_hfpca(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 8))
-    pool = []
-    for _ in range(30):
-        dim = int(rng.integers(2, 7))
-        pool.append(
-            _random_povm_normalized(rng, dim, int(rng.integers(2, 9)))
-        )
-    pool += list(extra_povms)
+    pool = _pool(rng, 30, 6, 8, extra_povms)
     worst_closed = 0.0
     worst_beat = 0.0
     worst_z = 0.0
@@ -457,7 +452,7 @@ STOCHASTIC_CHECKS = [
 ]
 
 
-def check_determinism(seed, extra_povms=(), baseline=None) -> CheckResult:
+def check_determinism(seed, extra_povms, baseline) -> CheckResult:
     rng = make_rng((seed, 10))
     nu = _random_povm_normalized(rng, 3, 5, allow_deficient=False)
     first = sample_gaussian_measure(nu, 4096, seed=seed)
@@ -467,8 +462,6 @@ def check_determinism(seed, extra_povms=(), baseline=None) -> CheckResult:
     )
     ok = bool(np.array_equal(first.samples, second.samples))
     ok = ok and bool(np.array_equal(first.samples, shuffled.samples))
-    if baseline is None:
-        baseline = [fn(seed, extra_povms) for fn in STOCHASTIC_CHECKS]
     mismatches = []
     for fn, before in zip(STOCHASTIC_CHECKS, baseline):
         again = fn(seed, extra_povms)
@@ -495,28 +488,13 @@ def run_battery(seed: int = 20260809, povm: AtomicTracePovm | None = None) -> li
     """Run every check; an optional measure joins the instance pools."""
     extra = (povm,) if povm is not None else ()
     results = [fn(seed, extra) for fn in STOCHASTIC_CHECKS]
-    results.append(check_determinism(seed, extra, baseline=results))
+    results.append(check_determinism(seed, extra, results))
     return results
 
 
-def emit_report(results, path=None) -> list:
+def emit_report(results) -> list:
     """Render results as the stable report schema (list of dicts)."""
-    rows = [
-        {
-            "check_id": r.check_id,
-            "property": r.property,
-            "status": r.status,
-            "metric": r.metric,
-            "tolerance": r.tolerance,
-            "details": r.details,
-        }
-        for r in results
-    ]
-    if path is not None:
-        from .serialization import write_json
-
-        write_json(rows, path)
-    return rows
+    return [asdict(r) for r in results]
 
 
 def human_summary(results) -> str:

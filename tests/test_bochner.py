@@ -210,19 +210,19 @@ class TestPositiveType:
         rng = make_rng(308)
         nu = random_povm(rng, 2, 5)
         gamma = autocov_from_povm(nu, 5)
-        assert positive_type_check(gamma, [0, 1, 3], tol=1e-10)
+        assert positive_type_check(gamma, [0, 1, 3])
 
     def test_constructed_counterexample(self):
         values = np.stack([np.eye(2) + 0.0j, 1.5 * np.eye(2) + 0.0j])
         gamma = AutocovarianceSequence(2, 1, values)
         # block eigenvalues are 1 +- 1.5, so -0.5 shows up
-        assert not positive_type_check(gamma, [0, 1], tol=1e-10)
+        assert not positive_type_check(gamma, [0, 1])
 
     def test_single_time_reduces_to_psd(self):
         rng = make_rng(309)
         nu = random_povm(rng, 3, 4)
         gamma = autocov_from_povm(nu, 2)
-        assert positive_type_check(gamma, [0], tol=1e-10)
+        assert positive_type_check(gamma, [0])
 
     def test_explicit_vectors(self):
         rng = make_rng(310)
@@ -247,7 +247,7 @@ class TestPositiveType:
         for _ in range(10):
             n = int(rng.integers(1, 7))
             times = rng.choice(13, size=n, replace=False)
-            assert positive_type_check(gamma, times, tol=1e-10)
+            assert positive_type_check(gamma, times)
 
 
 def stored(gamma, h):

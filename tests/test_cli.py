@@ -311,6 +311,7 @@ class TestConfigErrors:
     def test_empty_result_report(self, workdir):
         from opspectra.verify import emit_report
 
-        rows = emit_report([], workdir / "empty.json")
+        rows = emit_report([])
+        write_json(rows, workdir / "empty.json")
         assert rows == []
         assert json.loads((workdir / "empty.json").read_text()) == []

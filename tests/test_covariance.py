@@ -152,7 +152,7 @@ class TestScaleCovariance:
 
 
 def _with_samples(w, samples):
-    return type(w)(dim=w.dim, freqs=w.freqs, samples=samples, intensity=w.intensity)
+    return type(w)(samples=samples, intensity=w.intensity)
 
 
 class TestUnitaryCovariance:

@@ -437,13 +437,13 @@ class TestIntegrabilityScreen:
             assert not nu.positive_mass_mask()[0]
             ref = self.spectral_reference(phi, nu, tol)
             try:
-                require_integrable(phi, nu, tol)
+                require_integrable(phi, nu)
                 got = True
             except IntegrabilityError as exc:
                 assert "first failing atom: 1," in str(exc)
                 got = False
             assert got == ref, eps
-            assert bool(square_integrability_check(phi, nu, tol)) == ref
+            assert bool(square_integrability_check(phi, nu)) == ref
             decisions.append(got)
             root = nu.sqrt_weights()[1]
             fro = np.linalg.norm(root - phi.domains[1] @ root)

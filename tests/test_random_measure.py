@@ -4,8 +4,10 @@ import pytest
 from opspectra import (
     AlignmentError,
     AtomicTracePovm,
+    DimensionError,
     IncrementPath,
     IntegrabilityError,
+    RandomMeasure,
     SampleSizeError,
     TransferFunction,
     autocov_from_povm,
@@ -391,6 +393,12 @@ class TestIncrementPath:
         with pytest.raises(AlignmentError):
             from_increment_path(to_increment_path(w), other)
 
+    def test_path_of_another_dimension_is_rejected(self):
+        nu = random_povm(make_rng(420), 3, 4)
+        path = IncrementPath(2, nu.freqs, np.zeros((4, 5, 2)))
+        with pytest.raises(DimensionError, match=r"\(4, R, 3\)"):
+            from_increment_path(path, nu)
+
     def test_disjoint_increments_uncorrelated_monte_carlo(self):
         rng = make_rng(419)
         nu = random_povm(rng, 2, 6)
@@ -404,3 +412,25 @@ class TestIncrementPath:
         cross = empirical_gramian(left, right)
         scale = float(np.trace(nu.total_mass()).real)
         assert np.abs(cross).max() <= 5.0 * scale / np.sqrt(n_real)
+
+
+class TestRandomMeasureSupport:
+    """The support and the space of a sampled measure are its intensity's."""
+
+    @pytest.fixture
+    def nu(self):
+        return random_povm(make_rng(421), 3, 4)
+
+    def test_support_read_from_intensity(self, nu):
+        w = RandomMeasure(np.zeros((4, 5, 3)), nu)
+        assert (w.dim, w.n_atoms, w.n_realizations) == (3, 4, 5)
+        assert w.freqs is nu.freqs
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 5, 3), (5, 5, 3), (4, 5, 2), (4, 5, 4), (4, 15), (4, 5, 3, 1)],
+        ids=["fewer-atoms", "more-atoms", "smaller-dim", "larger-dim", "2-d", "4-d"],
+    )
+    def test_wrong_shape_is_rejected(self, nu, shape):
+        with pytest.raises(DimensionError, match="samples must have shape"):
+            RandomMeasure(np.zeros(shape), nu)
