@@ -62,4 +62,4 @@ mse = float(np.mean(np.sum(np.abs(x.values[:, 2] - y.values[:, 2]) ** 2, axis=1)
 print(f"\nrank-{q} Monte Carlo error at t=2: {mse:.4f}"
       f"  vs formula {hfpca_error(nu, theta):.4f}")
 
-print("\nfull report:", hfpca_report(nu, q, sys=sys))
+print("\nfull report:", hfpca_report(nu, q))

@@ -1,16 +1,19 @@
 """Config-driven command line front end.
 
-A run is described by a single JSON config document; a few flags override
-its entries so one artifact reproduces one run:
+A run is described by one JSON config document and nothing else, so the
+document alone reproduces the run:
 
-    opspectra --config run.json [--seed N] [--out PATH]
-              [--realizations R] [--period M] [--strict-injectivity] [--real]
+    opspectra --config run.json
 
 The config selects the command (simulate, autocov, fit-grid, filter,
 compose, invert, ckl, hfpca, verify), names its input files and carries
-numeric parameters.  All file formats are the JSON encodings of
-:mod:`opspectra.serialization`.  The special input value ``"bundled"``
-refers to the built-in example measure.
+numeric parameters.  Values are checked, never converted: counts
+(``realizations``, ``period``, ``max_lag``) are positive integers, ``seed``
+is a non-negative integer, ``real`` and ``strict_injectivity`` are
+booleans, ``rank_tol`` is a finite non-negative number, ``q`` is an
+integer or a list of integers and paths are strings.  All file formats are
+the JSON encodings of :mod:`opspectra.serialization`.  The special input
+value ``"bundled"`` refers to the built-in example measure.
 
 Exit status: 0 on success, 1 on a domain error (message on stderr), 2 on
 unusable configuration.  The environment variable ``OPSPECTRA_VERBOSITY``
@@ -56,18 +59,6 @@ from .serialization import (
 from .synthetic import bundled_example_povm
 from .verify import emit_report, human_summary, run_battery
 
-COMMANDS = (
-    "simulate",
-    "autocov",
-    "fit-grid",
-    "filter",
-    "compose",
-    "invert",
-    "ckl",
-    "hfpca",
-    "verify",
-)
-
 
 class ConfigError(Exception):
     """Unusable run configuration (maps to exit status 2)."""
@@ -85,27 +76,40 @@ def _info(message: str) -> None:
         print(message)
 
 
-def _require(config: dict, key: str):
+def _is_int(value) -> bool:
+    # the rule of serialization._integer: a boolean is not an integer
+    return type(value) is int
+
+
+# One type rule per kind of config value: a check and what it demands.
+_RULES = {
+    "count": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "flag": (lambda v: type(v) is bool, "true or false"),
+    "tolerance": (
+        lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max,
+        "a finite non-negative number",
+    ),
+    "ranks": (
+        lambda v: _is_int(v) or (type(v) is list and all(map(_is_int, v))),
+        "an integer or a list of integers",
+    ),
+    "path": (lambda v: type(v) is str, "a path string"),
+}
+
+
+def _read(config: dict, key: str, kind: str, default=None):
+    """``config[key]`` checked against the rule for ``kind``; a missing key
+    without a default, or a value of another type, is unusable
+    configuration.  Values are checked, never converted."""
     if key not in config:
-        raise ConfigError(f"config is missing the required key {key!r}")
-    return config[key]
-
-
-def _parse(config: dict, key: str, convert, default=None):
-    """``convert(config[key])``; a missing key (without a default) or a value
-    that ``convert`` rejects is unusable configuration."""
-    value = _require(config, key) if default is None else config.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        message = f"config key {key!r} has the unusable value {value!r}"
-        raise ConfigError(message) from exc
-
-
-def _positive_int(config: dict, key: str) -> int:
-    value = _parse(config, key, int)
-    if value <= 0:
-        raise ConfigError(f"config key {key!r} must be positive")
+        if default is None:
+            raise ConfigError(f"config is missing the required key {key!r}")
+        return default
+    value = config[key]
+    check, demand = _RULES[kind]
+    if not check(value):
+        raise ConfigError(f"config key {key!r} must be {demand}, got {value!r}")
     return value
 
 
@@ -116,7 +120,7 @@ def _load(config: dict, key: str, decode):
     do not match their declared counts are unusable configuration; domain
     errors raised while building the value pass through.
     """
-    path = _parse(config, key, os.fspath)
+    path = _read(config, key, "path")
     try:
         obj = read_json(path)
     except (OSError, ValueError) as exc:
@@ -138,7 +142,7 @@ def _load_povm(config: dict):
 
 
 def _write(config: dict, obj) -> None:
-    path = _parse(config, "out", os.fspath)
+    path = _read(config, "out", "path")
     try:
         write_json(obj, path)
     except OSError as exc:
@@ -147,10 +151,10 @@ def _write(config: dict, obj) -> None:
 
 def _cmd_simulate(config: dict) -> int:
     nu = _load_povm(config)
-    n_real = _positive_int(config, "realizations")
-    period = _positive_int(config, "period")
-    seed = _parse(config, "seed", int, 0)
-    if config.get("real", False):
+    n_real = _read(config, "realizations", "count")
+    period = _read(config, "period", "count")
+    seed = _read(config, "seed", "seed", 0)
+    if _read(config, "real", "flag", False):
         w = sample_real_gaussian_measure(nu, n_real, seed)
     else:
         w = sample_gaussian_measure(nu, n_real, seed)
@@ -162,7 +166,7 @@ def _cmd_simulate(config: dict) -> int:
 
 def _cmd_autocov(config: dict) -> int:
     nu = _load_povm(config)
-    max_lag = _positive_int(config, "max_lag")
+    max_lag = _read(config, "max_lag", "count")
     _write(config, encode_autocov(autocov_from_povm(nu, max_lag)))
     _info(f"wrote autocovariance up to lag {max_lag}")
     return 0
@@ -170,7 +174,7 @@ def _cmd_autocov(config: dict) -> int:
 
 def _cmd_fit_grid(config: dict) -> int:
     gamma = _load(config, "autocov", decode_autocov)
-    m = _positive_int(config, "period")
+    m = _read(config, "period", "count")
     _write(config, encode_povm(povm_from_autocov_grid(gamma, m)))
     _info(f"recovered {m} grid atoms")
     return 0
@@ -197,7 +201,7 @@ def _cmd_filter(config: dict) -> int:
 def _cmd_compose(config: dict) -> int:
     outer_tf = _load(config, "outer", decode_transfer)
     inner_tf = _load(config, "inner", decode_transfer)
-    rank_tol = _parse(config, "rank_tol", float, 1e-12)
+    rank_tol = _read(config, "rank_tol", "tolerance", 1e-12)
     composed = compose_transfer(outer_tf, inner_tf, rank_tol=rank_tol)
     _write(config, encode_transfer(composed))
     _info("wrote the composed transfer function")
@@ -207,8 +211,8 @@ def _cmd_compose(config: dict) -> int:
 def _cmd_invert(config: dict) -> int:
     phi = _load(config, "transfer", decode_transfer)
     nu = _load_povm(config)
-    rank_tol = _parse(config, "rank_tol", float, 1e-10)
-    strict = bool(config.get("strict_injectivity", False))
+    rank_tol = _read(config, "rank_tol", "tolerance", 1e-10)
+    strict = _read(config, "strict_injectivity", "flag", False)
     inverse = invert_transfer(phi, nu, rank_tol=rank_tol, strict=strict)
     _write(config, encode_transfer(inverse))
     _info("wrote the inverse transfer function")
@@ -234,7 +238,7 @@ def _cmd_ckl(config: dict) -> int:
 
 def _cmd_hfpca(config: dict) -> int:
     nu = _load_povm(config)
-    q = _parse(config, "q", lambda v: np.asarray(v, dtype=np.int64))
+    q = _read(config, "q", "ranks")
     report = hfpca_report(nu, q)
     _write(config, report)
     _info(
@@ -245,7 +249,7 @@ def _cmd_hfpca(config: dict) -> int:
 
 
 def _cmd_verify(config: dict) -> int:
-    seed = _parse(config, "seed", int, 20260809)
+    seed = _read(config, "seed", "seed", 20260809)
     povm = _load_povm(config) if "povm" in config else None
     results = run_battery(seed=seed, povm=povm)
     if "out" in config:
@@ -275,49 +279,20 @@ def build_parser() -> argparse.ArgumentParser:
         " series on atomic frequency measures.",
     )
     parser.add_argument("--config", required=True, help="JSON run configuration")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", help="override the output path")
-    parser.add_argument(
-        "--realizations", type=int, help="override the ensemble size"
-    )
-    parser.add_argument("--period", type=int, help="override the period / grid size")
-    parser.add_argument(
-        "--strict-injectivity",
-        action="store_true",
-        help="require injectivity of every atom operator when inverting",
-    )
-    parser.add_argument(
-        "--real",
-        action="store_true",
-        help="real-valued synthesis via conjugate-symmetric atom pairing",
-    )
     return parser
 
 
-def load_config(args) -> dict:
+def load_config(path) -> dict:
     try:
-        config = read_json(args.config)
+        config = read_json(path)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    config = dict(config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.out is not None:
-        config["out"] = args.out
-    if args.realizations is not None:
-        config["realizations"] = args.realizations
-    if args.period is not None:
-        config["period"] = args.period
-    if args.strict_injectivity:
-        config["strict_injectivity"] = True
-    if args.real:
-        config["real"] = True
     command = config.get("command")
-    if command not in COMMANDS:
+    if type(command) is not str or command not in _DISPATCH:
         raise ConfigError(
-            f"config key 'command' must be one of {', '.join(COMMANDS)}"
+            f"config key 'command' must be one of {', '.join(_DISPATCH)}"
         )
     return config
 
@@ -325,11 +300,7 @@ def load_config(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        config = load_config(args.config)
         return _DISPATCH[config["command"]](config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

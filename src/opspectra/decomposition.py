@@ -211,10 +211,9 @@ def hfpca_optimal_error(sys: CklSystem, q) -> float:
     return float((sys.base_weights[:, None] * sys.eigenvalues)[tail].sum())
 
 
-def hfpca_report(nu: AtomicTracePovm, q, sys: CklSystem | None = None) -> dict:
+def hfpca_report(nu: AtomicTracePovm, q) -> dict:
     """Summary dict: ranks, optimal and achieved errors, tie warnings."""
-    if sys is None:
-        sys = ckl_decompose(nu)
+    sys = ckl_decompose(nu)
     ranks = normalize_ranks(q, sys.n_atoms, sys.dim)
     theta = hfpca_projector(sys, ranks)
     return {

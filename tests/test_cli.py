@@ -1,10 +1,18 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opspectra import AtomicTracePovm, TransferFunction
-from opspectra.cli import main
+from opspectra import (
+    AtomicTracePovm,
+    ProcessSample,
+    TransferFunction,
+    autocov_from_povm,
+)
+from opspectra.cli import build_parser, main
 from opspectra.serialization import (
     decode_povm,
     decode_series,
@@ -20,6 +28,7 @@ from opspectra.serialization import (
 from opspectra.synthetic import (
     bundled_example_povm,
     make_rng,
+    random_complex,
     random_fir,
     random_povm,
     random_psd,
@@ -35,10 +44,10 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def run_config(workdir, name, config, *flags):
+def run_config(workdir, name, config):
     path = workdir / name
     write_json(config, path)
-    return main(["--config", str(path), *flags])
+    return main(["--config", str(path)])
 
 
 class TestSimulate:
@@ -60,7 +69,7 @@ class TestSimulate:
         }
         assert run_config(workdir, "run.json", config) == 0
         assert run_config(
-            workdir, "run2.json", config | {"out": "b.json"}, "--seed", "6"
+            workdir, "run2.json", config | {"out": "b.json", "seed": 6}
         ) == 0
         assert (workdir / "a.json").read_bytes() != (workdir / "b.json").read_bytes()
 
@@ -80,7 +89,7 @@ class TestSimulate:
             "command": "simulate", "povm": "povm.json", "realizations": 4,
             "period": 6, "seed": 3, "out": "series.json",
         }
-        assert run_config(workdir, "run.json", config, "--real") == 0
+        assert run_config(workdir, "run.json", config | {"real": True}) == 0
         series = decode_series(read_json(workdir / "series.json"))
         assert np.abs(series.values.imag).max() <= 1e-12
 
@@ -136,8 +145,6 @@ class TestFilterCommands:
 
     def test_fir_series_route(self, workdir):
         rng = make_rng(803)
-        from opspectra import ProcessSample
-
         x = ProcessSample(2, 6, np.zeros((2, 6, 2), dtype=complex))
         fir = random_fir(rng, 2, 2, 3)
         write_json(encode_series(x), workdir / "x.json")
@@ -189,7 +196,9 @@ class TestFilterCommands:
             "command": "invert", "transfer": "phi.json", "povm": "povm.json",
             "out": "inv.json",
         }
-        status = run_config(workdir, "i.json", config, "--strict-injectivity")
+        status = run_config(
+            workdir, "i.json", config | {"strict_injectivity": True}
+        )
         assert status == 1
         assert "not injective" in capsys.readouterr().err
 
@@ -243,6 +252,13 @@ class TestVerifyDispatch:
         assert run_config(workdir, "v.json", {"command": "verify"}) == 1
 
 
+SIMULATE = {"command": "simulate", "povm": "bundled", "realizations": 2,
+            "period": 8, "out": "s.json"}
+INVERT = {"command": "invert", "transfer": "phi.json", "povm": "bundled",
+          "out": "inv.json"}
+BUNDLED_PHI = random_transfer(make_rng(806), 3, 3, bundled_example_povm().freqs)
+
+
 class TestConfigErrors:
     def test_unknown_command(self, workdir):
         assert run_config(workdir, "bad.json", {"command": "nope"}) == 2
@@ -280,13 +296,27 @@ class TestConfigErrors:
              "series": "series.json", "out": "y.json"},
             {"command": "filter", "fir": "fir.json",
              "series": "fractional_dim.json", "out": "y.json"},
+            SIMULATE | {"period": 8.9},
+            SIMULATE | {"realizations": True},
+            SIMULATE | {"seed": -1},
+            SIMULATE | {"period": float("inf")},
+            SIMULATE | {"real": "false"},
+            INVERT | {"strict_injectivity": "no"},
+            INVERT | {"rank_tol": float("nan")},
+            {"command": "hfpca", "povm": "bundled", "q": [1.9] + [1] * 15,
+             "out": "h.json"},
+            SIMULATE | {"command": ["simulate"]},
         ],
         ids=["measure-without-atoms", "text-realizations", "text-q",
              "unwritable-out", "series-value-not-a-pair",
              "series-missing-realization", "series-missing-time-step",
-             "operator-entry-count", "series-fractional-dim"],
+             "operator-entry-count", "series-fractional-dim",
+             "fractional-period", "boolean-realizations", "negative-seed",
+             "infinite-period", "text-real", "text-strict-injectivity",
+             "nan-rank-tol", "fractional-q", "command-list"],
     )
     def test_malformed_input_exits_two(self, workdir, capsys, config):
+        write_json(encode_transfer(BUNDLED_PHI), workdir / "phi.json")
         write_json({"dim": 3}, workdir / "no_atoms.json")
         one = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}
         write_json({"taps": [{"s": 0, "op": one}]}, workdir / "fir.json")
@@ -315,3 +345,88 @@ class TestConfigErrors:
         write_json(rows, workdir / "empty.json")
         assert rows == []
         assert json.loads((workdir / "empty.json").read_text()) == []
+
+
+class TestConfigOnly:
+    def test_parser_has_no_override_options(self):
+        options = {
+            opt for action in build_parser()._actions for opt in action.option_strings
+        }
+        assert options == {"--config", "-h", "--help"}
+
+    def test_override_flag_is_rejected_by_argparse(self, workdir):
+        write_json(SIMULATE, workdir / "run.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(workdir / "run.json"), "--seed", "6"])
+        assert exc.value.code == 2
+
+
+def _fuzz_inputs() -> dict:
+    """Small valid input documents for every command of :data:`VALID`."""
+    rng = make_rng(807)
+    nu = bundled_example_povm()
+    series = ProcessSample(3, 4, random_complex(rng, (2, 4, 3)))
+    return {
+        "povm.json": encode_povm(nu),
+        "phi.json": encode_transfer(BUNDLED_PHI),
+        "gamma.json": encode_autocov(autocov_from_povm(nu, 15)),
+        "fir.json": encode_fir(random_fir(rng, 3, 3, 2)),
+        "series.json": encode_series(series),
+    }
+
+
+FUZZ_INPUTS = _fuzz_inputs()
+VALID = [
+    SIMULATE | {"povm": "povm.json", "seed": 1, "real": False},
+    {"command": "autocov", "povm": "bundled", "max_lag": 3, "out": "o.json"},
+    {"command": "fit-grid", "autocov": "gamma.json", "period": 16, "out": "o.json"},
+    {"command": "filter", "transfer": "phi.json", "povm": "bundled", "out": "o.json"},
+    {"command": "filter", "fir": "fir.json", "series": "series.json", "out": "o.json"},
+    {"command": "compose", "outer": "phi.json", "inner": "phi.json",
+     "rank_tol": 1e-12, "out": "o.json"},
+    INVERT | {"rank_tol": 1e-10, "strict_injectivity": False},
+    {"command": "ckl", "povm": "povm.json", "out": "o.json"},
+    {"command": "hfpca", "povm": "bundled", "q": [2] * 16, "out": "o.json"},
+    {"command": "verify", "seed": 3, "povm": "bundled", "out": "o.json"},
+]
+CONFIG_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.floats(),
+    st.sampled_from(
+        sorted(FUZZ_INPUTS) + ["bundled", "false", "", "missing.json",
+                                "no_dir/o.json", "simulate", "verify"]
+    ),
+    st.lists(st.integers(-3, 40), max_size=20),
+    st.just({}),
+    st.just([[1, 2]]),
+)
+
+
+def _fuzzed(config: dict):
+    """``config`` with up to 4 of its keys given drawn values and up to 2
+    of its keys dropped."""
+    keys = st.sampled_from(sorted(config))
+    return st.builds(
+        lambda replaced, dropped: {
+            k: v for k, v in (config | replaced).items() if k not in dropped
+        },
+        st.dictionaries(keys, CONFIG_VALUES, max_size=4),
+        st.lists(keys, max_size=2),
+    )
+
+
+class TestFuzzedConfigs:
+    @settings(max_examples=300)
+    @given(config=st.sampled_from(VALID).flatmap(_fuzzed))
+    def test_main_exits_with_a_documented_status(self, config):
+        canned = [CheckResult("a", "prop a", "pass", 0.0, 1.0)]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp)
+            mp.setenv("OPSPECTRA_VERBOSITY", "0")
+            mp.setattr("opspectra.cli.run_battery", lambda **kw: canned)
+            for name, doc in FUZZ_INPUTS.items():
+                write_json(doc, name)
+            write_json(config, "run.json")
+            assert main(["--config", "run.json"]) in (0, 1, 2)

@@ -119,13 +119,13 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("s", SCALES)
     def test_ckl_ranks_and_hfpca_errors(self, s, base):
         ref_sys = ckl_decompose(base["nu"])
-        ref = hfpca_report(base["nu"], base["q"], ref_sys)
+        ref = hfpca_report(base["nu"], base["q"])
         nu = _scaled(base["nu"], s)
         sys = ckl_decompose(nu)
         np.testing.assert_array_equal(sys.ranks, ref_sys.ranks)
         np.testing.assert_allclose(sys.eigenvalues, ref_sys.eigenvalues,
                                    rtol=0, atol=1e-12)
-        rep = hfpca_report(nu, base["q"], sys)
+        rep = hfpca_report(nu, base["q"])
         for key in ("optimal_error", "achieved_error"):
             assert rep[key] == pytest.approx(s * ref[key], rel=1e-10)
 

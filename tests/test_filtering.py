@@ -21,6 +21,7 @@ from opspectra import (
     square_integrability_check,
     synthesize_process,
 )
+from opspectra.bochner import on_grid
 from opspectra.operators import sorted_eigh
 from opspectra.synthetic import (
     bundled_example_povm,
@@ -435,6 +436,24 @@ class TestModulate:
         y = synthesize_process(shifted, 8)
         scale = max(1.0, np.abs(x.values).max())
         assert np.abs(y.values - x.values[:, h:, :]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("h", [-5, -1, 1, 5])
+    @pytest.mark.parametrize("grid", [True, False], ids=["grid", "off-grid"])
+    def test_lag_intertwining(self, grid, h):
+        # filtering with modulate_transfer(phi, h) synthesises the
+        # phi-filtered process shifted by h, on the FFT and the dense route
+        rng = make_rng(532)
+        m = 16
+        nu = random_grid_povm(rng, 3, m) if grid else random_povm(rng, 3, m)
+        assert on_grid(nu.freqs) == grid
+        phi = random_transfer(rng, 3, 2, nu.freqs)
+        w = sample_gaussian_measure(nu, 4, seed=41)
+        y = synthesize_process(apply_filter(modulate_transfer(phi, h), w), m).values
+        x = synthesize_process(apply_filter(phi, w), m + max(h, 0)).values
+        # compare the windows where both processes are observed
+        shifted, plain = (y, x[:, h:]) if h >= 0 else (y[:, -h:], x[:, :m + h])
+        scale = max(1.0, np.abs(x).max())
+        assert np.abs(shifted - plain).max() <= 1e-12 * scale
 
 
 def spectral_projector_ok(d, tol=1e-10):
