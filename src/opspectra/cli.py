@@ -8,16 +8,18 @@ document alone reproduces the run:
 The config selects the command (simulate, autocov, fit-grid, filter,
 compose, invert, ckl, hfpca, verify), names its input files and carries
 numeric parameters.  Values are checked, never converted: counts
-(``realizations``, ``period``, ``max_lag``) are positive integers, ``seed``
-is a non-negative integer, ``real`` and ``strict_injectivity`` are
-booleans, ``rank_tol`` is a finite non-negative number, ``q`` is an
-integer or a list of integers and paths are strings.  All file formats are
-the JSON encodings of :mod:`opspectra.serialization`.  The special input
-value ``"bundled"`` refers to the built-in example measure.
+(``realizations``, ``period``, ``max_lag``) are positive integers of at
+most ``2**31 - 1``, ``seed`` is a non-negative integer, ``real`` and
+``strict_injectivity`` are booleans, ``rank_tol`` is a finite non-negative
+number, ``q`` is an integer or a list of integers and paths are strings.
+All file formats are the JSON encodings of :mod:`opspectra.serialization`.
+The special input value ``"bundled"`` refers to the built-in example
+measure.
 
 Exit status: 0 on success, 1 on a domain error (message on stderr), 2 on
-unusable configuration.  The environment variable ``OPSPECTRA_VERBOSITY``
-(0 quiet, 1 default) controls informational output.
+unusable configuration, a run whose arrays cannot be allocated included.
+The environment variable ``OPSPECTRA_VERBOSITY`` (0 quiet, 1 default)
+controls informational output.
 """
 
 from __future__ import annotations
@@ -81,9 +83,16 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
+# Largest count a config may set: any larger count asks for an array of at
+# least 2**31 complex entries (32 GiB).
+_MAX_COUNT = 2**31 - 1
+
 # One type rule per kind of config value: a check and what it demands.
 _RULES = {
-    "count": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "count": (
+        lambda v: _is_int(v) and 0 < v <= _MAX_COUNT,
+        f"a positive integer of at most {_MAX_COUNT}",
+    ),
     "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "flag": (lambda v: type(v) is bool, "true or false"),
     "tolerance": (
@@ -308,6 +317,9 @@ def main(argv=None) -> int:
     except OpSpectraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

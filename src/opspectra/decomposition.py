@@ -147,15 +147,19 @@ def ckl_completeness_residual(sys: CklSystem) -> float:
 
 
 def normalize_ranks(q, n_atoms: int, dim: int) -> np.ndarray:
-    """Per-atom target ranks: positive integers clamped to ``dim``."""
-    arr = np.asarray(q, dtype=np.int64)
+    """Per-atom target ranks: positive integers clamped to ``dim``.
+
+    Ranks are clamped before their conversion to int64, so a rank beyond
+    int64 (such as the JSON integer ``10**23``) means ``dim``.
+    """
+    arr = np.asarray(np.clip(np.asarray(q), 0, dim), dtype=np.int64)
     if arr.ndim == 0:
         arr = np.full(n_atoms, int(arr))
     if arr.shape != (n_atoms,):
         raise DimensionError(f"expected {n_atoms} ranks, got shape {arr.shape}")
     if np.any(arr < 1):
         raise DimensionError("target ranks must be at least 1")
-    return np.minimum(arr, dim)
+    return arr
 
 
 def hfpca_projector(sys: CklSystem, q) -> TransferFunction:

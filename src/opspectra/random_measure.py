@@ -11,11 +11,13 @@ uncorrelated.  Everything downstream of sampling is a pure finite sum:
 
 Randomness comes from a counter-based Philox generator with one substream
 per atom, derived from ``(seed, atom index)``; results are therefore
-independent of the order in which atoms are processed.
+independent of the order in which atoms are processed and of how many
+threads draw them.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +112,66 @@ def _atom_rng(seed: int, atom: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# Atoms are drawn on several threads only when one atom's draw has at
+# least this many entries (R * dim); below it, thread start-up costs more
+# than the draws it would share.
+_THREADED_DRAW = 2**14
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _real_kernels(roots: np.ndarray) -> np.ndarray:
+    """Real ``(2 dim, 2 dim)`` matrices ``K_j`` with ``[a | b] K_j`` equal to
+    ``sqrt(1/2) (a + i b) R_j^T``, ``R_j = roots[j]``, in complex layout:
+    output columns alternate real and imaginary parts, so the product is
+    the float64 view of the complex samples."""
+    s = np.swapaxes(roots, 1, 2) * np.sqrt(0.5)
+    re_cols = np.concatenate([s.real, -s.imag], axis=1)
+    im_cols = np.concatenate([s.imag, s.real], axis=1)
+    n, two_d = roots.shape[0], 2 * roots.shape[1]
+    return np.stack([re_cols, im_cols], axis=-1).reshape(n, two_d, two_d)
+
+
+def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:
+    """Fill ``out[j]`` for each ``j`` in ``atoms`` from atom ``j``'s substream.
+
+    Atom ``j`` draws ``standard_normal((R, 2 dim))``, the same stream in
+    the same order for every split of the atoms, into a buffer, and one
+    real product with ``kernels[j]`` writes it into ``out[j]``.  Large
+    draws are split across threads (``standard_normal`` and the product
+    release the GIL), each with a buffer allocated here.
+    """
+    atoms = list(atoms)
+    n, dim = out.shape[1], out.shape[2]
+    flat = out.view(np.float64)
+    workers = 1
+    if n * dim >= _THREADED_DRAW:
+        workers = max(1, min(_usable_cpus(), len(atoms)))
+    buffers = np.empty((workers, n, 2 * dim))
+
+    def fill(part, buf):
+        for j in part:
+            _atom_rng(seed, j).standard_normal(out=buf)
+            np.matmul(buf, kernels[j], out=flat[j])
+
+    if workers == 1:
+        fill(atoms, buffers[0])
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        jobs = [
+            pool.submit(fill, atoms[k::workers], buffers[k]) for k in range(workers)
+        ]
+        for job in jobs:
+            job.result()
+
+
 def sample_gaussian_measure(
     nu: AtomicTracePovm,
     n_realizations: int,
@@ -122,19 +184,16 @@ def sample_gaussian_measure(
     circularly-symmetric complex Gaussian (real and imaginary parts i.i.d.
     N(0, 1/2)).  Atoms and realizations are independent, and the output is
     a deterministic function of ``seed`` alone: each atom has its own
-    counter-based substream, so any processing order gives identical
-    results (``_atom_order`` exists to demonstrate this in tests).
+    counter-based substream, so any processing order, and any number of
+    threads, gives identical results (``_atom_order`` exists to
+    demonstrate this in tests).
     """
     if n_realizations < 1:
         raise SampleSizeError("need at least one realization")
     n, dim = int(n_realizations), nu.dim
     out = np.empty((nu.n_atoms, n, dim), dtype=np.complex128)
     order = range(nu.n_atoms) if _atom_order is None else _atom_order
-    roots = nu.sqrt_weights()
-    for j in order:
-        draws = _atom_rng(seed, j).standard_normal((n, 2 * dim))
-        xi = (draws[:, :dim] + 1j * draws[:, dim:]) * np.sqrt(0.5)
-        out[j] = xi @ roots[j].T
+    _draw_atoms(out, _real_kernels(nu.sqrt_weights()), order, seed)
     return RandomMeasure(samples=out, intensity=nu)
 
 
@@ -150,7 +209,9 @@ def sample_real_gaussian_measure(
     conjugates and samples at the self-paired atoms are real Gaussian, so
     the synthesised process is real-valued.  The atom covariances still
     match the intensity, but the self-paired atoms are not circularly
-    symmetric; this is a modeling extension for real-valued output.
+    symmetric; this is a modeling extension for real-valued output.  The
+    leading atom of each pair takes the sample
+    :func:`sample_gaussian_measure` draws for it.
     """
     if n_realizations < 1:
         raise SampleSizeError("need at least one realization")
@@ -167,28 +228,25 @@ def sample_real_gaussian_measure(
                 f"atom {j} at {lam:+.6f} has no mirror atom at {-lam:+.6f}"
             )
         partner[j] = int(match[0])
-    out = np.empty((freqs.size, n, dim), dtype=np.complex128)
-    roots = nu.sqrt_weights()
     # relative to the largest trace norm, so scaling nu changes no decision
     floor = 1e-10 * nu.traces().max()
     for j in range(freqs.size):
         k = int(partner[j])
-        if k == j:
-            if np.abs(nu.weights[j].imag).max() > floor:
-                raise DimensionError(
-                    f"self-paired atom {j} needs a real weight for real output"
-                )
-            out[j] = _atom_rng(seed, j).standard_normal((n, dim)) @ roots[j].real.T
-        elif k > j:
-            mirror_defect = np.abs(nu.weights[k] - nu.weights[j].T).max()
-            if mirror_defect > floor:
-                raise DimensionError(
-                    f"atoms {j} and {k} are not transposes of each other"
-                )
-            draws = _atom_rng(seed, j).standard_normal((n, 2 * dim))
-            xi = (draws[:, :dim] + 1j * draws[:, dim:]) * np.sqrt(0.5)
-            out[j] = xi @ roots[j].T
-            out[k] = out[j].conj()
+        if k == j and np.abs(nu.weights[j].imag).max() > floor:
+            raise DimensionError(
+                f"self-paired atom {j} needs a real weight for real output"
+            )
+        if k > j and np.abs(nu.weights[k] - nu.weights[j].T).max() > floor:
+            raise DimensionError(f"atoms {j} and {k} are not transposes of each other")
+    out = np.empty((freqs.size, n, dim), dtype=np.complex128)
+    roots = nu.sqrt_weights()
+    atoms = np.arange(freqs.size)
+    leads = atoms[partner > atoms]
+    _draw_atoms(out, _real_kernels(roots), leads, seed)
+    for j in leads:
+        np.conjugate(out[j], out=out[partner[j]])
+    for j in atoms[partner == atoms]:
+        out[j] = _atom_rng(seed, j).standard_normal((n, dim)) @ roots[j].real.T
     return RandomMeasure(samples=out, intensity=nu)
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,15 @@ class TestReports:
             report["optimal_error"], abs=1e-10 * max(1.0, report["optimal_error"])
         )
 
+    def test_hfpca_rank_beyond_int64_means_dim(self, workdir):
+        config = {"command": "hfpca", "povm": "bundled", "q": 3, "out": "dim.json"}
+        assert run_config(workdir, "d.json", config) == 0
+        assert run_config(
+            workdir, "h.json", config | {"q": 10**23, "out": "huge.json"}
+        ) == 0
+        dim_report = (workdir / "dim.json").read_bytes()
+        assert (workdir / "huge.json").read_bytes() == dim_report
+
 
 class TestVerifyDispatch:
     def test_report_and_exit_status(self, workdir, monkeypatch):
@@ -306,6 +319,10 @@ class TestConfigErrors:
             {"command": "hfpca", "povm": "bundled", "q": [1.9] + [1] * 15,
              "out": "h.json"},
             SIMULATE | {"command": ["simulate"]},
+            {"command": "autocov", "povm": "bundled", "max_lag": 10**30,
+             "out": "g.json"},
+            SIMULATE | {"realizations": 10**14},
+            SIMULATE | {"period": 10**14},
         ],
         ids=["measure-without-atoms", "text-realizations", "text-q",
              "unwritable-out", "series-value-not-a-pair",
@@ -313,7 +330,8 @@ class TestConfigErrors:
              "operator-entry-count", "series-fractional-dim",
              "fractional-period", "boolean-realizations", "negative-seed",
              "infinite-period", "text-real", "text-strict-injectivity",
-             "nan-rank-tol", "fractional-q", "command-list"],
+             "nan-rank-tol", "fractional-q", "command-list", "huge-max-lag",
+             "huge-realizations", "huge-period"],
     )
     def test_malformed_input_exits_two(self, workdir, capsys, config):
         write_json(encode_transfer(BUNDLED_PHI), workdir / "phi.json")
@@ -338,6 +356,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_out_of_memory_exits_two(self, workdir, capsys, monkeypatch):
+        def allocate(nu, max_lag):
+            raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+        monkeypatch.setattr("opspectra.cli.autocov_from_povm", allocate)
+        assert run_config(workdir, "run.json", {
+            "command": "autocov", "povm": "bundled", "max_lag": 2**31 - 1,
+            "out": "g.json",
+        }) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_empty_result_report(self, workdir):
         from opspectra.verify import emit_report
 
@@ -359,6 +389,19 @@ class TestConfigOnly:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(workdir / "run.json"), "--seed", "6"])
         assert exc.value.code == 2
+
+    def test_import_does_not_load_thread_pools(self):
+        # threaded sampling imports concurrent.futures only when it runs,
+        # so CLI start-up does not pay for it
+        import opspectra
+
+        src = str(Path(opspectra.__file__).resolve().parents[1])
+        probe = "import sys, opspectra.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env=os.environ | {"PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "False"
 
 
 def _fuzz_inputs() -> dict:
