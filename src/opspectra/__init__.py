@@ -61,12 +61,7 @@ from .filtering import (
     modulate_transfer,
     pushforward_povm,
 )
-from .operators import (
-    adjoint,
-    outer,
-    psd_check,
-    psd_sqrt,
-)
+from .operators import outer, psd_check
 from .povm import (
     AtomicTracePovm,
     PovmDensity,
@@ -115,7 +110,6 @@ __all__ = [
     "RandomMeasure",
     "SampleSizeError",
     "TransferFunction",
-    "adjoint",
     "apply_filter",
     "apply_fir_time",
     "autocov_from_povm",
@@ -143,7 +137,6 @@ __all__ = [
     "positive_type_check",
     "povm_from_autocov_grid",
     "psd_check",
-    "psd_sqrt",
     "pushforward_povm",
     "radon_nikodym",
     "sample_gaussian_measure",

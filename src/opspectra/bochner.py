@@ -28,6 +28,7 @@ from .errors import (
     NotPositiveTypeError,
     PositivityError,
     SampleSizeError,
+    require_addressable,
 )
 from .operators import psd_check
 from .povm import AtomicTracePovm, wrap_frequencies
@@ -76,9 +77,12 @@ def fourier_sum(freqs, stack, count: int) -> np.ndarray:
     ``stack`` has shape ``(n, ...)`` with one slice per frequency.  On the
     exact n-point grid, ``lambda_j = -pi + 2 pi (j + 1) / n``, so the sum is
     ``(-1)^t n ifft(roll(stack, 1))[t mod n]`` for any ``count``.  Every
-    other support takes the dense phase sum.
+    other support takes the dense phase sum.  A ``count`` whose output (or
+    dense phase matrix) numpy cannot address raises :class:`DimensionError`.
     """
     freqs = np.asarray(freqs, dtype=np.float64).ravel()
+    per_lag = max(freqs.size, int(np.prod(np.shape(stack)[1:])))
+    require_addressable(f"{count} lags", count, per_lag)
     t = np.arange(count)
     if not on_grid(freqs):
         phases = np.exp(1j * np.outer(t, freqs))
@@ -184,29 +188,18 @@ def _lag_table(gamma: AutocovarianceSequence, times) -> np.ndarray:
     return table
 
 
-def positive_type_check(gamma: AutocovarianceSequence, times, vectors=None) -> bool:
+def positive_type_check(gamma: AutocovarianceSequence, times) -> bool:
     """Positive-type certificate over a finite set of time points.
 
     Assembles the block matrix ``[Gamma(t_i - t_j)]`` and checks it is PSD
     (:func:`~opspectra.operators.psd_check` at ``1e-10``), which certifies
     ``sum <Gamma(t_i - t_j) x_j, x_i> >= 0`` for every choice of vectors.
-    When explicit ``vectors`` are given, only that quadratic form is
-    evaluated, against ``1e-10`` times the block's trace norm (its trace,
-    as ``Gamma(0)`` is PSD), so the answer does not change when the
-    sequence is scaled.
     """
     table = _lag_table(gamma, times)
     n, d = table.shape[0], gamma.dim
     if n == 0:
         raise DimensionError("at least one time point is required")
-    block = table.swapaxes(1, 2).reshape(n * d, n * d)
-    if vectors is not None:
-        x = np.asarray(vectors, dtype=np.complex128).reshape(-1)
-        if x.size != block.shape[0]:
-            raise DimensionError("stacked vectors must match the block size")
-        form = (x.conj() @ block @ x).real
-        return bool(form >= -1e-10 * float(np.abs(np.trace(block))))
-    return psd_check(block, 1e-10)
+    return psd_check(table.swapaxes(1, 2).reshape(n * d, n * d), 1e-10)
 
 
 def hermitian_nnd_check(gamma: AutocovarianceSequence, times, coeffs) -> bool:

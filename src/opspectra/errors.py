@@ -2,8 +2,13 @@
 
 Every error raised on invalid mathematical input derives from
 :class:`OpSpectraError`, so callers (and the CLI) can distinguish domain
-failures from programming errors.
+failures from programming errors.  :func:`require_addressable` is the one
+guard on counts too large to size an array.
 """
+
+import math
+
+import numpy as np
 
 
 class OpSpectraError(Exception):
@@ -49,3 +54,17 @@ class NonInvertibleError(OpSpectraError, ValueError):
 
 class SampleSizeError(OpSpectraError, ValueError):
     """An ensemble is too small for the requested estimator."""
+
+
+def require_addressable(what: str, *dims) -> None:
+    """Raise :class:`DimensionError` when a complex128 array of shape
+    ``dims`` takes more bytes than ``np.intp`` can index, so that ``what``
+    (which names the count) is refused before numpy's bare ``ValueError``.
+    The product is taken in Python integers, so numpy integer counts do
+    not wrap.  Counts that fit but exhaust the memory at hand still raise
+    :class:`MemoryError` when allocated."""
+    entries = math.prod(int(n) for n in dims)
+    if 16 * entries > np.iinfo(np.intp).max:
+        raise DimensionError(
+            f"{what} need {entries} complex entries, beyond what numpy can address"
+        )

@@ -2,9 +2,9 @@
 
 Operators between finite-dimensional complex Hilbert spaces are plain 2-d
 ``numpy`` arrays of ``complex128``.  This module collects the primitives the
-rest of the library is built on: adjoints, outer products, positivity
-checks, positive square roots and deterministic Hermitian
-eigendecompositions.
+rest of the library is built on: outer products, positivity checks,
+positive square roots of a Hermitian eigensystem and deterministic
+Hermitian eigendecompositions.
 
 The spectral conventions are written once, over ``(n, d, d)`` stacks such
 as the atom weights of a measure; single-operator functions are the n = 1
@@ -16,19 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, PositivityError
+from .errors import DimensionError
 
 ABS_FLOOR = 1e-14
 
 __all__ = [
     "ABS_FLOOR",
-    "adjoint",
     "as_operator",
     "hermitian_defects",
     "outer",
     "psd_check",
     "psd_mask",
-    "psd_sqrt",
     "scaled_norms",
     "sorted_eigh",
     "sqrt_from_eigh",
@@ -43,11 +41,6 @@ def as_operator(p) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DimensionError("operator entries must be finite")
     return a
-
-
-def adjoint(p) -> np.ndarray:
-    """Conjugate transpose of ``p``."""
-    return as_operator(p).conj().T.copy()
 
 
 def outer(x, y) -> np.ndarray:
@@ -66,13 +59,6 @@ def _adjoints(a: np.ndarray) -> np.ndarray:
 
 def _hermitian_parts(a: np.ndarray) -> np.ndarray:
     return (a + _adjoints(a)) / 2.0
-
-
-def _single(p, name: str) -> np.ndarray:
-    a = as_operator(p)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} needs a square operator, got {a.shape}")
-    return a[None]
 
 
 def hermitian_defects(a: np.ndarray) -> np.ndarray:
@@ -109,20 +95,9 @@ def scaled_norms(ref: np.ndarray, defect: np.ndarray, axis=-1) -> tuple:
     return norms(mods), norms(np.abs(defect))
 
 
-def _spectral_tests(a: np.ndarray, vals: np.ndarray, tol: float):
-    # vals are the eigenvalues of the Hermitian parts of the stack a
-    trace_norms = np.abs(vals).sum(axis=-1)
-    floor = ABS_FLOOR * trace_norms.max(initial=0.0)
-    # the Hermitian part's operator norm is at most ||a||_2, without an SVD
-    op_norms = np.abs(vals).max(axis=-1, initial=0.0)
-    hermitian = hermitian_defects(a) <= np.maximum(tol * op_norms, floor)
-    positive = vals.min(axis=-1, initial=0.0) >= -np.maximum(tol * trace_norms, floor)
-    return hermitian, positive
-
-
 def _certified(a: np.ndarray, tol: float) -> bool:
-    """True when exact bounds clear every operator of both tests of
-    :func:`_spectral_tests`, without an eigenvalue.
+    """True when exact bounds clear every operator of both eigenvalue
+    tests of :func:`psd_mask`, without an eigenvalue.
 
     The stack is first rescaled by an exact power of two, so its largest
     entry lies in ``[1/2, 1)`` whatever the scale of the measure: no square
@@ -190,9 +165,13 @@ def psd_mask(weights, tol: float = 1e-10) -> np.ndarray:
         raise DimensionError("operator entries must be finite")
     if _certified(a, tol):
         return np.ones(a.shape[0], dtype=bool)
-    hermitian, positive = _spectral_tests(
-        a, np.linalg.eigvalsh(_hermitian_parts(a)), tol
-    )
+    vals = np.linalg.eigvalsh(_hermitian_parts(a))
+    trace_norms = np.abs(vals).sum(axis=-1)
+    floor = ABS_FLOOR * trace_norms.max(initial=0.0)
+    # the Hermitian part's operator norm is at most ||a||_2, without an SVD
+    op_norms = np.abs(vals).max(axis=-1, initial=0.0)
+    hermitian = hermitian_defects(a) <= np.maximum(tol * op_norms, floor)
+    positive = vals.min(axis=-1, initial=0.0) >= -np.maximum(tol * trace_norms, floor)
     return hermitian & positive
 
 
@@ -202,7 +181,10 @@ def psd_check(p, tol: float = 1e-10) -> bool:
     The single-operator case of :func:`psd_mask`: the floor is relative to
     the operator's own trace norm.
     """
-    return bool(psd_mask(_single(p, "psd_check"), tol)[0])
+    a = as_operator(p)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"psd_check needs a square operator, got {a.shape}")
+    return bool(psd_mask(a[None], tol)[0])
 
 
 def sqrt_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -215,21 +197,6 @@ def sqrt_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     vals[vals <= 256.0 * np.finfo(np.float64).eps * top] = 0.0
     root = (vecs * np.sqrt(vals)[..., None, :]) @ _adjoints(vecs)
     return _hermitian_parts(root)
-
-
-def psd_sqrt(p) -> np.ndarray:
-    """Positive square root of a PSD operator.
-
-    Eigenvalues in ``[-1e-10 * trace_norm, 0)`` are clamped to zero before
-    taking square roots; genuinely negative spectra raise
-    :class:`PositivityError`.
-    """
-    a = _single(p, "psd_sqrt")
-    vals, vecs = np.linalg.eigh(_hermitian_parts(a))
-    hermitian, positive = _spectral_tests(a, vals, 1e-10)
-    if not (hermitian[0] and positive[0]):
-        raise PositivityError("operator is not positive semi-definite")
-    return sqrt_from_eigh(vals, vecs)[0]
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:

@@ -217,10 +217,6 @@ class PovmDensity:
             self, "densities", np.asarray(self.densities, dtype=np.complex128)
         )
 
-    def reconstruct(self) -> np.ndarray:
-        """Per-atom weights ``w_j * g_j``."""
-        return self.base_weights[:, None, None] * self.densities
-
 
 def variation_measure(nu: AtomicTracePovm) -> np.ndarray:
     """Per-atom variation masses ``trace(nu_j)``.

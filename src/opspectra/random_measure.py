@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bochner import fourier_sum
-from .errors import AlignmentError, DimensionError, SampleSizeError
+from .errors import AlignmentError, DimensionError, SampleSizeError, require_addressable
 from .povm import AtomicTracePovm, require_integrable
 from .transfer import FREQ_MERGE_TOL, TransferFunction, require_aligned
 
@@ -191,6 +191,7 @@ def sample_gaussian_measure(
     if n_realizations < 1:
         raise SampleSizeError("need at least one realization")
     n, dim = int(n_realizations), nu.dim
+    require_addressable(f"{n} realizations", nu.n_atoms, n, dim)
     out = np.empty((nu.n_atoms, n, dim), dtype=np.complex128)
     order = range(nu.n_atoms) if _atom_order is None else _atom_order
     _draw_atoms(out, _real_kernels(nu.sqrt_weights()), order, seed)
@@ -238,6 +239,7 @@ def sample_real_gaussian_measure(
             )
         if k > j and np.abs(nu.weights[k] - nu.weights[j].T).max() > floor:
             raise DimensionError(f"atoms {j} and {k} are not transposes of each other")
+    require_addressable(f"{n} realizations", freqs.size, n, dim)
     out = np.empty((freqs.size, n, dim), dtype=np.complex128)
     roots = nu.sqrt_weights()
     atoms = np.arange(freqs.size)
@@ -317,17 +319,6 @@ class IncrementPath:
             raise DimensionError("breakpoints must be strictly increasing")
         if inc.ndim != 3 or inc.shape[0] != bp.size or inc.shape[2] != self.dim:
             raise DimensionError("increments must have shape (breakpoints, R, dim)")
-
-    @classmethod
-    def from_cumulative(cls, dim: int, breakpoints, cumulative) -> "IncrementPath":
-        """Build from cumulative values ``Z_lambda`` sampled at breakpoints."""
-        cum = np.asarray(cumulative, dtype=np.complex128)
-        inc = np.diff(cum, axis=0, prepend=np.zeros_like(cum[:1]))
-        return cls(dim=dim, breakpoints=breakpoints, increments=inc)
-
-    def cumulative(self) -> np.ndarray:
-        """Cumulative values at the breakpoints, shape (breakpoints, R, dim)."""
-        return np.cumsum(self.increments, axis=0)
 
     def value_at(self, lam: float) -> np.ndarray:
         """Evaluate ``Z_lambda`` (zero below the first breakpoint)."""

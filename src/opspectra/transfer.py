@@ -127,46 +127,6 @@ class TransferFunction:
                 )
         return x @ self.ops.swapaxes(1, 2)
 
-    def premultiply(self, p) -> "TransferFunction":
-        """Module action: compose every atom with a fixed operator ``p``."""
-        p = as_operator(p)
-        if p.shape[1] != self.out_dim:
-            raise DimensionError("module action operator has wrong input dimension")
-        return TransferFunction(
-            in_dim=self.in_dim,
-            out_dim=p.shape[0],
-            freqs=self.freqs,
-            ops=np.einsum("ab,jbc->jac", p, self.ops),
-            domains=self.domains,
-        )
-
-    def __add__(self, other: "TransferFunction") -> "TransferFunction":
-        if not isinstance(other, TransferFunction):
-            return NotImplemented
-        if (self.in_dim, self.out_dim) != (other.in_dim, other.out_dim):
-            raise DimensionError("cannot add transfer functions of different dims")
-        require_aligned(self.freqs, other.freqs)
-        if self.domains is not None or other.domains is not None:
-            raise DimensionError("addition is only defined for total transfer functions")
-        return TransferFunction(
-            self.in_dim, self.out_dim, self.freqs, self.ops + other.ops
-        )
-
-    @classmethod
-    def identity(cls, dim: int, freqs) -> "TransferFunction":
-        freqs = np.asarray(freqs, dtype=np.float64).ravel()
-        ops = np.broadcast_to(
-            np.eye(dim, dtype=np.complex128), (freqs.size, dim, dim)
-        ).copy()
-        return cls(dim, dim, freqs, ops)
-
-    @classmethod
-    def constant(cls, op, freqs) -> "TransferFunction":
-        op = as_operator(op)
-        freqs = np.asarray(freqs, dtype=np.float64).ravel()
-        ops = np.broadcast_to(op, (freqs.size,) + op.shape).copy()
-        return cls(op.shape[1], op.shape[0], freqs, ops)
-
 
 @dataclass(frozen=True, eq=False)
 class FirFilter:

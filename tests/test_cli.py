@@ -473,3 +473,87 @@ class TestFuzzedConfigs:
                 write_json(doc, name)
             write_json(config, "run.json")
             assert main(["--config", "run.json"]) in (0, 1, 2)
+
+
+# One command per input document kind: the valid document a case mutates,
+# and a config that reads the mutated copy from "doc.json".
+DOCUMENT_CASES = [
+    ("povm.json",
+     {"command": "autocov", "povm": "doc.json", "max_lag": 3, "out": "o.json"}),
+    ("gamma.json",
+     {"command": "fit-grid", "autocov": "doc.json", "period": 16, "out": "o.json"}),
+    ("phi.json",
+     {"command": "filter", "transfer": "doc.json", "povm": "bundled", "out": "o.json"}),
+    ("fir.json",
+     {"command": "filter", "fir": "doc.json", "series": "series.json", "out": "o.json"}),
+    ("series.json",
+     {"command": "filter", "fir": "fir.json", "series": "doc.json", "out": "o.json"}),
+]
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(),
+    st.sampled_from([10**30, 2**63, -(2**63)]), st.text(max_size=2),
+)
+JSON_VALUES = JSON_LEAVES | st.lists(JSON_LEAVES, max_size=3) | st.just({})
+
+
+def _paths(node, prefix=()):
+    """The key path of every node of a JSON document, leaves first."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, prefix + (key,))
+    yield prefix
+
+
+def _mutated(data, doc):
+    """A copy of ``doc`` with one to three drawn nodes each replaced by a
+    drawn JSON value or removed."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = data.draw(JSON_VALUES)
+            continue
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        if data.draw(st.booleans()):
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = data.draw(JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def inputs_dir(tmp_path_factory):
+    """A directory holding the valid documents of :data:`FUZZ_INPUTS`."""
+    path = tmp_path_factory.mktemp("documents")
+    for name, doc in FUZZ_INPUTS.items():
+        write_json(doc, path / name)
+    return path
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=150)
+    @given(case=st.sampled_from(DOCUMENT_CASES), data=st.data())
+    def test_main_exits_with_a_documented_status(self, inputs_dir, case, data):
+        valid, config = case
+        doc = _mutated(data, FUZZ_INPUTS[valid])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(inputs_dir)
+            mp.setenv("OPSPECTRA_VERBOSITY", "0")
+            write_json(doc, "doc.json")
+            write_json(config, "run.json")
+            assert main(["--config", "run.json"]) in (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"dim": 1.5, "atoms": []}, {"dim": -1, "atoms": []},
+         {"dim": 10**30, "atoms": []}, [], None, {"dim": None, "atoms": None}, {}],
+        ids=["float-dim", "negative-dim", "huge-dim", "list", "null",
+             "null-fields", "empty-object"],
+    )
+    def test_malformed_measure_document_exits_two(self, workdir, capsys, doc):
+        write_json(doc, workdir / "doc.json")
+        assert run_config(workdir, "run.json", DOCUMENT_CASES[0][1]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

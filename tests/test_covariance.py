@@ -1,9 +1,11 @@
-"""Metamorphic tests: scaling a measure and conjugating it by unitaries.
+"""Metamorphic tests: scaling a measure, conjugating it by unitaries and
+relabelling its atoms.
 
 Scaling every atom weight by ``s`` must scale each output as the theory
 says and change no decision, at any representable ``s``; conjugating the
 weights and the transfer operators by per-atom unitaries must rotate the
-eigenvectors and projectors and leave every spectrum and error alone.
+eigenvectors and projectors and leave every spectrum and error alone;
+listing the atoms in another order must build the same measure.
 """
 
 import numpy as np
@@ -196,3 +198,49 @@ class TestUnitaryCovariance:
             inverse.domains[massive],
             ckl_decompose(filtered).range_projectors()[massive], atol=1e-8,
         )
+
+
+class TestRelabelling:
+    """``from_atoms`` sorts the atoms, so their input order is a label only."""
+
+    # distinct once wrapped: 2 + 2 pi, 3 - 2 pi and -pi wrap to 2, 3 and pi
+    FREQS = np.array([-3.0, -1.0, 0.0, 0.5, 2.0 + 2 * np.pi, 3.0 - 2 * np.pi, -np.pi])
+
+    @pytest.fixture(scope="class")
+    def rng(self):
+        return make_rng(882)
+
+    def test_permuted_atoms_build_the_same_measure(self, rng):
+        n = self.FREQS.size
+        weights = random_povm(rng, 2, n, ranks=[2, 1, 0, 2, 1, 2, 1]).weights
+        ref = AtomicTracePovm.from_atoms(2, self.FREQS, weights)
+        np.testing.assert_array_equal(ref.freqs[-3:], [2.0, 3.0, np.pi])
+        w_ref = sample_gaussian_measure(ref, 16, seed=7)
+        for _ in range(4):
+            p = rng.permutation(n)
+            nu = AtomicTracePovm.from_atoms(2, self.FREQS[p], weights[p])
+            assert nu.freqs.tobytes() == ref.freqs.tobytes()
+            assert nu.weights.tobytes() == ref.weights.tobytes()
+            w = sample_gaussian_measure(nu, 16, seed=7)
+            assert w.samples.tobytes() == w_ref.samples.tobytes()
+
+    def test_merged_duplicates_agree_to_rounding(self, rng):
+        # three atoms per frequency: one within the merge tolerance and one
+        # a full turn away; merge sums follow the input order, so permuted
+        # inputs agree to rounding only
+        n = self.FREQS.size
+        near = np.where(np.abs(self.FREQS) < 3.0, 1e-13, 0.0)
+        freqs = np.concatenate([self.FREQS, self.FREQS + near, self.FREQS + 2 * np.pi])
+        weights = random_povm(rng, 2, 3 * n).weights
+        ref = AtomicTracePovm.from_atoms(2, freqs, weights)
+        assert ref.n_atoms == n
+        w_ref = sample_gaussian_measure(ref, 16, seed=7)
+        for _ in range(4):
+            p = rng.permutation(3 * n)
+            nu = AtomicTracePovm.from_atoms(2, freqs[p], weights[p])
+            assert nu.freqs.tobytes() == ref.freqs.tobytes()
+            top = np.abs(ref.weights).max()
+            np.testing.assert_allclose(nu.weights, ref.weights, rtol=0, atol=1e-15 * top)
+            w = sample_gaussian_measure(nu, 16, seed=7)
+            top = np.abs(w_ref.samples).max()
+            np.testing.assert_allclose(w.samples, w_ref.samples, rtol=0, atol=1e-13 * top)

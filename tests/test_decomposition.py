@@ -189,7 +189,7 @@ class TestHfpcaError:
     def test_identity_projector_zero_error(self):
         rng = make_rng(612)
         nu = random_povm(rng, 3, 4)
-        theta = TransferFunction.identity(3, nu.freqs)
+        theta = TransferFunction(3, 3, nu.freqs, np.tile(np.eye(3), (4, 1, 1)))
         assert hfpca_error(nu, theta) <= 1e-12
 
     def test_non_applicable_family_rejected(self):
@@ -205,7 +205,7 @@ class TestHfpcaError:
     def test_zero_projector_full_error(self):
         rng = make_rng(613)
         nu = random_povm(rng, 3, 4)
-        theta = TransferFunction.constant(np.zeros((3, 3)), nu.freqs)
+        theta = TransferFunction(3, 3, nu.freqs, np.zeros((4, 3, 3)))
         expected = float(np.trace(nu.total_mass()).real)
         assert hfpca_error(nu, theta) == pytest.approx(expected, rel=1e-12)
 

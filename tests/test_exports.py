@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,13 +69,84 @@ def test_no_tolerance_parameter_outside_the_allowlist():
     assert not offenders, f"fixed tolerances exposed as parameters: {offenders}"
 
 
+# Code that counts as a caller; tests do not.
+CALLER_DIRS = ("src", "demos", "benchmarks")
+# Operator methods are public surface although their names start with "_".
+OPERATOR_METHODS = {
+    f"__{r}{op}__"
+    for op in ("add", "sub", "mul", "matmul", "truediv", "pow", "and", "or", "xor")
+    for r in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+# Public names that nothing in CALLER_DIRS calls, each kept for its place in
+# the paper's calculus or its documented input format.
+PAPER_NAMES = {
+    "gramian_norm": "the Gramian norm ||Phi||_nu of a transfer function",
+    "scalar_integral": "the integral of a scalar function against the measure",
+    "ckl_component": "the n-th Cramer-Karhunen-Loeve component of W",
+    "ckl_scalar_component": "the n-th scalar (univariate) CKL component of W",
+    "modulate_transfer": "the lag shift as multiplication by a character",
+    "RandomMeasure.restrict": "the random measure W on a union of atoms",
+    "AtomicTracePovm.from_atoms": "the measure builder README Conventions documents",
+    "encode_fir": "writes the FIR input format the command line reads",
+}
+
+
+def _referenced_identifiers() -> set:
+    """Every name and attribute read anywhere in ``CALLER_DIRS``; import
+    statements and definitions do not count."""
+    root = Path(__file__).resolve().parents[1]
+    names = set()
+    for folder in CALLER_DIRS:
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def _public_surface():
+    """``(qualified, identifier)`` for every exported function and class and
+    every public method, property or operator of an exported class."""
+    for name in ["opspectra"] + [f"opspectra.{m}" for m in MODULES]:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", []):
+            obj = getattr(module, attr)
+            if inspect.isfunction(obj):
+                yield attr, attr
+            elif inspect.isclass(obj):
+                yield attr, attr
+                for meth, member in vars(obj).items():
+                    if meth.startswith("_") and meth not in OPERATOR_METHODS:
+                        continue
+                    member = getattr(member, "__func__", member)
+                    if inspect.isfunction(member) or isinstance(member, property):
+                        yield f"{attr}.{meth}", meth
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    used = _referenced_identifiers()
+    surface = dict(_public_surface())
+    orphans = sorted(
+        q for q, ident in surface.items() if ident not in used and q not in PAPER_NAMES
+    )
+    assert not orphans, f"public names only tests call: {orphans}"
+    # an allowlisted name that gains a caller or leaves the surface leaves
+    # the list
+    stale = sorted(
+        q for q in PAPER_NAMES if q not in surface or surface[q] in used
+    )
+    assert not stale, f"PAPER_NAMES entries without need: {stale}"
+
+
 def _array_dataclass_instances():
     nu = bundled_example_povm()
     w = sample_gaussian_measure(nu, 4, seed=1)
     return [
         nu,
         radon_nikodym(nu),
-        TransferFunction.identity(3, nu.freqs),
+        TransferFunction(3, 3, nu.freqs, nu.weights),
         FirFilter({0: np.eye(2)}),
         autocov_from_povm(nu, 2),
         w,

@@ -74,7 +74,8 @@ class TestApplyFilter:
         rng = make_rng(505)
         nu = random_povm(rng, 3, 4)
         w = sample_gaussian_measure(nu, 16, seed=30)
-        out = apply_filter(TransferFunction.identity(3, nu.freqs), w)
+        ident = TransferFunction(3, 3, nu.freqs, np.tile(np.eye(3), (4, 1, 1)))
+        out = apply_filter(ident, w)
         np.testing.assert_array_equal(out.samples, w.samples)
 
     def test_indicator_zeroes_other_atoms(self):
@@ -135,14 +136,15 @@ class TestPushforward:
     def test_identity(self):
         rng = make_rng(509)
         nu = random_povm(rng, 3, 4)
-        out = pushforward_povm(TransferFunction.identity(3, nu.freqs), nu)
+        ident = TransferFunction(3, 3, nu.freqs, np.tile(np.eye(3), (4, 1, 1)))
+        out = pushforward_povm(ident, nu)
         assert np.abs(out.weights - nu.weights).max() <= 1e-12
 
     def test_unitary_preserves_traces(self):
         rng = make_rng(510)
         nu = random_povm(rng, 3, 3)
         u = haar_frame(rng, 3, 3)
-        out = pushforward_povm(TransferFunction.constant(u, nu.freqs), nu)
+        out = pushforward_povm(TransferFunction(3, 3, nu.freqs, np.tile(u, (3, 1, 1))), nu)
         for j in range(3):
             expected = u @ nu.weights[j] @ u.conj().T
             assert np.abs(out.weights[j] - expected).max() <= 1e-12
@@ -168,7 +170,8 @@ class TestCompose:
         rng = make_rng(512)
         nu = random_povm(rng, 3, 4)
         phi = random_transfer(rng, 3, 3, nu.freqs)
-        composed = compose_transfer(TransferFunction.identity(3, nu.freqs), phi)
+        ident = TransferFunction(3, 3, nu.freqs, np.tile(np.eye(3), (4, 1, 1)))
+        composed = compose_transfer(ident, phi)
         np.testing.assert_allclose(composed.ops, phi.ops, atol=1e-15)
 
     def test_pushforward_associativity(self):
@@ -262,7 +265,7 @@ class TestInvert:
         rng = make_rng(519)
         nu = random_povm(rng, 3, 3)
         u = haar_frame(rng, 3, 3)
-        phi = TransferFunction.constant(u, nu.freqs)
+        phi = TransferFunction(3, 3, nu.freqs, np.tile(u, (3, 1, 1)))
         inv = invert_transfer(phi, nu)
         for j in range(3):
             assert np.abs(inv.ops[j] - u.conj().T).max() <= 1e-12
@@ -429,9 +432,8 @@ class TestModulate:
         nu = random_povm(rng, 2, 3)
         w = sample_gaussian_measure(nu, 8, seed=40)
         h = 2
-        shifted = apply_filter(
-            modulate_transfer(TransferFunction.identity(2, nu.freqs), h), w
-        )
+        ident = TransferFunction(2, 2, nu.freqs, np.tile(np.eye(2), (3, 1, 1)))
+        shifted = apply_filter(modulate_transfer(ident, h), w)
         x = synthesize_process(w, 8 + h)
         y = synthesize_process(shifted, 8)
         scale = max(1.0, np.abs(x.values).max())
@@ -551,7 +553,7 @@ class TestTransferApply:
             phi.apply(mixed[None])
 
     def test_wrong_shape_rejected(self):
-        phi = TransferFunction.identity(2, [0.0, 1.0])
+        phi = TransferFunction(2, 2, [0.0, 1.0], np.tile(np.eye(2), (2, 1, 1)))
         with pytest.raises(DimensionError):
             phi.apply(np.ones((3, 1, 2)))
         with pytest.raises(DimensionError):

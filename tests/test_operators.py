@@ -1,50 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from opspectra import (
+    AtomicTracePovm,
     DimensionError,
     PositivityError,
-    adjoint,
     outer,
     psd_check,
-    psd_sqrt,
 )
-from opspectra.operators import sorted_eigh
+from opspectra.operators import sorted_eigh, sqrt_from_eigh
 from opspectra.synthetic import make_rng, random_complex, random_psd
-
-
-def complex_matrices(rows, cols, scale=3.0):
-    elems = st.floats(min_value=-scale, max_value=scale, allow_nan=False)
-    return st.tuples(
-        arrays(np.float64, (rows, cols), elements=elems),
-        arrays(np.float64, (rows, cols), elements=elems),
-    ).map(lambda p: p[0] + 1j * p[1])
-
-
-class TestAdjoint:
-    def test_scalar_conjugation(self):
-        np.testing.assert_array_equal(adjoint([[2 + 1j]]), [[2 - 1j]])
-
-    def test_identity_self_adjoint(self):
-        np.testing.assert_array_equal(adjoint(np.eye(3)), np.eye(3))
-
-    def test_inner_product_oracle(self):
-        rng = make_rng(101)
-        p = random_complex(rng, (3, 2))
-        ph = adjoint(p)
-        for _ in range(100):
-            x = random_complex(rng, 2)
-            y = random_complex(rng, 3)
-            lhs = np.vdot(y, p @ x)
-            rhs = np.vdot(ph @ y, x)
-            assert abs(lhs - rhs) <= 1e-12
-
-    @given(complex_matrices(3, 2))
-    def test_involution_exact(self, p):
-        np.testing.assert_array_equal(adjoint(adjoint(p)), p)
 
 
 class TestOuter:
@@ -89,33 +54,54 @@ class TestPsdCheck:
             psd_check(np.ones((2, 3)), 1e-10)
 
 
+def root(p):
+    """The positive root of ``p`` through the one root API: ``sqrt_weights``
+    of a one-atom measure."""
+    p = np.asarray(p, dtype=np.complex128)
+    return AtomicTracePovm(p.shape[0], [0.0], p[None]).sqrt_weights()[0]
+
+
 class TestPsdSqrt:
+    """Positive square roots: ``sqrt_weights``, which is ``sqrt_from_eigh``
+    of the measure's cached eigensystem."""
+
     def test_diagonal(self):
         np.testing.assert_allclose(
-            psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14
+            root(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14
         )
 
     def test_zero(self):
-        np.testing.assert_array_equal(psd_sqrt(np.zeros((2, 2))), np.zeros((2, 2)))
+        np.testing.assert_array_equal(root(np.zeros((2, 2))), np.zeros((2, 2)))
 
     def test_squaring_oracle(self):
         rng = make_rng(104)
         p = random_psd(rng, 5)
-        s = psd_sqrt(p)
+        s = root(p)
         assert psd_check(s, 1e-10)
         assert np.abs(s @ s - p).max() <= 1e-10 * np.linalg.norm(p, 2)
+        # the root is sqrt_from_eigh of the cached eigensystem, bit for bit
+        nu = AtomicTracePovm(5, [0.0], p[None])
+        np.testing.assert_array_equal(
+            nu.sqrt_weights(), sqrt_from_eigh(*nu.eigensystem())
+        )
 
     def test_rejects_indefinite(self):
+        p = np.diag([1.0, -1.0])
+        assert not psd_check(p)
         with pytest.raises(PositivityError):
-            psd_sqrt(np.diag([1.0, -1.0]))
+            root(p)
 
     def test_rank_deficient_root_has_clean_range(self):
         rng = make_rng(105)
         p = random_psd(rng, 4, rank=2)
-        s = np.linalg.svd(psd_sqrt(p), compute_uv=False)
+        s = np.linalg.svd(root(p), compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) == 2
         # round-off directions stay at working precision, not sqrt scale
         assert s[2] <= 1e-14 * s[0]
+        # the same holds for sqrt_from_eigh of an unsorted eigensystem
+        vals, vecs = np.linalg.eigh(p)
+        s = np.linalg.svd(sqrt_from_eigh(vals[None], vecs[None])[0], compute_uv=False)
+        assert np.sum(s > 1e-10 * s[0]) == 2 and s[2] <= 1e-14 * s[0]
 
 
 def eig(h):

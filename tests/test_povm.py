@@ -143,7 +143,8 @@ class TestRadonNikodym:
         rng = make_rng(202)
         nu = random_povm(rng, 4, 6)
         density = radon_nikodym(nu)
-        assert np.abs(density.reconstruct() - nu.weights).max() <= 1e-13
+        rebuilt = density.base_weights[:, None, None] * density.densities
+        assert np.abs(rebuilt - nu.weights).max() <= 1e-13
         for j, g in enumerate(density.densities):
             assert np.trace(g).real == pytest.approx(1.0, abs=1e-12)
 
@@ -209,14 +210,14 @@ class TestOperatorIntegral:
     def test_identity_transfer_gives_total_mass(self):
         rng = make_rng(208)
         nu = random_povm(rng, 3, 4)
-        ident = TransferFunction.identity(3, nu.freqs)
+        ident = TransferFunction(3, 3, nu.freqs, np.tile(np.eye(3), (4, 1, 1)))
         result = gramian_inner(ident, ident, nu)
         assert np.abs(result - nu.total_mass()).max() <= 1e-12
 
     def test_zero_transfer(self):
         rng = make_rng(209)
         nu = random_povm(rng, 3, 4)
-        zero = TransferFunction.constant(np.zeros((2, 3)), nu.freqs)
+        zero = TransferFunction(3, 2, nu.freqs, np.zeros((4, 2, 3)))
         assert not gramian_inner(zero, zero, nu).any()
 
     def test_direct_sum_oracle(self):
@@ -234,16 +235,15 @@ class TestGramian:
         nu = AtomicTracePovm(
             2, [-1.0, 1.0], [np.diag([1.0, 0.0]), np.diag([2.0, 0.0])]
         )
-        killer = TransferFunction.constant(
-            np.array([[0.0, 1.0], [0.0, 0.0]]), nu.freqs
-        )
+        shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+        killer = TransferFunction(2, 2, nu.freqs, np.stack([shift, shift]))
         assert gramian_norm(killer, nu) <= 1e-12
 
     def test_single_atom_identity(self):
         rng = make_rng(212)
         p = random_complex(rng, (3, 3))
         nu = AtomicTracePovm(3, [0.0], [np.eye(3)])
-        phi = TransferFunction.constant(p, nu.freqs)
+        phi = TransferFunction(3, 3, nu.freqs, p[None])
         inner = gramian_inner(phi, phi, nu)
         assert np.abs(inner - p @ p.conj().T).max() <= 1e-12
 
@@ -270,7 +270,8 @@ class TestGramian:
         self_inner = gramian_inner(phi, phi, nu)
         assert psd_check(self_inner, 1e-12)
 
-        lhs = gramian_inner(phi + psi.premultiply(p), theta, nu)
+        combo = TransferFunction(3, 2, nu.freqs, phi.ops + p @ psi.ops)
+        lhs = gramian_inner(combo, theta, nu)
         rhs = gramian_inner(phi, theta, nu) + p @ gramian_inner(psi, theta, nu)
         assert np.abs(lhs - rhs).max() <= 1e-12
 

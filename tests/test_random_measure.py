@@ -18,6 +18,7 @@ from opspectra import (
     gramian_inner,
     modulate_transfer,
     sample_gaussian_measure,
+    sample_real_gaussian_measure,
     spectral_integral,
     synthesize_process,
     to_increment_path,
@@ -25,6 +26,7 @@ from opspectra import (
 from opspectra import random_measure
 from opspectra.bochner import on_grid
 from opspectra.synthetic import (
+    bundled_example_povm,
     make_rng,
     random_complex,
     random_grid_povm,
@@ -100,6 +102,25 @@ class TestSampling:
         nu = random_povm(rng, 2, 2)
         with pytest.raises(SampleSizeError):
             sample_gaussian_measure(nu, 0, seed=7)
+
+
+class TestUnaddressableCounts:
+    """Counts whose output numpy cannot address are refused by name, as a
+    :class:`DimensionError`, before any allocation."""
+
+    def test_complex_sampling(self):
+        with pytest.raises(DimensionError, match=f"{2**62} realizations"):
+            sample_gaussian_measure(bundled_example_povm(), 2**62, 1)
+
+    def test_real_sampling(self):
+        nu = AtomicTracePovm(1, grid_frequencies(4), np.ones((4, 1, 1)))
+        with pytest.raises(DimensionError, match=f"{2**62} realizations"):
+            sample_real_gaussian_measure(nu, 2**62, 1)
+
+    def test_synthesis(self):
+        w = sample_gaussian_measure(bundled_example_povm(), 1, 1)
+        with pytest.raises(DimensionError, match=f"{2**62} lags"):
+            synthesize_process(w, 2**62)
 
 
 class TestRealSampling:
@@ -298,7 +319,7 @@ class TestSpectralIntegral:
         rng = make_rng(406)
         nu = random_povm(rng, 3, 4)
         w = sample_gaussian_measure(nu, 16, seed=9)
-        phi = TransferFunction.constant(np.zeros((2, 3)), nu.freqs)
+        phi = TransferFunction(3, 2, nu.freqs, np.zeros((4, 2, 3)))
         assert not spectral_integral(phi, w).any()
 
     def test_isometry_monte_carlo(self):
@@ -380,7 +401,8 @@ class TestSynthesis:
         nu = random_povm(rng, 3, 4)
         w = sample_gaussian_measure(nu, 8, seed=17)
         h = 3
-        modulated = modulate_transfer(TransferFunction.identity(3, nu.freqs), h)
+        ident = TransferFunction(3, 3, nu.freqs, np.tile(np.eye(3), (4, 1, 1)))
+        modulated = modulate_transfer(ident, h)
         from opspectra import apply_filter
 
         w_mod = apply_filter(modulated, w)
@@ -480,18 +502,9 @@ class TestIncrementPath:
         rng = make_rng(416)
         nu = random_povm(rng, 2, 5)
         w = sample_gaussian_measure(nu, 8, seed=21)
-        cum = to_increment_path(w).cumulative()
-        expected = np.cumsum(w.samples, axis=0)
-        np.testing.assert_array_equal(cum, expected)
-
-    def test_from_cumulative_constructor(self):
-        rng = make_rng(417)
-        nu = random_povm(rng, 2, 4)
-        w = sample_gaussian_measure(nu, 8, seed=22)
         path = to_increment_path(w)
-        rebuilt = IncrementPath.from_cumulative(2, nu.freqs, path.cumulative())
-        err = np.abs(rebuilt.increments - path.increments).max()
-        assert err <= 1e-13 * max(1.0, np.abs(path.increments).max())
+        cum = np.stack([path.value_at(lam) for lam in nu.freqs])
+        np.testing.assert_allclose(cum, np.cumsum(w.samples, axis=0), rtol=1e-15)
 
     def test_misaligned_breakpoints(self):
         rng = make_rng(418)

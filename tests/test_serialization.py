@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -176,7 +176,11 @@ def through_file(path, doc):
 
 class TestBitExactRoundTrip:
     """Every encoder, then the file, then the decoder, reproduces every bit
-    (signed zeros, subnormals and the largest finite doubles included)."""
+    (signed zeros, subnormals and the largest finite doubles included).
+
+    Each example writes and reads a file, which can take longer than
+    hypothesis' default 200 ms deadline on a loaded host, so the property
+    tests run without a deadline."""
 
     def test_edge_floats(self, json_path):
         edges = np.array([complex(re, im) for re in EDGE_FLOATS for im in EDGE_FLOATS])
@@ -185,21 +189,25 @@ class TestBitExactRoundTrip:
         x = ProcessSample(dim=6, period=3, values=np.stack([op[:3], op[3:]]))
         assert_bits_equal(decode_series(through_file(json_path, encode_series(x))).values, x.values)
 
+    @settings(deadline=None)
     @given(complex_arrays(array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3)))
     def test_pairs(self, json_path, a):
         back = decode_pairs(through_file(json_path, encode_pairs(a)), a.shape)
         assert_bits_equal(back, a)
 
+    @settings(deadline=None)
     @given(complex_arrays(array_shapes(min_dims=2, max_dims=2, max_side=4)))
     def test_operator(self, json_path, op):
         assert_bits_equal(decode_operator(through_file(json_path, encode_operator(op))), op)
 
+    @settings(deadline=None)
     @given(complex_arrays(array_shapes(min_dims=3, max_dims=3, max_side=4)))
     def test_series(self, json_path, values):
         x = ProcessSample(dim=values.shape[2], period=values.shape[1], values=values)
         back = decode_series(through_file(json_path, encode_series(x)))
         assert_bits_equal(back.values, values)
 
+    @settings(deadline=None)
     @given(complex_arrays(stacks()))
     def test_fir(self, json_path, ops):
         fir = FirFilter(taps={s - 1: op for s, op in enumerate(ops)})
@@ -208,6 +216,7 @@ class TestBitExactRoundTrip:
         for s in fir.taps:
             assert_bits_equal(back.taps[s], fir.taps[s])
 
+    @settings(deadline=None)
     @given(complex_arrays(stacks()), st.booleans())
     def test_transfer(self, json_path, ops, partial):
         n, out_dim, in_dim = ops.shape
@@ -221,6 +230,7 @@ class TestBitExactRoundTrip:
         else:
             assert back.domains is None
 
+    @settings(deadline=None)
     @given(complex_arrays(stacks(square=True)))
     def test_autocov(self, json_path, values):
         # lag 0 must be PSD; every other lag is arbitrary
@@ -229,6 +239,7 @@ class TestBitExactRoundTrip:
         back = decode_autocov(through_file(json_path, encode_autocov(g)))
         assert_bits_equal(back.values, values)
 
+    @settings(deadline=None)
     @given(
         arrays(
             np.float64,
