@@ -29,6 +29,7 @@ from .errors import (
     PositivityError,
     SampleSizeError,
     require_addressable,
+    require_integers,
 )
 from .operators import psd_check
 from .povm import AtomicTracePovm, wrap_frequencies
@@ -168,13 +169,9 @@ def _lag_table(gamma: AutocovarianceSequence, times) -> np.ndarray:
     """``table[i, j] = Gamma(t_i - t_j)``, shape ``(n, n, dim, dim)``: the
     stored value at ``|t_i - t_j|``, conjugate-transposed for negative lags.
 
-    Times must be Python or numpy integers (not ``bool``); anything else
-    raises :class:`DimensionError` rather than being truncated."""
+    Times must be integers (:func:`~opspectra.errors.require_integers`)."""
     times = list(times)
-    if not all(
-        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in times
-    ):
-        raise DimensionError("time points and lags must be integers")
+    require_integers("time points and lags", *times)
     t = np.array(times, dtype=np.int64)
     lags = t[:, None] - t[None, :]
     outside = np.abs(lags) > gamma.max_lag

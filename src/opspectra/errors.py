@@ -3,7 +3,8 @@
 Every error raised on invalid mathematical input derives from
 :class:`OpSpectraError`, so callers (and the CLI) can distinguish domain
 failures from programming errors.  :func:`require_addressable` is the one
-guard on counts too large to size an array.
+guard on counts too large to size an array, and :func:`require_integers`
+the one rule for lags, times, counts and seeds.
 """
 
 import math
@@ -54,6 +55,15 @@ class NonInvertibleError(OpSpectraError, ValueError):
 
 class SampleSizeError(OpSpectraError, ValueError):
     """An ensemble is too small for the requested estimator."""
+
+
+def require_integers(what: str, *values) -> None:
+    """Raise :class:`DimensionError` unless every value is a Python or numpy
+    integer; a ``bool`` or a float raises rather than being truncated."""
+    if not all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values
+    ):
+        raise DimensionError(f"{what} must be integers")
 
 
 def require_addressable(what: str, *dims) -> None:

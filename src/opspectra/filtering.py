@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NonInvertibleError
+from .errors import DimensionError, NonInvertibleError, require_integers
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import ProcessSample, RandomMeasure
 from .transfer import FirFilter, TransferFunction, require_aligned
@@ -213,8 +213,9 @@ def modulate_transfer(phi: TransferFunction, h: int) -> TransferFunction:
     """Multiply every atom by the character value ``exp(i lambda h)``.
 
     Filtering with the modulated function then synthesises the process
-    shifted by ``h`` time steps; domains are unchanged.
+    shifted by an integer ``h`` time steps; domains are unchanged.
     """
+    require_integers("time shifts", h)
     phases = np.exp(1j * phi.freqs * int(h))
     return TransferFunction(
         in_dim=phi.in_dim,

@@ -15,7 +15,7 @@ grid with quadrature weights folded into the atom weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,16 @@ from .errors import (
     PositivityError,
 )
 from .operators import ABS_FLOOR, psd_mask, scaled_norms, sorted_eigh, sqrt_from_eigh
-from .transfer import DOMAIN_TOL, FREQ_MERGE_TOL, TransferFunction, require_aligned
+from .transfer import (
+    DOMAIN_TOL,
+    FREQ_MERGE_TOL,
+    TransferFunction,
+    require_aligned,
+    require_support,
+)
 
 __all__ = [
     "AtomicTracePovm",
-    "CheckReport",
     "PovmDensity",
     "gramian_inner",
     "gramian_norm",
@@ -70,10 +75,9 @@ class AtomicTracePovm:
 
     def _store(self, copy: bool = True) -> None:
         # private read-only copies: the cached eigensystem and roots must not
-        # go stale and the frequencies must stay strictly increasing
-        freqs = np.array(self.freqs, dtype=np.float64).ravel()
+        # go stale and the support must keep its rule
+        freqs = require_support(self.freqs)
         weights = np.array(self.weights, dtype=np.complex128, copy=copy)
-        freqs.flags.writeable = False
         weights.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "weights", weights)
@@ -84,10 +88,6 @@ class AtomicTracePovm:
                 f"weights must have shape {(freqs.size, self.dim, self.dim)},"
                 f" got {weights.shape}"
             )
-        if np.any(freqs <= -np.pi) or np.any(freqs > np.pi):
-            raise DimensionError("frequencies must lie in (-pi, pi]")
-        if np.any(np.diff(freqs) <= 0):
-            raise DimensionError("frequencies must be strictly increasing")
 
     @classmethod
     def _from_factors(cls, dim: int, freqs, factors) -> "AtomicTracePovm":
@@ -266,100 +266,62 @@ def scalar_integral(nu: AtomicTracePovm, f) -> np.ndarray:
     return np.einsum("j,jmn->mn", fv, nu.weights)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Boolean outcome plus a per-atom record of a measure-wide check."""
+def _first_uncontained(phi: TransferFunction, nu: AtomicTracePovm) -> int | None:
+    """The first positive-mass atom whose weight's range leaves the domain
+    of ``phi``, or ``None``, after checking alignment and dimensions: the
+    one containment decision of the integrability check and guard.
 
-    ok: bool
-    entries: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def failures(self) -> list:
-        return [e for e in self.entries if not e["passed"]]
-
-
-def _range_defects(phi: TransferFunction, nu: AtomicTracePovm):
-    """The containment data shared by the integrability check and guard.
-
-    Checks alignment and dimensions, then returns the positive-mass mask
-    and, for a partial ``phi``, the stacks ``(I - D_j) F_j`` and ``F_j``
-    for the measure's :meth:`~AtomicTracePovm.gram_factors` ``F`` (both
-    ``None`` for a total ``phi``).
+    An atom passes when ``||(I - D_j) F_j||_2 <= DOMAIN_TOL ||F_j||_2`` for
+    the measure's :meth:`~AtomicTracePovm.gram_factors` ``F``.  Since
+    ``||F||_F <= sqrt(dim) ||F||_2``, a Frobenius defect within
+    ``DOMAIN_TOL ||F_j||_F / sqrt(dim)`` passes without the spectral test;
+    both Frobenius norms are relative to the largest entry of ``F_j``, so
+    the bound decides the same at every scale.
     """
     require_aligned(phi.freqs, nu.freqs)
     if phi.in_dim != nu.dim:
         raise DimensionError(
             f"transfer input dim {phi.in_dim} does not match measure dim {nu.dim}"
         )
-    mask = nu.positive_mass_mask()
     if phi.domains is None:
-        return mask, None, None
+        return None
     factors = nu.gram_factors()
     defects = phi.domains @ factors
     np.subtract(factors, defects, out=defects)
-    return mask, defects, factors
+    sizes, misses = scaled_norms(factors, defects, axis=(1, 2))
+    unsure = np.flatnonzero(
+        nu.positive_mass_mask() & (misses > DOMAIN_TOL * sizes / np.sqrt(nu.dim))
+    )
+    if unsure.size == 0:
+        return None
+    residuals = (np.linalg.norm(defects[unsure], 2, axis=(1, 2))
+                 / np.linalg.norm(factors[unsure], 2, axis=(1, 2)))
+    failing = unsure[residuals > DOMAIN_TOL]
+    return int(failing[0]) if failing.size else None
 
 
-def _containment_report(nu, mask, defects, factors) -> CheckReport:
-    residuals = np.zeros(nu.n_atoms)
-    reason = "total operator"
-    if defects is not None:
-        np.divide(np.linalg.norm(defects, 2, axis=(1, 2)),
-                  np.linalg.norm(factors, 2, axis=(1, 2)), out=residuals, where=mask)
-        reason = "range containment"
-    entries = [
-        {"atom": j, "freq": float(nu.freqs[j]),
-         "passed": bool(residuals[j] <= DOMAIN_TOL), "residual": float(residuals[j]),
-         "reason": reason if mask[j] else "zero mass"}
-        for j in range(nu.n_atoms)
-    ]
-    return CheckReport(ok=all(e["passed"] for e in entries), entries=entries)
+def square_integrability_check(phi: TransferFunction, nu: AtomicTracePovm) -> bool:
+    """Whether ``phi`` is square integrable against the measure.
 
-
-def square_integrability_check(
-    phi: TransferFunction, nu: AtomicTracePovm
-) -> CheckReport:
-    """Square integrability of ``phi`` against the measure.
-
-    The frequency supports must coincide.  At finite dimension a total
-    operator is always square integrable; a partial atom additionally needs
-    the range of ``nu_j`` inside its domain, checked as
-    ``||(I - D_j) F_j||_2 <= DOMAIN_TOL ||F_j||_2`` for any factor
-    ``F_j F_j^H = nu_j`` (both sides are the same for every factor).
-    Zero-mass atoms are skipped (they carry no variation mass).
+    The supports must coincide and the input dimension must be the
+    measure's.  At finite dimension a total operator is always square
+    integrable; a partial atom of positive mass needs the range of ``nu_j``
+    inside its domain, to within ``DOMAIN_TOL`` (zero-mass atoms carry no
+    variation mass).
     """
-    return _containment_report(nu, *_range_defects(phi, nu))
+    return _first_uncontained(phi, nu) is None
 
 
 def require_integrable(
     phi: TransferFunction, nu: AtomicTracePovm, label: str = "transfer function"
 ) -> None:
-    """Raise :class:`IntegrabilityError` unless ``phi`` passes
-    :func:`square_integrability_check`; the message names the first
-    failing atom.
-
-    The decision is that of the check, reached first by an exact Frobenius
-    bound: since ``||F||_F <= sqrt(dim) ||F||_2``, a defect with
-    ``||(I - D_j) F_j||_F <= DOMAIN_TOL ||F_j||_F / sqrt(dim)`` passes the
-    spectral test.  Both norms are taken relative to the largest entry of
-    ``F_j``, so the bound neither overflows nor underflows at any scale.
-    Only when the bound does not clear every positive-mass atom is the
-    spectral report built.
-    """
-    mask, defects, factors = _range_defects(phi, nu)
-    if defects is None:
-        return
-    sizes, misses = scaled_norms(factors, defects, axis=(1, 2))
-    if np.all((misses <= DOMAIN_TOL * sizes / np.sqrt(nu.dim))[mask]):
-        return
-    report = _containment_report(nu, mask, defects, factors)
-    if not report:
-        bad = report.failures()[0]
+    """Raise :class:`IntegrabilityError`, naming the first failing atom,
+    unless ``phi`` passes :func:`square_integrability_check`."""
+    j = _first_uncontained(phi, nu)
+    if j is not None:
         raise IntegrabilityError(
             f"{label} is not square integrable against the measure"
-            f" (first failing atom: {bad['atom']}, frequency {bad['freq']:+.6f})"
+            f" (first failing atom: {j}, frequency {nu.freqs[j]:+.6f})"
         )
 
 

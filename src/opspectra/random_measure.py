@@ -23,9 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bochner import fourier_sum
-from .errors import AlignmentError, DimensionError, SampleSizeError, require_addressable
+from .errors import (
+    AlignmentError,
+    DimensionError,
+    SampleSizeError,
+    require_addressable,
+    require_integers,
+)
 from .povm import AtomicTracePovm, require_integrable
-from .transfer import FREQ_MERGE_TOL, TransferFunction, require_aligned
+from .transfer import FREQ_MERGE_TOL, TransferFunction, require_aligned, require_support
 
 __all__ = [
     "IncrementPath",
@@ -172,6 +178,17 @@ def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:
             job.result()
 
 
+def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
+    """The empty ``(n_atoms, R, dim)`` samples of a sampler, once ``R`` and
+    ``seed`` are integers and ``R`` is positive and addressable."""
+    require_integers("realization counts and seeds", n_realizations, seed)
+    if n_realizations < 1:
+        raise SampleSizeError("need at least one realization")
+    shape = (nu.n_atoms, int(n_realizations), nu.dim)
+    require_addressable(f"{shape[1]} realizations", *shape)
+    return np.empty(shape, dtype=np.complex128)
+
+
 def sample_gaussian_measure(
     nu: AtomicTracePovm,
     n_realizations: int,
@@ -186,13 +203,10 @@ def sample_gaussian_measure(
     a deterministic function of ``seed`` alone: each atom has its own
     counter-based substream, so any processing order, and any number of
     threads, gives identical results (``_atom_order`` exists to
-    demonstrate this in tests).
+    demonstrate this in tests).  ``n_realizations`` and ``seed`` must be
+    integers (:func:`~opspectra.errors.require_integers`).
     """
-    if n_realizations < 1:
-        raise SampleSizeError("need at least one realization")
-    n, dim = int(n_realizations), nu.dim
-    require_addressable(f"{n} realizations", nu.n_atoms, n, dim)
-    out = np.empty((nu.n_atoms, n, dim), dtype=np.complex128)
+    out = _sample_buffer(nu, n_realizations, seed)
     order = range(nu.n_atoms) if _atom_order is None else _atom_order
     _draw_atoms(out, _real_kernels(nu.sqrt_weights()), order, seed)
     return RandomMeasure(samples=out, intensity=nu)
@@ -206,17 +220,17 @@ def sample_real_gaussian_measure(
     Requires a symmetric support: every atom at ``0 < lambda < pi`` needs a
     mirror atom at ``-lambda`` with the transposed weight, and the weights
     at ``0`` and ``pi`` must be real, both to within ``1e-10`` times the
-    largest atom trace.  Samples at mirror atoms are complex
-    conjugates and samples at the self-paired atoms are real Gaussian, so
-    the synthesised process is real-valued.  The atom covariances still
-    match the intensity, but the self-paired atoms are not circularly
-    symmetric; this is a modeling extension for real-valued output.  The
-    leading atom of each pair takes the sample
-    :func:`sample_gaussian_measure` draws for it.
+    largest atom trace.  Mirrors match within ``FREQ_MERGE_TOL`` and must
+    pair both ways, else :class:`AlignmentError` is raised.  Samples at
+    mirror atoms are complex conjugates and samples at the self-paired
+    atoms are real Gaussian, so the synthesised process is real-valued.
+    The atom covariances still match the intensity, but the self-paired
+    atoms are not circularly symmetric; this is a modeling extension for
+    real-valued output.  The leading atom of each pair takes the sample
+    :func:`sample_gaussian_measure` draws for it, and ``n_realizations``
+    and ``seed`` obey the same integer rule.
     """
-    if n_realizations < 1:
-        raise SampleSizeError("need at least one realization")
-    n, dim = int(n_realizations), nu.dim
+    out = _sample_buffer(nu, n_realizations, seed)
     freqs = nu.freqs
     partner = np.full(freqs.size, -1, dtype=np.int64)
     for j, lam in enumerate(freqs):
@@ -229,6 +243,11 @@ def sample_real_gaussian_measure(
                 f"atom {j} at {lam:+.6f} has no mirror atom at {-lam:+.6f}"
             )
         partner[j] = int(match[0])
+    atoms = np.arange(freqs.size)
+    one_sided = partner[partner] != atoms
+    if one_sided.any():
+        j = int(np.argmax(one_sided))
+        raise AlignmentError(f"atom {j} and mirror {partner[j]} do not pair both ways")
     # relative to the largest trace norm, so scaling nu changes no decision
     floor = 1e-10 * nu.traces().max()
     for j in range(freqs.size):
@@ -239,16 +258,13 @@ def sample_real_gaussian_measure(
             )
         if k > j and np.abs(nu.weights[k] - nu.weights[j].T).max() > floor:
             raise DimensionError(f"atoms {j} and {k} are not transposes of each other")
-    require_addressable(f"{n} realizations", freqs.size, n, dim)
-    out = np.empty((freqs.size, n, dim), dtype=np.complex128)
     roots = nu.sqrt_weights()
-    atoms = np.arange(freqs.size)
     leads = atoms[partner > atoms]
     _draw_atoms(out, _real_kernels(roots), leads, seed)
     for j in leads:
         np.conjugate(out[j], out=out[partner[j]])
     for j in atoms[partner == atoms]:
-        out[j] = _atom_rng(seed, j).standard_normal((n, dim)) @ roots[j].real.T
+        out[j] = _atom_rng(seed, j).standard_normal(out.shape[1:]) @ roots[j].real.T
     return RandomMeasure(samples=out, intensity=nu)
 
 
@@ -311,12 +327,10 @@ class IncrementPath:
     increments: np.ndarray
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=np.float64).ravel()
+        bp = require_support(self.breakpoints, "breakpoints")
         inc = np.asarray(self.increments, dtype=np.complex128)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "increments", inc)
-        if np.any(np.diff(bp) <= 0):
-            raise DimensionError("breakpoints must be strictly increasing")
         if inc.ndim != 3 or inc.shape[0] != bp.size or inc.shape[2] != self.dim:
             raise DimensionError("increments must have shape (breakpoints, R, dim)")
 

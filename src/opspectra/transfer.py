@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DimensionError
+from .errors import AlignmentError, DimensionError, require_integers
 from .operators import as_operator, hermitian_defects, scaled_norms
 
 FREQ_MERGE_TOL = 1e-12
@@ -24,6 +24,7 @@ __all__ = [
     "FirFilter",
     "TransferFunction",
     "require_aligned",
+    "require_support",
 ]
 
 
@@ -37,6 +38,21 @@ def require_aligned(freqs_a: np.ndarray, freqs_b: np.ndarray) -> None:
         np.abs(freqs_a - freqs_b) > FREQ_MERGE_TOL
     ):
         raise AlignmentError("frequency supports do not match")
+
+
+def require_support(freqs, what: str = "frequencies") -> np.ndarray:
+    """A read-only float64 copy of a frequency support, flattened; raises
+    :class:`DimensionError` unless it is finite, inside ``(-pi, pi]`` and
+    strictly increasing.  Measures, transfer functions and increment paths
+    all take their support through this one rule."""
+    support = np.array(freqs, dtype=np.float64).ravel()
+    support.flags.writeable = False
+    # NaN fails both comparisons, so it is refused with the infinities
+    if not np.all((support > -np.pi) & (support <= np.pi)):
+        raise DimensionError(f"{what} must be finite and lie in (-pi, pi]")
+    if np.any(np.diff(support) <= 0):
+        raise DimensionError(f"{what} must be strictly increasing")
+    return support
 
 
 def _check_projectors(d: np.ndarray) -> None:
@@ -70,10 +86,8 @@ class TransferFunction:
     domains: np.ndarray | None = None
 
     def __post_init__(self):
-        # a private read-only copy of the frequencies; the operator stacks
-        # are large and are not copied
-        freqs = np.array(self.freqs, dtype=np.float64).ravel()
-        freqs.flags.writeable = False
+        # the operator stacks are large and are not copied
+        freqs = require_support(self.freqs)
         ops = np.asarray(self.ops, dtype=np.complex128)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "ops", ops)
@@ -137,6 +151,7 @@ class FirFilter:
     def __post_init__(self):
         taps = {}
         shape = None
+        require_integers("tap lags", *self.taps)
         for s, op in self.taps.items():
             op = as_operator(op)
             if shape is None:

@@ -356,6 +356,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"command": "ckl", "povm": "nan_povm.json", "out": "o.json"},
+         INVERT | {"transfer": "nan_phi.json", "povm": "povm.json"}],
+        ids=["ckl-nan-freq", "invert-nan-freqs"],
+    )
+    def test_nan_frequency_exits_one(self, workdir, capsys, config):
+        # one atom, so the NaN support has the size of the measure's
+        nu = AtomicTracePovm(1, [0.0], [np.eye(1)])
+        measure = encode_povm(nu)
+        write_json(measure, workdir / "povm.json")
+        measure["atoms"][0]["freq"] = float("nan")
+        write_json(measure, workdir / "nan_povm.json")
+        transfer = encode_transfer(TransferFunction(1, 1, nu.freqs, [np.eye(1)]))
+        write_json(transfer | {"freqs": [float("nan")]}, workdir / "nan_phi.json")
+        assert run_config(workdir, "run.json", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+        assert not (workdir / config["out"]).exists()
+
     def test_out_of_memory_exits_two(self, workdir, capsys, monkeypatch):
         def allocate(nu, max_lag):
             raise MemoryError("Unable to allocate 8.00 EiB for an array")

@@ -75,7 +75,7 @@ def _decisions(b, s):
             raised = False
         except IntegrabilityError:
             raised = True
-        out.append((raised, square_integrability_check(phi, mu).ok))
+        out.append((raised, bool(square_integrability_check(phi, mu))))
     return out
 
 

@@ -18,7 +18,6 @@ from opspectra import (
     synthesize_process,
     to_increment_path,
 )
-from opspectra.povm import CheckReport
 from opspectra.synthetic import bundled_example_povm
 from opspectra.verify import CheckResult
 
@@ -88,12 +87,13 @@ PAPER_NAMES = {
     "RandomMeasure.restrict": "the random measure W on a union of atoms",
     "AtomicTracePovm.from_atoms": "the measure builder README Conventions documents",
     "encode_fir": "writes the FIR input format the command line reads",
+    "outer": "the rank-one operator x (x) y behind the CKL components",
 }
 
 
 def _referenced_identifiers() -> set:
     """Every name and attribute read anywhere in ``CALLER_DIRS``; import
-    statements and definitions do not count."""
+    statements, definitions and attributes of numpy do not count."""
     root = Path(__file__).resolve().parents[1]
     names = set()
     for folder in CALLER_DIRS:
@@ -101,7 +101,11 @@ def _referenced_identifiers() -> set:
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and not (
+                    # np.outer reads numpy's name, not the library's
+                    isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")
+                ):
                     names.add(node.attr)
     return names
 
@@ -166,7 +170,6 @@ def test_array_dataclasses_compare_by_identity(index):
 
 
 def test_reports_keep_value_equality():
-    assert CheckReport(True, [{"atom": 0}]) == CheckReport(True, [{"atom": 0}])
     assert CheckResult("id", "p", "pass", 0.0, 1.0) == CheckResult(
         "id", "p", "pass", 0.0, 1.0
     )

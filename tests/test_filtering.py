@@ -121,13 +121,13 @@ class TestApplyFilter:
         inv = invert_transfer(phi, nu)
         w = apply_filter(phi, sample_gaussian_measure(nu, 8, seed=34))
         calls = []
-        check = povm_module._range_defects
+        check = povm_module._first_uncontained
 
         def counted(*args, **kwargs):
             calls.append(1)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(povm_module, "_range_defects", counted)
+        monkeypatch.setattr(povm_module, "_first_uncontained", counted)
         apply_filter(inv, w)
         assert len(calls) == 1
 

@@ -5,6 +5,7 @@ from opspectra import (
     AlignmentError,
     AtomicTracePovm,
     DimensionError,
+    FirFilter,
     IncrementPath,
     IntegrabilityError,
     RandomMeasure,
@@ -123,6 +124,47 @@ class TestUnaddressableCounts:
             synthesize_process(w, 2**62)
 
 
+def _grid_povm():
+    return AtomicTracePovm(1, grid_frequencies(4), np.ones((4, 1, 1)))
+
+
+class TestIntegerCounts:
+    """Lags, shifts, realization counts and seeds are integers: a float or
+    ``bool`` raises rather than being truncated."""
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.float64(2.0)])
+    @pytest.mark.parametrize("call", [
+        lambda v: FirFilter({v: np.eye(1)}),
+        lambda v: modulate_transfer(
+            TransferFunction(1, 1, [0.0], np.ones((1, 1, 1))), v),
+        lambda v: sample_gaussian_measure(bundled_example_povm(), v, 1),
+        lambda v: sample_gaussian_measure(bundled_example_povm(), 2, v),
+        lambda v: sample_real_gaussian_measure(_grid_povm(), v, 1),
+        lambda v: sample_real_gaussian_measure(_grid_povm(), 2, v),
+    ], ids=["tap-lag", "shift", "realizations", "seed", "real-realizations",
+            "real-seed"])
+    def test_non_integer_raises(self, call, bad):
+        with pytest.raises(DimensionError, match="must be integers"):
+            call(bad)
+
+    def test_numpy_integers_accepted(self):
+        nu = bundled_example_povm()
+        two = np.int64(2)
+        assert set(FirFilter({two: np.eye(1)}).taps) == {2}
+        phi = TransferFunction(1, 1, [0.5], np.ones((1, 1, 1)))
+        np.testing.assert_array_equal(
+            modulate_transfer(phi, two).ops, modulate_transfer(phi, 2).ops
+        )
+        np.testing.assert_array_equal(
+            sample_gaussian_measure(nu, two, np.int64(7)).samples,
+            sample_gaussian_measure(nu, 2, 7).samples,
+        )
+        np.testing.assert_array_equal(
+            sample_real_gaussian_measure(_grid_povm(), two, np.int64(7)).samples,
+            sample_real_gaussian_measure(_grid_povm(), 2, 7).samples,
+        )
+
+
 class TestRealSampling:
     def _symmetric_povm(self, rng):
         a = random_complex(rng, (2, 2))
@@ -160,6 +202,16 @@ class TestRealSampling:
 
         nu = AtomicTracePovm(2, [0.7], [np.eye(2)])
         with pytest.raises(AlignmentError):
+            sample_real_gaussian_measure(nu, 4, seed=27)
+
+    @pytest.mark.parametrize(
+        "freqs", [[-np.pi + 1e-13, np.pi], [-1.6e-12, 0.9e-12]],
+        ids=["near-pi", "near-zero"],
+    )
+    def test_rejects_one_sided_pairing(self, freqs):
+        # atom 0 finds atom 1 as its mirror, but atom 1 pairs with itself
+        nu = AtomicTracePovm(1, freqs, np.ones((2, 1, 1)))
+        with pytest.raises(AlignmentError, match="atom 0"):
             sample_real_gaussian_measure(nu, 4, seed=27)
 
     def test_rejects_complex_endpoint_weight(self):
