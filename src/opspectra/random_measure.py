@@ -180,8 +180,11 @@ def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:
 
 def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
     """The empty ``(n_atoms, R, dim)`` samples of a sampler, once ``R`` and
-    ``seed`` are integers and ``R`` is positive and addressable."""
+    ``seed`` are integers, ``seed`` is non-negative and ``R`` is positive
+    and addressable."""
     require_integers("realization counts and seeds", n_realizations, seed)
+    if seed < 0:
+        raise DimensionError(f"seed must be non-negative, got {seed}")
     if n_realizations < 1:
         raise SampleSizeError("need at least one realization")
     shape = (nu.n_atoms, int(n_realizations), nu.dim)
@@ -335,7 +338,11 @@ class IncrementPath:
             raise DimensionError("increments must have shape (breakpoints, R, dim)")
 
     def value_at(self, lam: float) -> np.ndarray:
-        """Evaluate ``Z_lambda`` (zero below the first breakpoint)."""
+        """Evaluate ``Z_lambda`` (zero below the first breakpoint); ``lam``
+        must lie in ``[-pi, pi]``, else :class:`DimensionError`."""
+        # NaN fails both comparisons, so it is refused with the infinities
+        if not -np.pi <= lam <= np.pi:
+            raise DimensionError(f"lam must be finite and lie in [-pi, pi], got {lam}")
         k = int(np.searchsorted(self.breakpoints, lam, side="right"))
         if k == 0:
             return np.zeros(self.increments.shape[1:], dtype=np.complex128)

@@ -9,6 +9,9 @@ checks use 5 standard-error bands.  The same functions back the CLI
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -452,7 +455,11 @@ STOCHASTIC_CHECKS = [
 ]
 
 
-def check_determinism(seed, extra_povms, baseline) -> CheckResult:
+def check_determinism(seed, extra_povms, baseline, reruns) -> CheckResult:
+    """Compare ``reruns``, the stochastic checks run again on ``seed`` and
+    ``extra_povms`` in another process, with ``baseline``, the first pass,
+    on metric, status and details; also draw one sample three times, once
+    in a shuffled atom order, and require the draws to be identical."""
     rng = make_rng((seed, 10))
     nu = _random_povm_normalized(rng, 3, 5, allow_deficient=False)
     first = sample_gaussian_measure(nu, 4096, seed=seed)
@@ -462,15 +469,15 @@ def check_determinism(seed, extra_povms, baseline) -> CheckResult:
     )
     ok = bool(np.array_equal(first.samples, second.samples))
     ok = ok and bool(np.array_equal(first.samples, shuffled.samples))
-    mismatches = []
-    for fn, before in zip(STOCHASTIC_CHECKS, baseline):
-        again = fn(seed, extra_povms)
+    mismatches = [
+        again.check_id
+        for before, again in zip(baseline, reruns)
         if not (
             again.metric == before.metric
             and again.status == before.status
             and again.details == before.details
-        ):
-            mismatches.append(again.check_id)
+        )
+    ]
     ok = ok and not mismatches
     return _result(
         "determinism",
@@ -484,11 +491,92 @@ def check_determinism(seed, extra_povms, baseline) -> CheckResult:
     )
 
 
+def _start_rerun(seed, measure):
+    """Start the interpreter that reruns :data:`STOCHASTIC_CHECKS` for
+    ``seed``; ``measure`` is ``None`` or the ``(dim, freqs, weights)`` of
+    the extra measure, which the worker builds afresh.  It imports this
+    package from the caller's ``sys.path`` and runs with one BLAS thread."""
+    import subprocess
+
+    request = pickle.dumps((seed, measure))  # before a worker exists to reap
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    worker = subprocess.Popen(
+        [sys.executable, "-c", "from opspectra.verify import _rerun; _rerun()"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        with worker.stdin:
+            worker.stdin.write(request)
+    except BrokenPipeError:  # the worker died; _rerun_results names its status
+        pass
+    return worker
+
+
+def _rerun():
+    """Worker side of :func:`_start_rerun`: read ``(seed, measure)`` from
+    stdin and write ``(True, results)`` or ``(False, exception)`` to
+    stdout, pickled; while the checks run, fd 1 is stderr, so nothing but
+    the payload reaches stdout."""
+    import signal
+
+    # the caller owns this process and kills it on an interrupt
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    seed, measure = pickle.load(sys.stdin.buffer)
+    out = os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)
+    try:
+        extra = () if measure is None else (AtomicTracePovm(*measure),)
+        payload = (True, [fn(seed, extra) for fn in STOCHASTIC_CHECKS])
+    except Exception as exc:
+        import traceback
+
+        # the caller raises it again; the note keeps where the worker raised it
+        if hasattr(exc, "add_note"):  # Python 3.11+
+            exc.add_note("in the determinism rerun:\n" + traceback.format_exc())
+        payload = (False, exc)
+    with out:
+        pickle.dump(payload, out)
+
+
+def _rerun_results(worker) -> list:
+    """The worker's results; its exception is raised again here, and a
+    worker that exits without a payload raises :class:`RuntimeError`."""
+    with worker.stdout:
+        payload = worker.stdout.read()
+    status = worker.wait()
+    if status != 0 or not payload:
+        raise RuntimeError(
+            f"the determinism rerun exited with status {status} and no results"
+        )
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
+
+
 def run_battery(seed: int = 20260809, povm: AtomicTracePovm | None = None) -> list:
-    """Run every check; an optional measure joins the instance pools."""
+    """Run every check; an optional measure joins the instance pools.
+
+    The determinism rerun of the nine stochastic checks runs in a fresh
+    interpreter with one BLAS thread, beside the first pass in this one,
+    so it also covers the process and the BLAS thread count.  The worker
+    is killed and reaped if anything here raises, an interrupt included.
+    """
     extra = (povm,) if povm is not None else ()
-    results = [fn(seed, extra) for fn in STOCHASTIC_CHECKS]
-    results.append(check_determinism(seed, extra, results))
+    measure = None if povm is None else (povm.dim, povm.freqs, povm.weights)
+    worker = _start_rerun(seed, measure)
+    try:
+        results = [fn(seed, extra) for fn in STOCHASTIC_CHECKS]
+        reruns = _rerun_results(worker)
+    finally:
+        worker.kill()
+        worker.wait()
+        worker.stdout.close()
+    results.append(check_determinism(seed, extra, results, reruns))
     return results
 
 

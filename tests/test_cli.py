@@ -411,18 +411,20 @@ class TestConfigOnly:
             main(["--config", str(workdir / "run.json"), "--seed", "6"])
         assert exc.value.code == 2
 
-    def test_import_does_not_load_thread_pools(self):
-        # threaded sampling imports concurrent.futures only when it runs,
-        # so CLI start-up does not pay for it
+    def test_import_loads_no_process_or_thread_pools(self):
+        # threaded sampling imports concurrent.futures and the battery's
+        # determinism rerun imports subprocess only when they run, so CLI
+        # start-up, paid once per command, does not pay for them
         import opspectra
 
         src = str(Path(opspectra.__file__).resolve().parents[1])
-        probe = "import sys, opspectra.cli; print('concurrent.futures' in sys.modules)"
+        pools = ("subprocess", "multiprocessing", "concurrent.futures")
+        probe = f"import sys, opspectra.cli; print([m for m in {pools} if m in sys.modules])"
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             check=True, env=os.environ | {"PYTHONPATH": src},
         ).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[]"
 
 
 def _fuzz_inputs() -> dict:

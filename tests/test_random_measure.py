@@ -147,6 +147,14 @@ class TestIntegerCounts:
         with pytest.raises(DimensionError, match="must be integers"):
             call(bad)
 
+    @pytest.mark.parametrize("sampler,nu", [
+        (sample_gaussian_measure, bundled_example_povm()),
+        (sample_real_gaussian_measure, _grid_povm()),
+    ], ids=["complex", "real"])
+    def test_negative_seed_is_refused_by_name(self, sampler, nu):
+        with pytest.raises(DimensionError, match="seed must be non-negative, got -1"):
+            sampler(nu, 2, -1)
+
     def test_numpy_integers_accepted(self):
         nu = bundled_example_povm()
         two = np.int64(2)
@@ -310,9 +318,16 @@ class TestThreadedSampling:
         nu = random_povm(make_rng(442), 3, 5)
         drawn_on = set()
         atom_rng = random_measure._atom_rng
+        caller = threading.get_ident()
+        # the three jobs draw atoms 0::3, 1::3 and 2::3; each job's first
+        # draw waits for the other two, so no worker thread can run two jobs
+        # (a regression that does raises BrokenBarrierError, not a hang)
+        barrier = threading.Barrier(3, timeout=30)
 
         def recording_rng(seed, atom):
             drawn_on.add(threading.get_ident())
+            if atom < 3 and threading.get_ident() != caller:
+                barrier.wait()
             return atom_rng(seed, atom)
 
         monkeypatch.setattr(random_measure, "_atom_rng", recording_rng)
@@ -539,6 +554,20 @@ class TestIncrementPath:
         assert not path.value_at(0.4).any()
         np.testing.assert_array_equal(path.value_at(0.5), w.samples[0])
         np.testing.assert_array_equal(path.value_at(3.0), w.samples[0])
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 10.0, -3.2])
+    def test_point_outside_the_circle_is_refused(self, lam):
+        nu = AtomicTracePovm(1, [-1.0, 1.0], np.ones((2, 1, 1)))
+        path = to_increment_path(sample_gaussian_measure(nu, 1, seed=19))
+        with pytest.raises(DimensionError, match=r"\[-pi, pi\]"):
+            path.value_at(lam)
+
+    def test_ends_of_the_circle(self):
+        nu = AtomicTracePovm(1, [-1.0, 1.0], np.ones((2, 1, 1)))
+        w = sample_gaussian_measure(nu, 3, seed=19)
+        path = to_increment_path(w)
+        assert not path.value_at(-np.pi).any()
+        np.testing.assert_array_equal(path.value_at(np.pi), w.samples.sum(axis=0))
 
     def test_round_trip_exact(self):
         rng = make_rng(415)
