@@ -493,9 +493,12 @@ def check_determinism(seed, extra_povms, baseline, reruns) -> CheckResult:
 
 def _start_rerun(seed, measure):
     """Start the interpreter that reruns :data:`STOCHASTIC_CHECKS` for
-    ``seed``; ``measure`` is ``None`` or the ``(dim, freqs, weights)`` of
-    the extra measure, which the worker builds afresh.  It imports this
-    package from the caller's ``sys.path`` and runs with one BLAS thread."""
+    ``seed``; ``measure`` is ``None`` or the ``(dim, freqs, weights,
+    factors)`` of the extra measure, ``factors`` being the Gram factors a
+    filtered measure keeps (else ``None``).  The worker builds the measure
+    afresh, so no cached eigensystem travels, but the factors do: the CKL
+    and HFPCA checks read them.  It imports this package from the caller's
+    ``sys.path`` and runs with one BLAS thread."""
     import subprocess
 
     request = pickle.dumps((seed, measure))  # before a worker exists to reap
@@ -529,7 +532,7 @@ def _rerun():
     out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
     try:
-        extra = () if measure is None else (AtomicTracePovm(*measure),)
+        extra = () if measure is None else (_rebuild(*measure),)
         payload = (True, [fn(seed, extra) for fn in STOCHASTIC_CHECKS])
     except Exception as exc:
         import traceback
@@ -540,6 +543,13 @@ def _rerun():
         payload = (False, exc)
     with out:
         pickle.dump(payload, out)
+
+
+def _rebuild(dim, freqs, weights, factors) -> AtomicTracePovm:
+    """The extra measure in the worker, with the factors it had, if any."""
+    if factors is None:
+        return AtomicTracePovm(dim, freqs, weights)
+    return AtomicTracePovm._from_factors(dim, freqs, factors)
 
 
 def _rerun_results(worker) -> list:
@@ -563,11 +573,16 @@ def run_battery(seed: int = 20260809, povm: AtomicTracePovm | None = None) -> li
 
     The determinism rerun of the nine stochastic checks runs in a fresh
     interpreter with one BLAS thread, beside the first pass in this one,
-    so it also covers the process and the BLAS thread count.  The worker
-    is killed and reaped if anything here raises, an interrupt included.
+    so it also covers the process, and the BLAS thread count when this
+    one runs BLAS with more.  The worker is killed and reaped if anything
+    here raises, an interrupt included.
     """
     extra = (povm,) if povm is not None else ()
-    measure = None if povm is None else (povm.dim, povm.freqs, povm.weights)
+    measure = None
+    if povm is not None:
+        # a filtered measure's factors are data, not a cache: send them
+        factors = vars(povm).get("_factors")
+        measure = (povm.dim, povm.freqs, povm.weights, factors)
     worker = _start_rerun(seed, measure)
     try:
         results = [fn(seed, extra) for fn in STOCHASTIC_CHECKS]

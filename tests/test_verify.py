@@ -11,6 +11,8 @@ import pytest
 
 from opspectra import verify
 from opspectra.errors import PositivityError
+from opspectra.filtering import pushforward_povm
+from opspectra.synthetic import bundled_example_povm, make_rng, random_transfer
 from opspectra.verify import CheckResult, check_determinism
 
 
@@ -39,10 +41,22 @@ class TestCompare:
         assert result.details["mismatched"] == ["check-4"]
 
 
+class TestExtraMeasure:
+    def test_filtered_measure_reruns_bit_for_bit(self):
+        # a filtered measure keeps Phi_j F_j as its Gram factors and the CKL
+        # and HFPCA checks read them, so the worker must rebuild them too
+        nu = bundled_example_povm()
+        mu = pushforward_povm(random_transfer(make_rng(7), 3, 3, nu.freqs), nu)
+        assert not np.array_equal(mu.gram_factors(), mu.sqrt_weights())
+        determinism = verify.run_battery(20260809, povm=mu)[-1]
+        assert determinism.details["mismatched"] == []
+        assert determinism.passed
+
+
 class TestWorker:
     def test_library_error_reaches_the_caller_with_its_type(self):
         # the second atom is not PSD, so the worker's measure refuses it
-        measure = (1, np.array([-1.0, 1.0]), np.array([[[1.0]], [[-1.0]]]))
+        measure = (1, np.array([-1.0, 1.0]), np.array([[[1.0]], [[-1.0]]]), None)
         start = time.monotonic()
         worker = verify._start_rerun(3, measure)
         with pytest.raises(PositivityError):
