@@ -18,6 +18,10 @@ measure.
 
 Exit status: 0 on success, 1 on a domain error (message on stderr), 2 on
 unusable configuration, a run whose arrays cannot be allocated included.
+A failing run prints its one-line message and nothing else on stderr;
+numpy's floating-point warnings are printed only by a run that does not
+fail.  Outputs are written in place as they are encoded, so a run cut
+short while writing leaves a truncated, unreadable output file.
 The environment variable ``OPSPECTRA_VERBOSITY`` (0 quiet, 1 default)
 controls informational output.
 """
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -168,6 +173,7 @@ def _cmd_simulate(config: dict) -> int:
     else:
         w = sample_gaussian_measure(nu, n_real, seed)
     series = synthesize_process(w, period)
+    del nu, w  # the samples are not held while the series is encoded
     _write(config, encode_series(series))
     _info(f"simulated {n_real} realizations over period {period}")
     return 0
@@ -193,7 +199,9 @@ def _cmd_filter(config: dict) -> int:
     if "fir" in config and "series" in config:
         fir = _load(config, "fir", decode_fir)
         series = _load(config, "series", decode_series)
-        _write(config, encode_series(apply_fir_time(fir, series)))
+        filtered = apply_fir_time(fir, series)
+        del series  # the input is not held while the output is encoded
+        _write(config, encode_series(filtered))
         _info("applied FIR filter in the time domain")
         return 0
     if "transfer" in config and "povm" in config:
@@ -306,20 +314,29 @@ def load_config(path) -> dict:
     return config
 
 
+def _fail(message, status: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = load_config(args.config)
-        return _DISPATCH[config["command"]](config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OpSpectraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
+    # warnings wait for the outcome: a run that fails prints its one-line
+    # error alone (numpy warns of an overflow whose non-finite result the
+    # library then rejects), any other run prints them after it
+    with warnings.catch_warnings(record=True) as held:
+        try:
+            config = load_config(args.config)
+            status = _DISPATCH[config["command"]](config)
+        except ConfigError as exc:
+            return _fail(exc, 2)
+        except OpSpectraError as exc:
+            return _fail(exc, 1)
+        except MemoryError as exc:
+            return _fail(f"out of memory: {exc}", 2)
+    for w in held:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return status
 
 
 if __name__ == "__main__":

@@ -14,6 +14,13 @@ Files are written compactly (sorted keys, no insignificant whitespace):
 any ``indent`` makes :mod:`json` fall back from its C encoder to the
 pure-Python one, which dominated the time of every command that writes a
 series.  Any JSON layout is accepted on read.
+
+Memory.  The encoders return nested lists of Python floats, about 76
+bytes per float, and :func:`read_json` holds a file's whole text and
+then its nested lists; both are the peak of a command that reads or
+writes a series.  :func:`write_json` adds little to them: it writes one
+member of the document (one item of a list member) at a time, so the
+whole text and its encoded bytes never exist.
 """
 
 from __future__ import annotations
@@ -209,15 +216,58 @@ def decode_series(obj) -> ProcessSample:
     return ProcessSample(dim=shape[2], period=shape[1], values=values)
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _items(value):
+    """``_dumps(value)`` in consecutive pieces: one per item of a list,
+    else the whole text."""
+    if not isinstance(value, list):
+        yield _dumps(value)
+        return
+    yield "["
+    for i, item in enumerate(value):
+        yield ("," if i else "") + _dumps(item)
+    yield "]"
+
+
+def _pieces(obj):
+    """``_dumps(obj)`` in consecutive pieces: one per member of an object,
+    in key order, each list member item by item.  An object with a key
+    that is not a string is one piece, because :mod:`json` converts and
+    sorts such keys its own way."""
+    if not (isinstance(obj, dict) and all(type(key) is str for key in obj)):
+        yield from _items(obj)
+        return
+    yield "{"
+    for i, key in enumerate(sorted(obj)):
+        yield ("," if i else "") + _dumps(key) + ":"
+        yield from _items(obj[key])
+    yield "}"
+
+
 def write_json(obj, path) -> None:
     """Deterministic compact JSON dump: sorted keys, full-precision floats,
-    no insignificant whitespace.
+    no insignificant whitespace, one trailing newline.
+
+    The file receives the text piece by piece: one member of the document,
+    or one item where the document or a member is a list (a realization
+    of a series, an atom of a measure, a row of a report).  Held while
+    writing: ``obj`` itself, and one piece's text with the encoder's
+    working set for it.  Never held: the whole text, or its encoded bytes.
+    The bytes are those of one ``json.dumps`` of the whole document.  A
+    write that fails partway leaves a truncated document in the file,
+    which every JSON reader rejects; ``path`` is written in place (it may
+    be a device or a pipe), never through a temporary file.
 
     Compact separators keep :mod:`json` on its C encoder; any ``indent``
     forces the pure-Python encoder, several times slower on large series.
     """
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n")
+    with Path(path).open("w") as fh:
+        for piece in _pieces(obj):
+            fh.write(piece)
+        fh.write("\n")
 
 
 def read_json(path):

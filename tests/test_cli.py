@@ -48,6 +48,14 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _source_root() -> str:
+    """The directory that holds the imported ``opspectra`` package, for the
+    ``PYTHONPATH`` of a CLI child."""
+    import opspectra
+
+    return str(Path(opspectra.__file__).resolve().parents[1])
+
+
 def run_config(workdir, name, config):
     path = workdir / name
     write_json(config, path)
@@ -377,6 +385,22 @@ class TestConfigErrors:
         assert "finite" in err
         assert not (workdir / config["out"]).exists()
 
+    def test_overflow_exits_one_with_one_line(self, workdir):
+        # the sum overflows inside numpy, which warns on stderr; the run
+        # still fails on the non-finite result, with its message alone
+        nu = AtomicTracePovm(1, [0.0, 1.0], np.full((2, 1, 1), 1e308))
+        write_json(encode_povm(nu), workdir / "povm.json")
+        write_json({"command": "autocov", "povm": "povm.json", "max_lag": 3,
+                    "out": "g.json"}, workdir / "run.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "opspectra.cli", "--config", "run.json"],
+            cwd=workdir, capture_output=True, text=True,
+            env=os.environ | {"PYTHONPATH": _source_root()},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "finite" in proc.stderr
+
     def test_out_of_memory_exits_two(self, workdir, capsys, monkeypatch):
         def allocate(nu, max_lag):
             raise MemoryError("Unable to allocate 8.00 EiB for an array")
@@ -415,9 +439,7 @@ class TestConfigOnly:
         # threaded sampling imports concurrent.futures and the battery's
         # determinism rerun imports subprocess only when they run, so CLI
         # start-up, paid once per command, does not pay for them
-        import opspectra
-
-        src = str(Path(opspectra.__file__).resolve().parents[1])
+        src = _source_root()
         pools = ("subprocess", "multiprocessing", "concurrent.futures")
         probe = f"import sys, opspectra.cli; print([m for m in {pools} if m in sys.modules])"
         out = subprocess.run(
@@ -455,6 +477,58 @@ VALID = [
     {"command": "hfpca", "povm": "bundled", "q": [2] * 16, "out": "o.json"},
     {"command": "verify", "seed": 3, "povm": "bundled", "out": "o.json"},
 ]
+VALID_IDS = ["simulate", "autocov", "fit-grid", "filter-transfer", "filter-fir",
+             "compose", "invert", "ckl", "hfpca", "verify"]
+
+
+class TestWrittenDocuments:
+    """Every command writes one compact ``json.dumps`` of its document, and
+    a write cut short leaves a file that no command reads."""
+
+    @pytest.mark.parametrize("config", VALID, ids=VALID_IDS)
+    def test_file_is_one_compact_dump(self, workdir, monkeypatch, config):
+        for name, doc in FUZZ_INPUTS.items():
+            write_json(doc, workdir / name)
+        canned = [CheckResult("a", "prop a", "pass", 5e-324, 1.0,
+                              {"edges": [-0.0, 1.7976931348623157e308], "none": []})]
+        monkeypatch.setattr("opspectra.cli.run_battery", lambda **kw: canned)
+        written = []
+
+        def keep(doc, path):
+            written.append(doc)
+            write_json(doc, path)
+
+        monkeypatch.setattr("opspectra.cli.write_json", keep)
+        assert run_config(workdir, "run.json", config) == 0
+        [doc] = written
+        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert (workdir / config["out"]).read_text() == expected
+
+    def test_interrupted_write_is_never_read(self, workdir, monkeypatch, capsys):
+        dumps, calls = json.dumps, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device")
+            return dumps(*args, **kwargs)
+
+        write_json(SIMULATE, workdir / "simulate.json")
+        with monkeypatch.context() as patched:
+            patched.setattr(json, "dumps", failing)
+            assert main(["--config", str(workdir / "simulate.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        with pytest.raises(ValueError):
+            read_json(workdir / SIMULATE["out"])
+        write_json(FUZZ_INPUTS["fir.json"], workdir / "fir.json")
+        assert run_config(workdir, "filter.json", {
+            "command": "filter", "fir": "fir.json", "series": SIMULATE["out"],
+            "out": "y.json",
+        }) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+
 CONFIG_VALUES = st.one_of(
     st.none(),
     st.booleans(),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from opspectra import (
     ProcessSample,
     TransferFunction,
     autocov_from_povm,
+    hfpca_report,
     sample_gaussian_measure,
     synthesize_process,
 )
@@ -43,6 +45,7 @@ from opspectra.synthetic import (
     random_povm,
     random_transfer,
 )
+from opspectra.verify import CheckResult, emit_report
 
 
 def roundtrip(obj):
@@ -259,13 +262,62 @@ class TestBitExactRoundTrip:
         assert_bits_equal(back.weights, nu.weights)
 
 
+def _documents() -> dict:
+    """One document of every kind the library encodes, edge floats and
+    empty lists included."""
+    rng = make_rng(710)
+    nu = random_povm(rng, 3, 4)
+    phi = random_transfer(rng, 3, 2, nu.freqs)
+    domains = np.stack([np.diag([1.0, 1.0, 0.0]).astype(complex)] * nu.n_atoms)
+    edges = np.array([complex(re, im) for re in EDGE_FLOATS for im in EDGE_FLOATS])
+    results = [
+        CheckResult("a", "prop a", "pass", 0.0, 1.0, {"x": EDGE_FLOATS, "y": []}),
+        CheckResult("b", "prop b", "fail", 5e-324, -0.0),
+    ]
+    return {
+        "measure": encode_povm(nu),
+        "autocov": encode_autocov(autocov_from_povm(nu, 3)),
+        "transfer": encode_transfer(phi),
+        "transfer-domains": encode_transfer(
+            TransferFunction(3, 2, nu.freqs, phi.ops, domains)
+        ),
+        "fir": encode_fir(random_fir(rng, 3, 2, 3)),
+        "series": encode_series(ProcessSample(6, 3, edges.reshape(2, 3, 6))),
+        "empty-series": encode_series(ProcessSample(2, 3, np.zeros((0, 3, 2)))),
+        "operator": encode_operator(edges.reshape(6, 6)),
+        "hfpca": hfpca_report(nu, [1, 2, 3, 1]),
+        "verify": emit_report(results),
+        "empty-verify": emit_report([]),
+        "edges": {"": [], "b": {}, "a": EDGE_FLOATS, "c": [[], {}, [EDGE_FLOATS]],
+                  "\u00e9\"": None, "t": True, "n": 0},
+        "integer-keys": {2: [5e-324], 1: [], 10: {}},
+        "scalar": -0.0,
+    }
+
+
+DOCUMENTS = _documents()
+
+
 class TestCompactWriter:
     def test_exact_text(self, tmp_path):
-        rng = make_rng(710)
-        doc = encode_transfer(random_transfer(rng, 2, 3, np.linspace(-2, 2, 3)))
-        write_json(doc, tmp_path / "t.json")
-        expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        assert (tmp_path / "t.json").read_text() == expected
+        for kind, doc in DOCUMENTS.items():
+            write_json(doc, tmp_path / "doc.json")
+            expected = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            assert (tmp_path / "doc.json").read_text() == expected, kind
+
+    def test_holds_one_piece_of_the_text(self, tmp_path):
+        """Writing a series holds far less than its text: the text is never
+        built whole, only one realization's at a time."""
+        values = random_complex(make_rng(715), (64, 64, 4))
+        doc = encode_series(ProcessSample(4, 64, values))
+        path = tmp_path / "s.json"
+        tracemalloc.start()
+        try:
+            write_json(doc, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 8
 
     def test_runs_on_the_c_encoder(self, tmp_path, monkeypatch):
         def pure_python_encoder(*args, **kwargs):
