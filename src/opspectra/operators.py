@@ -58,7 +58,10 @@ def _adjoints(a: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_parts(a: np.ndarray) -> np.ndarray:
-    return (a + _adjoints(a)) / 2.0
+    # halved before the sum, which then cannot overflow for finite entries
+    half = a / 2.0
+    half += _adjoints(half)
+    return half
 
 
 def hermitian_defects(a: np.ndarray) -> np.ndarray:

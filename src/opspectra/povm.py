@@ -88,6 +88,13 @@ class AtomicTracePovm:
                 f"weights must have shape {(freqs.size, self.dim, self.dim)},"
                 f" got {weights.shape}"
             )
+        if not np.isfinite(weights).all():
+            raise DimensionError("operator entries must be finite")
+        # finite entries can still sum past the float range on the diagonal
+        with np.errstate(over="ignore"):
+            finite_traces = np.isfinite(self.traces()).all()
+        if not finite_traces:
+            raise DimensionError("atom traces must be finite")
 
     @classmethod
     def _from_factors(cls, dim: int, freqs, factors) -> "AtomicTracePovm":
@@ -97,17 +104,15 @@ class AtomicTracePovm:
         copies and every other check stay.  The measure keeps ``B`` (not
         copied, made read-only) as its :meth:`gram_factors`."""
         factors = np.asarray(factors, dtype=np.complex128)
-        # an overflowing product is reported by the finiteness check below
+        # an overflowing product is reported by the finiteness check of _store
         with np.errstate(over="ignore", invalid="ignore"):
             weights = factors @ factors.conj().swapaxes(1, 2)
+            weights /= 2.0  # before the sum, as in operators._hermitian_parts
             weights += weights.conj().swapaxes(1, 2)
-            weights /= 2.0
         nu = object.__new__(cls)
         for name, value in (("dim", dim), ("freqs", freqs), ("weights", weights)):
             object.__setattr__(nu, name, value)
         nu._store(copy=False)
-        if not np.isfinite(nu.weights).all():
-            raise DimensionError("operator entries must be finite")
         factors.flags.writeable = False
         object.__setattr__(nu, "_factors", factors)
         return nu

@@ -11,13 +11,13 @@ uncorrelated.  Everything downstream of sampling is a pure finite sum:
 
 Randomness comes from a counter-based Philox generator with one substream
 per atom, derived from ``(seed, atom index)``; results are therefore
-independent of the order in which atoms are processed and of how many
-threads draw them.
+independent of the order in which atoms are processed.  Atoms are drawn
+on the calling thread: the library's only concurrency is the battery's
+determinism rerun in a worker interpreter (:mod:`opspectra.verify`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,19 +118,6 @@ def _atom_rng(seed: int, atom: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# Atoms are drawn on several threads only when one atom's draw has at
-# least this many entries (R * dim); below it, thread start-up costs more
-# than the draws it would share.
-_THREADED_DRAW = 2**14
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _real_kernels(roots: np.ndarray) -> np.ndarray:
     """Real ``(2 dim, 2 dim)`` matrices ``K_j`` with ``[a | b] K_j`` equal to
     ``sqrt(1/2) (a + i b) R_j^T``, ``R_j = roots[j]``, in complex layout:
@@ -146,36 +133,15 @@ def _real_kernels(roots: np.ndarray) -> np.ndarray:
 def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:
     """Fill ``out[j]`` for each ``j`` in ``atoms`` from atom ``j``'s substream.
 
-    Atom ``j`` draws ``standard_normal((R, 2 dim))``, the same stream in
-    the same order for every split of the atoms, into a buffer, and one
-    real product with ``kernels[j]`` writes it into ``out[j]``.  Large
-    draws are split across threads (``standard_normal`` and the product
-    release the GIL), each with a buffer allocated here.
+    Atom ``j`` draws ``standard_normal((R, 2 dim))`` into one buffer, and
+    one real product with ``kernels[j]`` writes it into ``out[j]``.  Atoms
+    are drawn in turn on the calling thread.
     """
-    atoms = list(atoms)
-    n, dim = out.shape[1], out.shape[2]
     flat = out.view(np.float64)
-    workers = 1
-    if n * dim >= _THREADED_DRAW:
-        workers = max(1, min(_usable_cpus(), len(atoms)))
-    buffers = np.empty((workers, n, 2 * dim))
-
-    def fill(part, buf):
-        for j in part:
-            _atom_rng(seed, j).standard_normal(out=buf)
-            np.matmul(buf, kernels[j], out=flat[j])
-
-    if workers == 1:
-        fill(atoms, buffers[0])
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        jobs = [
-            pool.submit(fill, atoms[k::workers], buffers[k]) for k in range(workers)
-        ]
-        for job in jobs:
-            job.result()
+    buf = np.empty(flat.shape[1:])
+    for j in atoms:
+        _atom_rng(seed, j).standard_normal(out=buf)
+        np.matmul(buf, kernels[j], out=flat[j])
 
 
 def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
@@ -204,10 +170,10 @@ def sample_gaussian_measure(
     circularly-symmetric complex Gaussian (real and imaginary parts i.i.d.
     N(0, 1/2)).  Atoms and realizations are independent, and the output is
     a deterministic function of ``seed`` alone: each atom has its own
-    counter-based substream, so any processing order, and any number of
-    threads, gives identical results (``_atom_order`` exists to
-    demonstrate this in tests).  ``n_realizations`` and ``seed`` must be
-    integers (:func:`~opspectra.errors.require_integers`).
+    counter-based substream, so any processing order gives identical
+    results (``_atom_order`` exists to demonstrate this in tests).  Atoms
+    are drawn on the calling thread.  ``n_realizations`` and ``seed``
+    must be integers (:func:`~opspectra.errors.require_integers`).
     """
     out = _sample_buffer(nu, n_realizations, seed)
     order = range(nu.n_atoms) if _atom_order is None else _atom_order

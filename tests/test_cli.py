@@ -401,6 +401,36 @@ class TestConfigErrors:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "finite" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["ckl", "hfpca"])
+    def test_huge_weights_decompose_or_exit_one(self, workdir, command):
+        # 1e308 is finite and so is its Hermitian part; three of them on a
+        # diagonal overflow the trace, which the measure refuses
+        def run(measure, n_atoms):
+            write_json(measure, workdir / "povm.json")
+            write_json({"command": command, "povm": "povm.json", "out": "o.json",
+                        "q": [1] * n_atoms}, workdir / "run.json")
+            return subprocess.run(
+                [sys.executable, "-m", "opspectra.cli", "--config", "run.json"],
+                cwd=workdir, capture_output=True, text=True,
+                env=os.environ | {"PYTHONPATH": _source_root()},
+            )
+
+        def refuse(name):
+            raise ValueError(f"{name} in the output")
+
+        nu = AtomicTracePovm(1, [0.0, 1.0], np.full((2, 1, 1), 1e308))
+        proc = run(encode_povm(nu), 2)
+        assert proc.returncode == 0, proc.stderr
+        json.loads((workdir / "o.json").read_text(), parse_constant=refuse)
+        (workdir / "o.json").unlink()
+        measure = encode_povm(AtomicTracePovm(3, [0.0], [np.eye(3)]))
+        weight = measure["atoms"][0]["weight"]
+        weight["entries"] = [[1e308 * re, im] for re, im in weight["entries"]]
+        proc = run(measure, 1)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: atom traces must be finite\n"
+        assert not (workdir / "o.json").exists()
+
     def test_out_of_memory_exits_two(self, workdir, capsys, monkeypatch):
         def allocate(nu, max_lag):
             raise MemoryError("Unable to allocate 8.00 EiB for an array")
@@ -436,17 +466,25 @@ class TestConfigOnly:
         assert exc.value.code == 2
 
     def test_import_loads_no_process_or_thread_pools(self):
-        # threaded sampling imports concurrent.futures and the battery's
-        # determinism rerun imports subprocess only when they run, so CLI
-        # start-up, paid once per command, does not pay for them
+        # the battery's determinism rerun imports subprocess only when it
+        # runs, so CLI start-up, paid once per command, does not pay for
+        # it; sampling draws every atom on the calling thread, even when
+        # one atom's draw has R * dim = 2**14 entries
         src = _source_root()
         pools = ("subprocess", "multiprocessing", "concurrent.futures")
-        probe = f"import sys, opspectra.cli; print([m for m in {pools} if m in sys.modules])"
+        probe = "\n".join([
+            "import sys, threading, numpy as np, opspectra.cli",
+            "from opspectra import AtomicTracePovm, sample_gaussian_measure",
+            f"print([m for m in {pools} if m in sys.modules])",
+            "nu = AtomicTracePovm(2, [0.0, 1.0], [np.eye(2)] * 2)",
+            "sample_gaussian_measure(nu, 2**13, seed=1)",
+            "print('concurrent.futures' in sys.modules, threading.active_count())",
+        ])
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             check=True, env=os.environ | {"PYTHONPATH": src},
         ).stdout
-        assert out.strip() == "[]"
+        assert out.splitlines() == ["[]", "False 1"]
 
 
 def _fuzz_inputs() -> dict:

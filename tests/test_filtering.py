@@ -706,6 +706,12 @@ class TestPushforwardWeights:
         ]
         np.testing.assert_array_equal(push.weights, ref)
 
+    def test_gram_products_near_the_float_maximum_are_kept(self):
+        # B B^H is finite; B B^H + its adjoint is not, so halve first
+        factors = np.full((2, 1, 1), 1e154, dtype=complex)
+        nu = AtomicTracePovm._from_factors(1, [0.0, 1.0], factors)
+        np.testing.assert_array_equal(nu.weights, factors * factors)
+
     def test_non_finite_weights_rejected(self):
         # a non-finite factor, and finite factors whose Gram products overflow
         for big in (np.inf, 1e200):

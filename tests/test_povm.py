@@ -52,6 +52,11 @@ class TestConstruction:
         with pytest.raises(PositivityError):
             AtomicTracePovm(2, [0.0], [[[1.0, 1.0], [0.0, 1.0]]])
 
+    def test_requires_finite_traces(self):
+        # every entry is finite; their sum on the diagonal is not
+        with pytest.raises(DimensionError, match="atom traces must be finite"):
+            AtomicTracePovm(3, [0.0], [np.diag([1e308] * 3)])
+
     def test_requires_canonical_range(self):
         with pytest.raises(DimensionError):
             AtomicTracePovm(1, [-np.pi], np.ones((1, 1, 1)))

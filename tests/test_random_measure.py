@@ -24,7 +24,6 @@ from opspectra import (
     synthesize_process,
     to_increment_path,
 )
-from opspectra import random_measure
 from opspectra.bochner import on_grid
 from opspectra.synthetic import (
     bundled_example_povm,
@@ -258,7 +257,7 @@ class TestRealSampling:
         from opspectra import sample_real_gaussian_measure
 
         nu = self._symmetric_povm(make_rng(423))
-        n_real = 20_000  # threaded: R * dim is above the threshold
+        n_real = 20_000  # a large draw: R * dim = 40000
         real = sample_real_gaussian_measure(nu, n_real, seed=31).samples
         full = sample_gaussian_measure(nu, n_real, seed=31).samples
         # atom 0 (-1.2) leads the pair whose mirror is atom 2 (+1.2)
@@ -266,8 +265,9 @@ class TestRealSampling:
         np.testing.assert_array_equal(real[2], full[0].conj())
 
 
-# R * dim = 24576 for dim 3: above the threshold for drawing on threads
-THREADED_R = 8192
+# two draw sizes at dim 3: R * dim = 192 and 24576
+SMALL_R = 64
+LARGE_R = 8192
 
 
 def philox_reference(seed, atom, n_real, dim):
@@ -281,92 +281,34 @@ def philox_reference(seed, atom, n_real, dim):
 
 
 class TestThreadedSampling:
-    """Atoms drawn on several threads are the per-atom Philox draws."""
-
-    @pytest.fixture(autouse=True)
-    def three_threads(self, monkeypatch):
-        assert THREADED_R * 3 >= random_measure._THREADED_DRAW
-        monkeypatch.setattr(random_measure, "_usable_cpus", lambda: 3)
+    """Small and large draws are the per-atom Philox draws, taken in any
+    atom order on the calling thread."""
 
     def test_identity_weights_give_the_draws_bitwise(self):
         nu = AtomicTracePovm(3, [-2.0, -0.5, 1.0, 2.5], [np.eye(3)] * 4)
-        w = sample_gaussian_measure(nu, THREADED_R, seed=40)
-        for j in range(4):
-            np.testing.assert_array_equal(
-                w.samples[j], philox_reference(40, j, THREADED_R, 3)
-            )
+        for n_real in (SMALL_R, LARGE_R):
+            w = sample_gaussian_measure(nu, n_real, seed=40)
+            for j in range(4):
+                np.testing.assert_array_equal(
+                    w.samples[j], philox_reference(40, j, n_real, 3)
+                )
 
     def test_random_weights_combine_the_draws(self):
         nu = random_povm(make_rng(440), 3, 4)
-        w = sample_gaussian_measure(nu, THREADED_R, seed=41)
         roots = nu.sqrt_weights()
-        for j in range(4):
-            ref = philox_reference(41, j, THREADED_R, 3) @ roots[j].T
-            assert relative_error(w.samples[j], ref) <= 1e-15
+        for n_real in (SMALL_R, LARGE_R):
+            w = sample_gaussian_measure(nu, n_real, seed=41)
+            for j in range(4):
+                ref = philox_reference(41, j, n_real, 3) @ roots[j].T
+                assert relative_error(w.samples[j], ref) <= 1e-15
 
     def test_atom_order_gives_identical_samples(self):
         nu = random_povm(make_rng(441), 3, 5)
-        a = sample_gaussian_measure(nu, THREADED_R, seed=42)
+        a = sample_gaussian_measure(nu, LARGE_R, seed=42)
         b = sample_gaussian_measure(
-            nu, THREADED_R, seed=42, _atom_order=[4, 2, 0, 3, 1]
+            nu, LARGE_R, seed=42, _atom_order=[4, 2, 0, 3, 1]
         )
         np.testing.assert_array_equal(a.samples, b.samples)
-
-    def test_one_thread_gives_identical_samples(self, monkeypatch):
-        import threading
-
-        nu = random_povm(make_rng(442), 3, 5)
-        drawn_on = set()
-        atom_rng = random_measure._atom_rng
-        caller = threading.get_ident()
-        # the three jobs draw atoms 0::3, 1::3 and 2::3; each job's first
-        # draw waits for the other two, so no worker thread can run two jobs
-        # (a regression that does raises BrokenBarrierError, not a hang)
-        barrier = threading.Barrier(3, timeout=30)
-
-        def recording_rng(seed, atom):
-            drawn_on.add(threading.get_ident())
-            if atom < 3 and threading.get_ident() != caller:
-                barrier.wait()
-            return atom_rng(seed, atom)
-
-        monkeypatch.setattr(random_measure, "_atom_rng", recording_rng)
-        threaded = sample_gaussian_measure(nu, THREADED_R, seed=43)
-        assert threading.get_ident() not in drawn_on and len(drawn_on) >= 2
-        monkeypatch.setattr(random_measure, "_usable_cpus", lambda: 1)
-        drawn_on.clear()
-        single = sample_gaussian_measure(nu, THREADED_R, seed=43)
-        assert drawn_on == {threading.get_ident()}
-        np.testing.assert_array_equal(threaded.samples, single.samples)
-
-    def test_more_threads_than_cores_under_frequent_switches(self, monkeypatch):
-        import sys
-
-        nu = random_povm(make_rng(444), 2, 12)
-        n_real = random_measure._THREADED_DRAW // 2
-        monkeypatch.setattr(random_measure, "_usable_cpus", lambda: 1)
-        ref = sample_gaussian_measure(nu, n_real, seed=45)
-        monkeypatch.setattr(random_measure, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = sample_gaussian_measure(nu, n_real, seed=45)
-        finally:
-            sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(got.samples, ref.samples)
-
-    def test_error_in_one_atom_propagates(self, monkeypatch):
-        atom_rng = random_measure._atom_rng
-
-        def failing_rng(seed, atom):
-            if atom == 2:
-                raise RuntimeError("substream of atom 2 failed")
-            return atom_rng(seed, atom)
-
-        monkeypatch.setattr(random_measure, "_atom_rng", failing_rng)
-        nu = random_povm(make_rng(443), 3, 5)
-        with pytest.raises(RuntimeError, match="atom 2"):
-            sample_gaussian_measure(nu, THREADED_R, seed=44)
 
 
 class TestSpectralIntegral:
