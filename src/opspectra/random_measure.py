@@ -11,9 +11,13 @@ uncorrelated.  Everything downstream of sampling is a pure finite sum:
 
 Randomness comes from a counter-based Philox generator with one substream
 per atom, derived from ``(seed, atom index)``; results are therefore
-independent of the order in which atoms are processed.  Atoms are drawn
-on the calling thread: the library's only concurrency is the battery's
-determinism rerun in a worker interpreter (:mod:`opspectra.verify`).
+independent of the order in which atoms are processed.  One per-atom
+routine draws an atom's sample into buffers its caller owns; the samplers
+fill the ``(n_atoms, R, dim)`` ensemble with it, and the battery's HFPCA
+check (:mod:`opspectra.verify`) streams atoms through it without ever
+holding an ensemble.  Atoms are drawn on the calling thread: the
+library's only concurrency is the battery's determinism rerun in a worker
+interpreter.
 """
 
 from __future__ import annotations
@@ -130,18 +134,27 @@ def _real_kernels(roots: np.ndarray) -> np.ndarray:
     return np.stack([re_cols, im_cols], axis=-1).reshape(n, two_d, two_d)
 
 
-def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:
-    """Fill ``out[j]`` for each ``j`` in ``atoms`` from atom ``j``'s substream.
+def _draw_atom(
+    out: np.ndarray, normals: np.ndarray, kernel: np.ndarray, seed: int, atom: int
+) -> None:
+    """Write atom ``atom``'s sample into ``out``, an ``(R, dim)`` complex array.
 
-    Atom ``j`` draws ``standard_normal((R, 2 dim))`` into one buffer, and
-    one real product with ``kernels[j]`` writes it into ``out[j]``.  Atoms
-    are drawn in turn on the calling thread.
+    Atom ``atom``'s Philox substream for ``seed`` fills ``normals``, an
+    ``(R, 2 dim)`` float array, with standard normals, and one real product
+    with its kernel (:func:`_real_kernels`) writes them into ``out``.  Both
+    buffers are the caller's, so a caller that reuses them allocates
+    nothing per atom.
     """
-    flat = out.view(np.float64)
-    buf = np.empty(flat.shape[1:])
+    _atom_rng(seed, atom).standard_normal(out=normals)
+    np.matmul(normals, kernel, out=out.view(np.float64))
+
+
+def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:
+    """Fill ``out[j]`` for each ``j`` in ``atoms`` by :func:`_draw_atom`,
+    in turn on the calling thread, through one normals buffer."""
+    normals = np.empty((out.shape[1], 2 * out.shape[2]))
     for j in atoms:
-        _atom_rng(seed, j).standard_normal(out=buf)
-        np.matmul(buf, kernels[j], out=flat[j])
+        _draw_atom(out[j], normals, kernels[j], seed, j)
 
 
 def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
@@ -171,12 +184,17 @@ def sample_gaussian_measure(
     N(0, 1/2)).  Atoms and realizations are independent, and the output is
     a deterministic function of ``seed`` alone: each atom has its own
     counter-based substream, so any processing order gives identical
-    results (``_atom_order`` exists to demonstrate this in tests).  Atoms
-    are drawn on the calling thread.  ``n_realizations`` and ``seed``
+    results (``_atom_order`` exists to demonstrate this in tests; it must
+    be a permutation of the atom indices, else :class:`DimensionError`).
+    Atoms are drawn on the calling thread.  ``n_realizations`` and ``seed``
     must be integers (:func:`~opspectra.errors.require_integers`).
     """
     out = _sample_buffer(nu, n_realizations, seed)
-    order = range(nu.n_atoms) if _atom_order is None else _atom_order
+    order = range(nu.n_atoms)
+    if _atom_order is not None:
+        if sorted(_atom_order) != list(order):
+            raise DimensionError(f"atom order must be a permutation of {order}")
+        order = _atom_order
     _draw_atoms(out, _real_kernels(nu.sqrt_weights()), order, seed)
     return RandomMeasure(samples=out, intensity=nu)
 

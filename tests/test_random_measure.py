@@ -25,6 +25,8 @@ from opspectra import (
     to_increment_path,
 )
 from opspectra.bochner import on_grid
+from opspectra.filtering import pushforward_povm
+from opspectra.random_measure import _draw_atom, _real_kernels
 from opspectra.synthetic import (
     bundled_example_povm,
     make_rng,
@@ -96,6 +98,13 @@ class TestSampling:
         a = sample_gaussian_measure(nu, 32, seed=6)
         b = sample_gaussian_measure(nu, 32, seed=6, _atom_order=[4, 2, 0, 3, 1])
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize(
+        "order", [[0, 0, 1], [0, 0] + list(range(2, 16)), list(range(1, 17))]
+    )
+    def test_atom_order_must_be_a_permutation(self, order):
+        with pytest.raises(DimensionError, match="permutation"):
+            sample_gaussian_measure(bundled_example_povm(), 4, 7, _atom_order=order)
 
     def test_requires_positive_ensemble(self):
         rng = make_rng(404)
@@ -309,6 +318,25 @@ class TestThreadedSampling:
             nu, LARGE_R, seed=42, _atom_order=[4, 2, 0, 3, 1]
         )
         np.testing.assert_array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("n_real", [1, SMALL_R, LARGE_R])
+    def test_one_atom_draw_writes_the_sampler_s_atom(self, n_real):
+        """The per-atom routine, through buffers cut from storage sized for a
+        larger dim as the HFPCA check cuts them, writes each atom's samples
+        bit for bit, for a mixed-rank measure and a filtered one (its
+        sampler roots are not its Gram factors)."""
+        rng = make_rng(442)
+        mixed = random_povm(rng, 3, 5, ranks=[1, 3, 2, 3, 1])
+        filtered = pushforward_povm(random_transfer(rng, 3, 3, mixed.freqs), mixed)
+        assert not np.array_equal(filtered.gram_factors(), filtered.sqrt_weights())
+        store = np.empty((2, n_real * 5), dtype=complex)
+        for nu in (mixed, filtered):
+            w = sample_gaussian_measure(nu, n_real, seed=43)
+            z, normals = (row[: n_real * 3].reshape(n_real, 3) for row in store)
+            kernels = _real_kernels(nu.sqrt_weights())
+            for j in range(nu.n_atoms):
+                _draw_atom(z, normals.view(np.float64), kernels[j], 43, j)
+                assert z.tobytes() == w.samples[j].tobytes()
 
 
 class TestSpectralIntegral:

@@ -1,8 +1,8 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -311,12 +311,7 @@ class TestCompactWriter:
         values = random_complex(make_rng(715), (64, 64, 4))
         doc = encode_series(ProcessSample(4, 64, values))
         path = tmp_path / "s.json"
-        tracemalloc.start()
-        try:
-            write_json(doc, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(write_json, doc, path)
         assert peak < path.stat().st_size / 8
 
     def test_runs_on_the_c_encoder(self, tmp_path, monkeypatch):
