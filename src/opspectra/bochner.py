@@ -53,6 +53,7 @@ def grid_frequencies(m: int) -> np.ndarray:
     The endpoint ``-pi`` is wrapped to the equivalent character ``pi``, so
     the result is strictly increasing inside ``(-pi, pi]``.
     """
+    require_integers("grid sizes", m)
     if m < 1:
         raise DimensionError("grid size must be positive")
     raw = -np.pi + 2.0 * np.pi * np.arange(m) / m
@@ -121,6 +122,9 @@ class AutocovarianceSequence:
         if not psd_check(vals[0], 1e-8):
             raise DimensionError("lag-0 autocovariance must be PSD")
 
+    def __reduce__(self):  # rebuilt by the constructor, as a measure is
+        return type(self), (self.dim, self.max_lag, self.values)
+
     def gamma(self, h: int) -> np.ndarray:
         """Value at a signed lag, using the Hermitian symmetry for h < 0."""
         return _lag_table(self, [h, 0])[0, 1]
@@ -133,6 +137,7 @@ def autocov_from_povm(nu: AtomicTracePovm, max_lag: int) -> AutocovarianceSequen
     length M, whatever ``max_lag``; any other support takes the dense phase
     sum (:func:`fourier_sum`).
     """
+    require_integers("lag counts", max_lag)
     if max_lag < 0:
         raise DimensionError("max_lag must be non-negative")
     values = fourier_sum(nu.freqs, nu.weights, max_lag + 1)
@@ -148,6 +153,7 @@ def povm_from_autocov_grid(gamma: AutocovarianceSequence, m: int) -> AtomicTrace
     Every recovered atom must pass the measure's PSD validation; otherwise
     the input is rejected as not of positive type on this grid.
     """
+    require_integers("grid sizes", m)
     if gamma.max_lag < m - 1:
         raise CoverageError(
             f"grid inversion with M={m} needs lags up to {m - 1},"
@@ -219,6 +225,9 @@ def empirical_autocov(sample, max_lag: int):
     period.  Returns ``(sequence, se_scale)`` where ``se_scale = R**-0.5``
     calibrates standard-error bands.
     """
+    require_integers("lag counts", max_lag)
+    if max_lag < 0:
+        raise DimensionError("max_lag must be non-negative")
     x = np.asarray(sample.values, dtype=np.complex128)
     if x.ndim != 3:
         raise DimensionError("expected ensemble values of shape (R, M, N)")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, require_integers
 from .filtering import apply_filter
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import RandomMeasure
@@ -60,6 +60,9 @@ class CklSystem:
     @property
     def n_atoms(self) -> int:
         return self.povm.n_atoms
+
+    def __reduce__(self):  # no eigensystem travels: decompose the measure again
+        return ckl_decompose, (self.povm,)
 
     def range_projectors(self) -> np.ndarray:
         """Per-atom projector onto the range of the atom weight."""
@@ -149,10 +152,14 @@ def ckl_completeness_residual(sys: CklSystem) -> float:
 def normalize_ranks(q, n_atoms: int, dim: int) -> np.ndarray:
     """Per-atom target ranks: positive integers clamped to ``dim``.
 
-    Ranks are clamped before their conversion to int64, so a rank beyond
-    int64 (such as the JSON integer ``10**23``) means ``dim``.
+    A ``bool`` or a float rank raises :class:`DimensionError`
+    (:func:`~opspectra.errors.require_integers`) rather than being
+    truncated.  Ranks are clamped before their conversion to int64, so a
+    rank beyond int64 (such as the JSON integer ``10**23``) means ``dim``.
     """
-    arr = np.asarray(np.clip(np.asarray(q), 0, dim), dtype=np.int64)
+    q = np.asarray(q, dtype=object)
+    require_integers("target ranks", *q.ravel())
+    arr = np.asarray(np.clip(q, 0, dim), dtype=np.int64)
     if arr.ndim == 0:
         arr = np.full(n_atoms, int(arr))
     if arr.shape != (n_atoms,):

@@ -96,6 +96,11 @@ class AtomicTracePovm:
         if not finite_traces:
             raise DimensionError("atom traces must be finite")
 
+    def __reduce__(self):  # no cache travels; kept Gram factors do
+        if (factors := self.__dict__.get("_factors")) is None:
+            return type(self), (self.dim, self.freqs, self.weights)
+        return type(self)._from_factors, (self.dim, self.freqs, factors)
+
     @classmethod
     def _from_factors(cls, dim: int, freqs, factors) -> "AtomicTracePovm":
         """Measure whose weights are ``(B_j B_j^H + h.c.) / 2`` for finite
@@ -235,8 +240,8 @@ def variation_measure(nu: AtomicTracePovm) -> np.ndarray:
 def radon_nikodym(nu: AtomicTracePovm, mu=None) -> PovmDensity:
     """Density of the measure against ``mu`` (default: its variation).
 
-    ``mu`` is given by its per-atom masses and must dominate: a zero mass is
-    only allowed where the atom itself carries no mass.  With the default
+    ``mu`` is given by its finite per-atom masses and must dominate: a zero
+    mass is only allowed where the atom itself carries no mass.  With the default
     choice the densities have unit trace on atoms of positive mass.
     """
     traces = nu.traces()
@@ -246,6 +251,8 @@ def radon_nikodym(nu: AtomicTracePovm, mu=None) -> PovmDensity:
         w = np.asarray(mu, dtype=np.float64).ravel()
         if w.shape != traces.shape:
             raise DimensionError("dominating weights must align with the atoms")
+        if not np.isfinite(w).all():
+            raise DimensionError("dominating weights must be finite")
         if np.any(w < 0):
             raise AbsoluteContinuityError("dominating weights must be non-negative")
         undominated = (w <= 0) & nu.positive_mass_mask()

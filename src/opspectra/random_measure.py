@@ -321,6 +321,9 @@ class IncrementPath:
         if inc.ndim != 3 or inc.shape[0] != bp.size or inc.shape[2] != self.dim:
             raise DimensionError("increments must have shape (breakpoints, R, dim)")
 
+    def __reduce__(self):  # rebuilt by the constructor, as a measure is
+        return type(self), (self.dim, self.breakpoints, self.increments)
+
     def value_at(self, lam: float) -> np.ndarray:
         """Evaluate ``Z_lambda`` (zero below the first breakpoint); ``lam``
         must lie in ``[-pi, pi]``, else :class:`DimensionError`."""

@@ -86,9 +86,10 @@ class TransferFunction:
     domains: np.ndarray | None = None
 
     def __post_init__(self):
-        # the operator stacks are large and are not copied
+        # the operator stacks are large: read-only views, not copies
         freqs = require_support(self.freqs)
-        ops = np.asarray(self.ops, dtype=np.complex128)
+        ops = np.asarray(self.ops, dtype=np.complex128).view()
+        ops.flags.writeable = False
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "ops", ops)
         n = freqs.size
@@ -99,13 +100,18 @@ class TransferFunction:
         if not np.isfinite(ops).all():
             raise DimensionError("transfer operators must be finite")
         if self.domains is not None:
-            doms = np.asarray(self.domains, dtype=np.complex128)
+            doms = np.asarray(self.domains, dtype=np.complex128).view()
+            doms.flags.writeable = False
             object.__setattr__(self, "domains", doms)
             if doms.shape != (n, self.in_dim, self.in_dim):
                 raise DimensionError(
                     f"domains must have shape {(n, self.in_dim, self.in_dim)}"
                 )
             _check_projectors(doms)
+
+    def __reduce__(self):  # rebuilt by the constructor, as a measure is
+        fields = self.in_dim, self.out_dim, self.freqs, self.ops, self.domains
+        return type(self), fields
 
     @property
     def n_atoms(self) -> int:

@@ -521,17 +521,13 @@ def check_determinism(seed, extra_povms, baseline, reruns) -> CheckResult:
     )
 
 
-def _start_rerun(seed, measure):
-    """Start the interpreter that reruns :data:`STOCHASTIC_CHECKS` for
-    ``seed``; ``measure`` is ``None`` or the ``(dim, freqs, weights,
-    factors)`` of the extra measure, ``factors`` being the Gram factors a
-    filtered measure keeps (else ``None``).  The worker builds the measure
-    afresh, so no cached eigensystem travels, but the factors do: the CKL
-    and HFPCA checks read them.  It imports this package from the caller's
-    ``sys.path`` and runs with one BLAS thread."""
+def _start_rerun(seed, povm):
+    """Start the interpreter that reruns :data:`STOCHASTIC_CHECKS` on
+    ``seed`` and ``povm`` (or ``None``), pickled as they are; it imports
+    this package from the caller's ``sys.path``, with one BLAS thread."""
     import subprocess
 
-    request = pickle.dumps((seed, measure))  # before a worker exists to reap
+    request = pickle.dumps((seed, povm))  # before a worker exists to reap
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -550,19 +546,19 @@ def _start_rerun(seed, measure):
 
 
 def _rerun():
-    """Worker side of :func:`_start_rerun`: read ``(seed, measure)`` from
+    """Worker side of :func:`_start_rerun`: read ``(seed, povm)`` from
     stdin and write ``(True, results)`` or ``(False, exception)`` to
-    stdout, pickled; while the checks run, fd 1 is stderr, so nothing but
-    the payload reaches stdout."""
+    stdout, pickled; from unpickling the request on, fd 1 is stderr, so
+    nothing but the payload reaches stdout, and errors reach the caller."""
     import signal
 
     # the caller owns this process and kills it on an interrupt
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    seed, measure = pickle.load(sys.stdin.buffer)
     out = os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)
     try:
-        extra = () if measure is None else (_rebuild(*measure),)
+        seed, povm = pickle.load(sys.stdin.buffer)
+        extra = () if povm is None else (povm,)
         payload = (True, [fn(seed, extra) for fn in STOCHASTIC_CHECKS])
     except Exception as exc:
         import traceback
@@ -573,13 +569,6 @@ def _rerun():
         payload = (False, exc)
     with out:
         pickle.dump(payload, out)
-
-
-def _rebuild(dim, freqs, weights, factors) -> AtomicTracePovm:
-    """The extra measure in the worker, with the factors it had, if any."""
-    if factors is None:
-        return AtomicTracePovm(dim, freqs, weights)
-    return AtomicTracePovm._from_factors(dim, freqs, factors)
 
 
 def _rerun_results(worker) -> list:
@@ -601,19 +590,14 @@ def _rerun_results(worker) -> list:
 def run_battery(seed: int = 20260809, povm: AtomicTracePovm | None = None) -> list:
     """Run every check; an optional measure joins the instance pools.
 
-    The determinism rerun of the nine stochastic checks runs in a fresh
-    interpreter with one BLAS thread, beside the first pass in this one,
-    so it also covers the process, and the BLAS thread count when this
-    one runs BLAS with more.  The worker is killed and reaped if anything
-    here raises, an interrupt included.
+    The determinism rerun of the nine stochastic checks runs on ``povm``
+    pickled as it is, in a fresh interpreter with one BLAS thread, beside
+    the first pass in this one, so it also covers the process, and the
+    BLAS thread count when this one runs BLAS with more.  The worker is
+    killed and reaped if anything here raises, an interrupt included.
     """
     extra = (povm,) if povm is not None else ()
-    measure = None
-    if povm is not None:
-        # a filtered measure's factors are data, not a cache: send them
-        factors = vars(povm).get("_factors")
-        measure = (povm.dim, povm.freqs, povm.weights, factors)
-    worker = _start_rerun(seed, measure)
+    worker = _start_rerun(seed, povm)
     try:
         results = [fn(seed, extra) for fn in STOCHASTIC_CHECKS]
         reruns = _rerun_results(worker)

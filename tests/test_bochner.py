@@ -364,6 +364,36 @@ class TestHermitianNnd:
         assert not hermitian_nnd_check(gamma, [0, 1], [1.0, -1.0])
 
 
+class TestCountArguments:
+    """Grid sizes and lag counts follow the one integer rule."""
+
+    @pytest.mark.parametrize("m", [2.5, True, 4.0, "4", 0, -2])
+    def test_grid_size(self, m):
+        with pytest.raises(DimensionError):
+            grid_frequencies(m)
+        gamma = autocov_from_povm(bundled_example_povm(), 15)
+        with pytest.raises(DimensionError):
+            povm_from_autocov_grid(gamma, m)
+
+    @pytest.mark.parametrize("max_lag", [2.5, True, 3.0, -1])
+    def test_max_lag(self, max_lag):
+        nu = bundled_example_povm()
+        x = synthesize_process(sample_gaussian_measure(nu, 4, seed=1), 8)
+        with pytest.raises(DimensionError):
+            autocov_from_povm(nu, max_lag)
+        with pytest.raises(DimensionError):
+            empirical_autocov(x, max_lag)
+
+    def test_numpy_integers_accepted(self):
+        nu = bundled_example_povm()
+        x = synthesize_process(sample_gaussian_measure(nu, 4, seed=1), 8)
+        np.testing.assert_array_equal(grid_frequencies(np.int64(16)), nu.freqs)
+        gamma = autocov_from_povm(nu, np.int32(15))
+        assert gamma.max_lag == 15
+        assert povm_from_autocov_grid(gamma, np.int64(16)).n_atoms == 16
+        assert empirical_autocov(x, np.int64(3))[0].max_lag == 3
+
+
 class TestEmpiricalAutocov:
     def test_zero_process(self):
         from opspectra import ProcessSample

@@ -3,6 +3,7 @@ import pytest
 
 from opspectra import (
     AtomicTracePovm,
+    DimensionError,
     IntegrabilityError,
     TransferFunction,
     apply_filter,
@@ -24,7 +25,13 @@ from opspectra import (
     synthesize_process,
 )
 from opspectra.decomposition import hfpca_tie_warnings
-from opspectra.synthetic import haar_frame, make_rng, random_povm, random_transfer
+from opspectra.synthetic import (
+    bundled_example_povm,
+    haar_frame,
+    make_rng,
+    random_povm,
+    random_transfer,
+)
 
 
 class TestCklDecompose:
@@ -269,6 +276,17 @@ class TestHfpcaReport:
             report["optimal_error"], abs=1e-10 * max(1.0, report["optimal_error"])
         )
         assert report["tie_warnings"] == []
+
+    @pytest.mark.parametrize(
+        "q", [1.9, [2.7] * 16, True, [True] * 16, [2] * 15 + [True], np.full(16, 2.0)]
+    )
+    def test_non_integer_ranks_rejected(self, q):
+        with pytest.raises(DimensionError, match="target ranks must be integers"):
+            hfpca_report(bundled_example_povm(), q)
+
+    @pytest.mark.parametrize("q, ranks", [(10**23, 3), (np.int64(2), 2), ([1] * 16, 1)])
+    def test_integer_ranks_clamp_to_dim(self, q, ranks):
+        assert hfpca_report(bundled_example_povm(), q)["q"] == [ranks] * 16
 
     def test_tie_warning_on_degenerate_cut(self):
         nu = AtomicTracePovm(3, [0.0], [np.diag([0.5, 0.25, 0.25])])

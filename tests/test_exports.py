@@ -1,6 +1,8 @@
 import ast
+import copy
 import importlib
 import inspect
+import pickle
 import pkgutil
 from pathlib import Path
 
@@ -13,12 +15,13 @@ from opspectra import (
     TransferFunction,
     autocov_from_povm,
     ckl_decompose,
+    pushforward_povm,
     radon_nikodym,
     sample_gaussian_measure,
     synthesize_process,
     to_increment_path,
 )
-from opspectra.synthetic import bundled_example_povm
+from opspectra.synthetic import bundled_example_povm, make_rng, random_transfer
 from opspectra.verify import CheckResult
 
 MODULES = sorted(
@@ -157,16 +160,41 @@ def _array_dataclass_instances():
         synthesize_process(w, 4),
         to_increment_path(w),
         ckl_decompose(nu),
+        pushforward_povm(random_transfer(make_rng(7), 3, 3, nu.freqs), nu),
     ]
 
 
-@pytest.mark.parametrize("index", range(9))
+@pytest.mark.parametrize("index", range(10))
 def test_array_dataclasses_compare_by_identity(index):
     a = _array_dataclass_instances()[index]
     b = _array_dataclass_instances()[index]
     assert a == a and a != b
     assert a in [b, a] and b not in [a]
     assert len({a, b, a}) == 2
+
+
+COPIES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+CACHES = ("_eigensystem", "_roots")
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize("index", range(10))
+def test_array_dataclasses_rebuild_faithfully(index, how):
+    a = _array_dataclass_instances()[index]
+    b = COPIES[how](a)
+    assert type(b) is type(a)
+    assert not set(CACHES) & set(vars(b))
+    if "_factors" in vars(a):
+        assert b.gram_factors().tobytes() == a.gram_factors().tobytes()
+    for name, value in vars(a).items():
+        if isinstance(value, np.ndarray) and name not in CACHES:
+            assert np.array_equal(vars(b)[name], value), name
+            if not value.flags.writeable:
+                assert not vars(b)[name].flags.writeable, name
 
 
 def test_reports_keep_value_equality():

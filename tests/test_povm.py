@@ -180,6 +180,15 @@ class TestRadonNikodym:
         density = radon_nikodym(nu, mu=[0.0, 2.0])
         assert not density.densities[0].any()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("atom", [0, 1])
+    def test_non_finite_dominating_weight(self, bad, atom):
+        nu = AtomicTracePovm(2, [-1.0, 1.0], [np.zeros((2, 2)), np.eye(2)])
+        mu = [2.0, 2.0]
+        mu[atom] = bad
+        with pytest.raises(DimensionError, match="dominating weights must be finite"):
+            radon_nikodym(nu, mu=mu)
+
 
 class TestScalarIntegral:
     def test_constant_one_gives_total_mass(self):

@@ -118,10 +118,14 @@ class TestHfpcaMonteCarlo:
 
 class TestWorker:
     def test_library_error_reaches_the_caller_with_its_type(self):
-        # the second atom is not PSD, so the worker's measure refuses it
-        measure = (1, np.array([-1.0, 1.0]), np.array([[[1.0]], [[-1.0]]]), None)
+        class NotPsd:
+            # unpickles as a measure whose second atom is not PSD, so the
+            # worker's constructor refuses it while reading the request
+            def __reduce__(self):
+                return AtomicTracePovm, (1, [-1.0, 1.0], [[[1.0]], [[-1.0]]])
+
         start = time.monotonic()
-        worker = verify._start_rerun(3, measure)
+        worker = verify._start_rerun(3, NotPsd())
         with pytest.raises(PositivityError):
             verify._rerun_results(worker)
         assert time.monotonic() - start < 5.0
