@@ -12,12 +12,12 @@ uncorrelated.  Everything downstream of sampling is a pure finite sum:
 Randomness comes from a counter-based Philox generator with one substream
 per atom, derived from ``(seed, atom index)``; results are therefore
 independent of the order in which atoms are processed.  One per-atom
-routine draws an atom's sample into buffers its caller owns; the samplers
-fill the ``(n_atoms, R, dim)`` ensemble with it, and the battery's HFPCA
-check (:mod:`opspectra.verify`) streams atoms through it without ever
-holding an ensemble.  Atoms are drawn on the calling thread: the
-library's only concurrency is the battery's determinism rerun in a worker
-interpreter.
+routine draws an atom's next rows from its generator into buffers its
+caller owns; the samplers fill the ``(n_atoms, R, dim)`` ensemble with it,
+and the battery's HFPCA check (:mod:`opspectra.verify`) streams row blocks
+of every atom through it without ever holding an ensemble.  Atoms are
+drawn on the calling thread: the library's only concurrency is the
+battery's determinism rerun in a worker interpreter.
 """
 
 from __future__ import annotations
@@ -135,26 +135,28 @@ def _real_kernels(roots: np.ndarray) -> np.ndarray:
 
 
 def _draw_atom(
-    out: np.ndarray, normals: np.ndarray, kernel: np.ndarray, seed: int, atom: int
+    out: np.ndarray, normals: np.ndarray, kernel: np.ndarray, rng: np.random.Generator
 ) -> None:
-    """Write atom ``atom``'s sample into ``out``, an ``(R, dim)`` complex array.
+    """Write an atom's next rows into ``out``, an ``(R, dim)`` complex array.
 
-    Atom ``atom``'s Philox substream for ``seed`` fills ``normals``, an
-    ``(R, 2 dim)`` float array, with standard normals, and one real product
-    with its kernel (:func:`_real_kernels`) writes them into ``out``.  Both
-    buffers are the caller's, so a caller that reuses them allocates
-    nothing per atom.
+    ``rng``, the atom's Philox substream (:func:`_atom_rng`), fills
+    ``normals``, an ``(R, 2 dim)`` float array, with its next standard
+    normals, so consecutive calls draw consecutive row blocks, and one real
+    product with the atom's kernel (:func:`_real_kernels`) writes them into
+    ``out``.  Both buffers are the caller's, so a caller that reuses them
+    allocates nothing per atom.
     """
-    _atom_rng(seed, atom).standard_normal(out=normals)
+    rng.standard_normal(out=normals)
     np.matmul(normals, kernel, out=out.view(np.float64))
 
 
 def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:
-    """Fill ``out[j]`` for each ``j`` in ``atoms`` by :func:`_draw_atom`,
-    in turn on the calling thread, through one normals buffer."""
+    """Fill ``out[j]`` for each ``j`` in ``atoms`` by :func:`_draw_atom`
+    from its own generator for ``seed``, in turn on the calling thread,
+    through one normals buffer; any order of ``atoms`` fills the same."""
     normals = np.empty((out.shape[1], 2 * out.shape[2]))
     for j in atoms:
-        _draw_atom(out[j], normals, kernels[j], seed, j)
+        _draw_atom(out[j], normals, kernels[j], _atom_rng(seed, j))
 
 
 def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
@@ -172,10 +174,7 @@ def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
 
 
 def sample_gaussian_measure(
-    nu: AtomicTracePovm,
-    n_realizations: int,
-    seed: int,
-    _atom_order=None,
+    nu: AtomicTracePovm, n_realizations: int, seed: int
 ) -> RandomMeasure:
     """Draw a Gaussian random measure ensemble with intensity ``nu``.
 
@@ -184,18 +183,11 @@ def sample_gaussian_measure(
     N(0, 1/2)).  Atoms and realizations are independent, and the output is
     a deterministic function of ``seed`` alone: each atom has its own
     counter-based substream, so any processing order gives identical
-    results (``_atom_order`` exists to demonstrate this in tests; it must
-    be a permutation of the atom indices, else :class:`DimensionError`).
-    Atoms are drawn on the calling thread.  ``n_realizations`` and ``seed``
-    must be integers (:func:`~opspectra.errors.require_integers`).
+    results.  Atoms are drawn on the calling thread.  ``n_realizations``
+    and ``seed`` must be integers (:func:`~opspectra.errors.require_integers`).
     """
     out = _sample_buffer(nu, n_realizations, seed)
-    order = range(nu.n_atoms)
-    if _atom_order is not None:
-        if sorted(_atom_order) != list(order):
-            raise DimensionError(f"atom order must be a permutation of {order}")
-        order = _atom_order
-    _draw_atoms(out, _real_kernels(nu.sqrt_weights()), order, seed)
+    _draw_atoms(out, _real_kernels(nu.sqrt_weights()), range(nu.n_atoms), seed)
     return RandomMeasure(samples=out, intensity=nu)
 
 
@@ -258,12 +250,20 @@ def sample_real_gaussian_measure(
 def spectral_integral(phi: TransferFunction, w: RandomMeasure) -> np.ndarray:
     """Stochastic integral ``int Phi dW`` per realization, shape (R, out).
 
-    The per-atom terms ``Phi_j Z_j`` are one stacked
-    :meth:`TransferFunction.apply`, summed over the atoms; a sample outside
-    the domain of a partial atom raises, naming the first such atom.
+    The per-atom terms ``Phi_j Z_j`` are added to zeros in atom order, as
+    numpy sums :meth:`TransferFunction.apply` over the atoms, to the bit and
+    the sign of zero; only the sum and one term are held, never the
+    ``(n_atoms, R, out)`` stack.  A sample outside the domain of a partial
+    atom raises, naming the first such atom.
     """
     require_integrable(phi, w.intensity)
-    return phi.apply(w.samples).sum(axis=0)
+    z, ops = w.samples, phi.ops
+    phi.require_domain(z)
+    out = np.zeros((w.n_realizations, phi.out_dim), dtype=np.complex128)
+    term = np.empty_like(out)
+    for j in range(phi.n_atoms):
+        out += np.matmul(z[j], ops[j].T, out=term)
+    return out
 
 
 def synthesize_process(w: RandomMeasure, period: int) -> ProcessSample:
@@ -297,7 +297,8 @@ def empirical_gramian(u, v) -> np.ndarray:
         raise SampleSizeError(f"need at least 2 realizations, got {r}")
     uc = u - u.mean(axis=0)
     vc = v - v.mean(axis=0)
-    return (uc.T @ vc.conj()) / r
+    np.conjugate(vc, out=vc)
+    return (uc.T @ vc) / r
 
 
 @dataclass(frozen=True, eq=False)

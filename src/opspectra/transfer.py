@@ -128,6 +128,12 @@ class TransferFunction:
         naming the first failing atom rather than silently projecting.
         """
         x = np.asarray(x, dtype=np.complex128)
+        self.require_domain(x)
+        return x @ self.ops.swapaxes(1, 2)
+
+    def require_domain(self, x: np.ndarray) -> None:
+        """The checks of :meth:`apply` on a complex array ``x``: its shape,
+        then the stacked domain test on partial atoms."""
         if x.ndim != 3 or x.shape[0] != self.n_atoms or x.shape[2] != self.in_dim:
             raise DimensionError(
                 f"samples of shape ({self.n_atoms}, R, {self.in_dim}) expected,"
@@ -137,15 +143,12 @@ class TransferFunction:
             defect = x @ self.domains.swapaxes(1, 2)
             np.subtract(x, defect, out=defect)
             sizes, misses = scaled_norms(x, defect)
-            # free the defect before the output is allocated
-            del defect
             bad = misses > DOMAIN_TOL * sizes
             if bad.any():
                 j = int(np.argmax(bad.any(axis=1)))
                 raise DimensionError(
                     f"argument outside the domain of the partial operator at atom {j}"
                 )
-        return x @ self.ops.swapaxes(1, 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,10 @@
 Every check ties a numerical experiment to an identity of the operator
 calculus and reports the worst observed residual against a fixed
 tolerance.  The battery is deterministic given its seed; Monte Carlo
-checks use 5 standard-error bands.  The same functions back the CLI
-``verify`` command and the acceptance test suite.
+checks use 5 standard-error bands at :data:`MC_ENSEMBLE` realizations.
+They keep one ensemble live at a time, and the HFPCA check holds none:
+it streams fixed row blocks of every atom.  The same functions back the
+CLI ``verify`` command and the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from .filtering import (
 )
 from .povm import AtomicTracePovm, gramian_inner, radon_nikodym
 from .random_measure import (
+    _atom_rng,
     _draw_atom,
+    _draw_atoms,
     _real_kernels,
     empirical_gramian,
     from_increment_path,
@@ -66,6 +70,7 @@ __all__ = ["CheckResult", "emit_report", "human_summary", "run_battery"]
 
 MC_ENSEMBLE = 50_000
 MC_TIMES = (0, 3, 6)
+MC_BLOCK = 2000  # rows per cache-sized block of the HFPCA Monte Carlo
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,14 @@ def check_gramian_isometry(seed, extra_povms=()) -> CheckResult:
         w = sample_gaussian_measure(nu, MC_ENSEMBLE, seed=int(rng.integers(2**31)))
         u = spectral_integral(phi, w)
         v = spectral_integral(psi, w)
+        del w  # one ensemble at a time; u and v also go before the next draw
         model = gramian_inner(phi, psi, nu)
         scale = np.sqrt(
             np.trace(gramian_inner(phi, phi, nu)).real
             * np.trace(gramian_inner(psi, psi, nu)).real
         )
         err = float(np.abs(empirical_gramian(u, v) - model).max())
+        del u, v
         z = err * np.sqrt(MC_ENSEMBLE) / scale
         worst_z = max(worst_z, float(z))
         if z <= 5.0:
@@ -356,9 +363,6 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
     mc_inside = 0
     mc_total = 0
     n_competitors = 1000
-    # six (R, dim) buffers for the largest dim, allocated once: buffers
-    # allocated per instance leave freed heap behind and raise the peak
-    store = np.empty((6, MC_ENSEMBLE * max(nu.dim for nu in pool)), np.complex128)
     for nu in pool:
         dim = nu.dim
         sys = ckl_decompose(nu)
@@ -381,11 +385,8 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
             qhs = np.einsum("cak,au->cku", qmat.conj(), roots[j])
             errors += total_sq - np.linalg.norm(qhs, axis=(1, 2)) ** 2
         worst_beat = max(worst_beat, float(optimal - errors.min()))
-        # Monte Carlo corroboration of the error formula at three times,
-        # streamed atom by atom through the buffers of this call
-        mses = _hfpca_mc_errors(
-            nu, np.eye(dim) - theta.ops, int(rng.integers(2**31)), store
-        )
+        # Monte Carlo corroboration of the error formula at three times
+        mses = _hfpca_mc_errors(nu, np.eye(dim) - theta.ops, int(rng.integers(2**31)))
         scale = float(np.trace(nu.total_mass()).real)
         for mse in mses:
             if scale > 0.0:
@@ -416,32 +417,38 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
     )
 
 
-def _hfpca_mc_errors(nu, complement, seed, store) -> list:
+def _hfpca_mc_errors(nu, complement, seed) -> list:
     """Monte Carlo ``E ||X_t - [Theta X]_t||^2`` at each of :data:`MC_TIMES`.
 
-    ``complement`` stacks the ``I - Theta_j`` and ``store`` is a complex
-    array of six rows of at least ``R dim`` entries, ``R`` being
-    :data:`MC_ENSEMBLE`.  Atom ``j``'s sample ``Z_j`` is drawn as
-    :func:`~opspectra.random_measure.sample_gaussian_measure` draws it for
-    ``seed``, its residual ``r_j = Z_j (I - Theta_j)^T`` is formed, and
-    ``e^{i lambda_j t} r_j`` is added to one ``(R, dim)`` sum per time, in
-    atom order.  Only ``store`` is held, whatever the number of atoms.
+    ``complement`` stacks the ``I - Theta_j``.  The :data:`MC_ENSEMBLE`
+    realizations run in blocks of :data:`MC_BLOCK` rows.  In a block, atom
+    ``j``'s generator, open across blocks, draws the rows of ``Z_j`` that
+    :func:`~opspectra.random_measure.sample_gaussian_measure` draws for
+    ``seed``; ``e^{i lambda_j t} Z_j (I - Theta_j)^T`` is added to one sum
+    per time, in atom order, and each row's ``||sum||^2`` is kept.  Beyond
+    those ``(len(MC_TIMES), R)`` floats, one block's buffers are held,
+    whatever the number of atoms and of realizations.
     """
-    shape = (MC_ENSEMBLE, nu.dim)
-    size = shape[0] * shape[1]
-    normals, z, r, *sums = (row[:size].reshape(shape) for row in store)
-    normals = normals.view(np.float64)
-    for acc in sums:
-        acc[...] = 0.0
     kernels = _real_kernels(nu.sqrt_weights())
     phases = [np.exp(1j * nu.freqs * t) for t in MC_TIMES]
-    for j in range(nu.n_atoms):
-        _draw_atom(z, normals, kernels[j], seed, j)
-        np.matmul(z, complement[j].T, out=r)
-        for acc, phase in zip(sums, phases):
-            np.multiply(r, phase[j], out=z)
-            acc += z
-    return [float(np.mean(np.sum(np.abs(acc) ** 2, axis=1))) for acc in sums]
+    rngs = [_atom_rng(seed, j) for j in range(nu.n_atoms)]
+    normals = np.empty((MC_BLOCK, 2 * nu.dim))
+    buffers = np.empty((2 + len(MC_TIMES), MC_BLOCK, nu.dim), np.complex128)
+    squares = np.empty((len(MC_TIMES), MC_ENSEMBLE))
+    for start in range(0, MC_ENSEMBLE, MC_BLOCK):
+        n = min(MC_BLOCK, MC_ENSEMBLE - start)
+        z, r, *sums = buffers[:, :n]
+        for acc in sums:
+            acc[...] = 0.0
+        for j, rng in enumerate(rngs):
+            _draw_atom(z, normals[:n], kernels[j], rng)
+            np.matmul(z, complement[j].T, out=r)
+            for acc, phase in zip(sums, phases):
+                np.multiply(r, phase[j], out=z)
+                acc += z
+        for acc, sq in zip(sums, squares):
+            np.sum(np.abs(acc) ** 2, axis=1, out=sq[start : start + n])
+    return [float(np.mean(sq)) for sq in squares]
 
 
 def check_increment_process(seed, extra_povms=()) -> CheckResult:
@@ -489,16 +496,15 @@ def check_determinism(seed, extra_povms, baseline, reruns) -> CheckResult:
     """Compare ``reruns``, the stochastic checks run again on ``seed`` and
     ``extra_povms`` in another process, with ``baseline``, the first pass,
     on metric, status and details; also draw one sample three times, once
-    in a shuffled atom order, and require the draws to be identical."""
+    atom by atom in a shuffled order, and require the draws to be identical."""
     rng = make_rng((seed, 10))
     nu = _random_povm_normalized(rng, 3, 5, allow_deficient=False)
     first = sample_gaussian_measure(nu, 4096, seed=seed)
     second = sample_gaussian_measure(nu, 4096, seed=seed)
-    shuffled = sample_gaussian_measure(
-        nu, 4096, seed=seed, _atom_order=[4, 0, 3, 1, 2]
-    )
+    shuffled = np.empty_like(first.samples)
+    _draw_atoms(shuffled, _real_kernels(nu.sqrt_weights()), [4, 0, 3, 1, 2], seed)
     ok = bool(np.array_equal(first.samples, second.samples))
-    ok = ok and bool(np.array_equal(first.samples, shuffled.samples))
+    ok = ok and bool(np.array_equal(first.samples, shuffled))
     mismatches = [
         again.check_id
         for before, again in zip(baseline, reruns)

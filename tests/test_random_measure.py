@@ -26,7 +26,7 @@ from opspectra import (
 )
 from opspectra.bochner import on_grid
 from opspectra.filtering import pushforward_povm
-from opspectra.random_measure import _draw_atom, _real_kernels
+from opspectra.random_measure import _atom_rng, _draw_atom, _draw_atoms, _real_kernels
 from opspectra.synthetic import (
     bundled_example_povm,
     make_rng,
@@ -48,6 +48,13 @@ def explicit_synthesis(w, period):
 
 def relative_error(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def shuffled_draw(nu, n_real, seed, order):
+    """The sampler's atoms, drawn one by one in the given order."""
+    out = np.empty((nu.n_atoms, n_real, nu.dim), dtype=complex)
+    _draw_atoms(out, _real_kernels(nu.sqrt_weights()), order, seed)
+    return out
 
 
 class TestSampling:
@@ -96,15 +103,8 @@ class TestSampling:
         rng = make_rng(403)
         nu = random_povm(rng, 3, 5)
         a = sample_gaussian_measure(nu, 32, seed=6)
-        b = sample_gaussian_measure(nu, 32, seed=6, _atom_order=[4, 2, 0, 3, 1])
-        np.testing.assert_array_equal(a.samples, b.samples)
-
-    @pytest.mark.parametrize(
-        "order", [[0, 0, 1], [0, 0] + list(range(2, 16)), list(range(1, 17))]
-    )
-    def test_atom_order_must_be_a_permutation(self, order):
-        with pytest.raises(DimensionError, match="permutation"):
-            sample_gaussian_measure(bundled_example_povm(), 4, 7, _atom_order=order)
+        shuffled = shuffled_draw(nu, 32, 6, [4, 2, 0, 3, 1])
+        np.testing.assert_array_equal(a.samples, shuffled)
 
     def test_requires_positive_ensemble(self):
         rng = make_rng(404)
@@ -314,17 +314,15 @@ class TestThreadedSampling:
     def test_atom_order_gives_identical_samples(self):
         nu = random_povm(make_rng(441), 3, 5)
         a = sample_gaussian_measure(nu, LARGE_R, seed=42)
-        b = sample_gaussian_measure(
-            nu, LARGE_R, seed=42, _atom_order=[4, 2, 0, 3, 1]
-        )
-        np.testing.assert_array_equal(a.samples, b.samples)
+        shuffled = shuffled_draw(nu, LARGE_R, 42, [4, 2, 0, 3, 1])
+        np.testing.assert_array_equal(a.samples, shuffled)
 
     @pytest.mark.parametrize("n_real", [1, SMALL_R, LARGE_R])
     def test_one_atom_draw_writes_the_sampler_s_atom(self, n_real):
         """The per-atom routine, through buffers cut from storage sized for a
-        larger dim as the HFPCA check cuts them, writes each atom's samples
-        bit for bit, for a mixed-rank measure and a filtered one (its
-        sampler roots are not its Gram factors)."""
+        larger dim, writes each atom's samples bit for bit, for a mixed-rank
+        measure and a filtered one (its sampler roots are not its Gram
+        factors)."""
         rng = make_rng(442)
         mixed = random_povm(rng, 3, 5, ranks=[1, 3, 2, 3, 1])
         filtered = pushforward_povm(random_transfer(rng, 3, 3, mixed.freqs), mixed)
@@ -335,7 +333,7 @@ class TestThreadedSampling:
             z, normals = (row[: n_real * 3].reshape(n_real, 3) for row in store)
             kernels = _real_kernels(nu.sqrt_weights())
             for j in range(nu.n_atoms):
-                _draw_atom(z, normals.view(np.float64), kernels[j], 43, j)
+                _draw_atom(z, normals.view(np.float64), kernels[j], _atom_rng(43, j))
                 assert z.tobytes() == w.samples[j].tobytes()
 
 
@@ -351,6 +349,21 @@ class TestSpectralIntegral:
         result = spectral_integral(phi, w)
         expected = w.samples[2] @ p.T
         np.testing.assert_array_equal(result, expected)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 7])
+    def test_atom_sum_is_the_stacked_sum_bitwise(self, n_atoms):
+        # an atom whose samples are all zero gives terms of signed zeros
+        rng = make_rng((413, n_atoms))
+        nu = random_povm(rng, 3, n_atoms)
+        weights = nu.weights.copy()
+        weights[0] = 0.0
+        for mu in (nu, AtomicTracePovm(3, nu.freqs, weights)):
+            w = sample_gaussian_measure(mu, 300, seed=n_atoms)
+            ops = random_complex(rng, (n_atoms, 2, 3))
+            ops[-1, 0] = -0.0
+            phi = TransferFunction(3, 2, nu.freqs, ops)
+            got = spectral_integral(phi, w)
+            assert got.tobytes() == phi.apply(w.samples).sum(axis=0).tobytes()
 
     def test_zero_transfer(self):
         rng = make_rng(406)

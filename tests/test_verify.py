@@ -15,7 +15,12 @@ from opspectra.decomposition import ckl_decompose, hfpca_error, hfpca_projector
 from opspectra.errors import PositivityError
 from opspectra.filtering import apply_filter, pushforward_povm
 from opspectra.povm import AtomicTracePovm
-from opspectra.random_measure import sample_gaussian_measure
+from opspectra.random_measure import (
+    _atom_rng,
+    _draw_atom,
+    _real_kernels,
+    sample_gaussian_measure,
+)
 from opspectra.synthetic import (
     bundled_example_povm,
     make_rng,
@@ -76,29 +81,87 @@ def reference_mc_errors(nu, theta, seed):
     return errors
 
 
+def unblocked_mc_errors(nu, complement, seed):
+    """The HFPCA check's Monte Carlo errors streamed atom by atom over all
+    ``R`` rows at once: the same draws, products and sums in atom order,
+    without row blocks."""
+    shape = (verify.MC_ENSEMBLE, nu.dim)
+    normals = np.empty((shape[0], 2 * shape[1]))
+    z, r, *sums = np.zeros((2 + len(verify.MC_TIMES), *shape), dtype=complex)
+    kernels = _real_kernels(nu.sqrt_weights())
+    phases = [np.exp(1j * nu.freqs * t) for t in verify.MC_TIMES]
+    for j in range(nu.n_atoms):
+        _draw_atom(z, normals, kernels[j], _atom_rng(seed, j))
+        np.matmul(z, complement[j].T, out=r)
+        for acc, phase in zip(sums, phases):
+            acc += r * phase[j]
+    return [float(np.mean(np.sum(np.abs(acc) ** 2, axis=1))) for acc in sums]
+
+
+def mc_cases():
+    """A mixed-rank measure, the bundled one and a filtered one (its sampler
+    roots are not its Gram factors), each with a random HFPCA projector."""
+    rng = make_rng(51)
+    nu = bundled_example_povm()
+    mixed = random_povm(rng, 4, 6, ranks=[1, 4, 2, 3, 4, 1])
+    filtered = pushforward_povm(random_transfer(make_rng(7), 3, 3, nu.freqs), nu)
+    for mu in (nu, mixed, filtered):
+        q = rng.integers(1, mu.dim + 1, size=mu.n_atoms)
+        yield mu, hfpca_projector(ckl_decompose(mu), q)
+
+
+def peak_growth(monkeypatch, check, sizes):
+    """How much the traced peak of ``check`` grows from an ensemble of
+    ``sizes[0]`` realizations to one of ``sizes[1]``."""
+    peaks = []
+    for size in sizes:
+        monkeypatch.setattr(verify, "MC_ENSEMBLE", size)
+        peaks.append(traced_peak(check, 20260809))
+    return peaks[1] - peaks[0]
+
+
 class TestHfpcaMonteCarlo:
-    """The HFPCA check streams its Monte Carlo atom by atom."""
+    """The HFPCA check streams its Monte Carlo in row blocks, atom by atom."""
 
     @pytest.fixture
     def small_ensemble(self, monkeypatch):
         monkeypatch.setattr(verify, "MC_ENSEMBLE", 2000)
 
     def test_streamed_errors_match_whole_ensembles(self, small_ensemble):
-        rng = make_rng(51)
-        nu = bundled_example_povm()
-        mixed = random_povm(rng, 4, 6, ranks=[1, 4, 2, 3, 4, 1])
-        filtered = pushforward_povm(random_transfer(make_rng(7), 3, 3, nu.freqs), nu)
-        # sized for a larger dim than any of these, as the check sizes them
-        store = np.empty((6, verify.MC_ENSEMBLE * 5), dtype=complex)
-        for mu in (nu, mixed, filtered):
-            q = rng.integers(1, mu.dim + 1, size=mu.n_atoms)
-            theta = hfpca_projector(ckl_decompose(mu), q)
-            got = verify._hfpca_mc_errors(mu, np.eye(mu.dim) - theta.ops, 9, store)
+        for mu, theta in mc_cases():
+            got = verify._hfpca_mc_errors(mu, np.eye(mu.dim) - theta.ops, 9)
             # the sums run in atom order, not in the BLAS product's order
             np.testing.assert_allclose(
                 got, reference_mc_errors(mu, theta, 9), rtol=1e-13, atol=0.0
             )
             assert got == pytest.approx([hfpca_error(mu, theta)] * 3, rel=0.2)
+
+    def test_blocks_give_the_unblocked_stream_bitwise(self):
+        assert verify.MC_ENSEMBLE % verify.MC_BLOCK == 0
+        for mu, theta in mc_cases():
+            complement = np.eye(mu.dim) - theta.ops
+            got = verify._hfpca_mc_errors(mu, complement, 9)
+            assert got == unblocked_mc_errors(mu, complement, 9)
+
+    def test_a_short_last_block_keeps_the_errors(self, monkeypatch):
+        # a one-row product may round otherwise than the same row in a block
+        monkeypatch.setattr(verify, "MC_ENSEMBLE", verify.MC_BLOCK + 1)
+        for mu, theta in mc_cases():
+            complement = np.eye(mu.dim) - theta.ops
+            np.testing.assert_allclose(
+                verify._hfpca_mc_errors(mu, complement, 9),
+                unblocked_mc_errors(mu, complement, 9),
+                rtol=1e-13,
+                atol=0.0,
+            )
+
+    def test_peak_does_not_grow_with_the_ensemble(self, monkeypatch):
+        sizes = (verify.MC_BLOCK, 5 * verify.MC_BLOCK)
+        # of what the check holds, only one float per time and realization
+        # grows with R
+        floats = 8 * len(verify.MC_TIMES) * (sizes[1] - sizes[0])
+        growth = peak_growth(monkeypatch, verify.check_hfpca, sizes)
+        assert growth <= floats + 64 * 1024
 
     def test_holds_less_than_one_ensemble(self, monkeypatch):
         monkeypatch.setattr(verify, "MC_ENSEMBLE", 5000)
@@ -114,6 +177,16 @@ class TestHfpcaMonteCarlo:
         assert result.details["mc_within_band"] == 93
         assert np.isfinite(result.details["worst_z_score"])
         assert result.passed
+
+
+class TestGramianIsometry:
+    def test_one_ensemble_is_live_at_a_time(self, monkeypatch):
+        # an instance holds its ensemble of 4 atoms in dim 3, the two
+        # integrals in dim 2 and one atom's term, 1.5 ensembles in all
+        sizes = (2000, 10000)
+        ensembles = 4 * (sizes[1] - sizes[0]) * 3 * 16
+        growth = peak_growth(monkeypatch, verify.check_gramian_isometry, sizes)
+        assert growth <= 1.5 * ensembles + 64 * 1024
 
 
 class TestWorker:
