@@ -85,9 +85,9 @@ def ckl_decompose(nu: AtomicTracePovm) -> CklSystem:
     The eigenvalues are those of the measure's cached
     :meth:`~opspectra.povm.AtomicTracePovm.eigensystem` divided by the
     atom traces, and ``eigenvectors`` *is* its read-only eigenvector
-    stack, shared with the measure (copy it before writing): decomposing a
-    measure takes no eigendecomposition once it has been sampled or
-    inverted against, and none the second time.
+    stack, shared with the measure: decomposing a measure takes no
+    eigendecomposition once it has been sampled or inverted against, and
+    none the second time.  Every array of the system is read-only.
     """
     traces = nu.traces()
     vals, eigenvectors = nu.eigensystem()
@@ -96,6 +96,8 @@ def ckl_decompose(nu: AtomicTracePovm) -> CklSystem:
     )
     top = eigenvalues.max(axis=1, keepdims=True, initial=0.0)
     ranks = np.where(top[:, 0] > 0, np.sum(eigenvalues > 1e-12 * top, axis=1), 0)
+    for a in (traces, eigenvalues, ranks):  # fresh arrays: read-only, no copy
+        a.flags.writeable = False
     return CklSystem(
         povm=nu,
         base_weights=traces,

@@ -214,18 +214,23 @@ class AtomicTracePovm:
 
 @dataclass(frozen=True, eq=False)
 class PovmDensity:
-    """Radon-Nikodym data: scalar base weights and per-atom PSD densities."""
+    """Radon-Nikodym data: scalar base weights and per-atom PSD densities,
+    held read-only."""
 
     base_weights: np.ndarray
     densities: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "base_weights", np.asarray(self.base_weights, dtype=np.float64)
-        )
-        object.__setattr__(
-            self, "densities", np.asarray(self.densities, dtype=np.complex128)
-        )
+        # read-only arrays; a writable one may be the caller's, so it is copied
+        for name, dtype in (("base_weights", np.float64), ("densities", np.complex128)):
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            if a.flags.writeable:
+                a = a.copy()
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __reduce__(self):  # rebuilt by the constructor, as a measure is
+        return type(self), (self.base_weights, self.densities)
 
 
 def variation_measure(nu: AtomicTracePovm) -> np.ndarray:
@@ -242,13 +247,14 @@ def radon_nikodym(nu: AtomicTracePovm, mu=None) -> PovmDensity:
 
     ``mu`` is given by its finite per-atom masses and must dominate: a zero
     mass is only allowed where the atom itself carries no mass.  With the default
-    choice the densities have unit trace on atoms of positive mass.
+    choice the densities have unit trace on atoms of positive mass.  Both
+    arrays of the density are read-only.
     """
     traces = nu.traces()
     if mu is None:
-        w = traces.copy()
+        w = traces
     else:
-        w = np.asarray(mu, dtype=np.float64).ravel()
+        w = np.array(mu, dtype=np.float64).ravel()  # not the caller's array
         if w.shape != traces.shape:
             raise DimensionError("dominating weights must align with the atoms")
         if not np.isfinite(w).all():
@@ -265,6 +271,8 @@ def radon_nikodym(nu: AtomicTracePovm, mu=None) -> PovmDensity:
         nu.weights, w[:, None, None],
         out=np.zeros_like(nu.weights), where=w[:, None, None] > 0,
     )
+    for a in (w, densities):  # fresh arrays: read-only, no copy
+        a.flags.writeable = False
     return PovmDensity(base_weights=w, densities=densities)
 
 

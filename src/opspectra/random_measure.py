@@ -14,9 +14,9 @@ per atom, derived from ``(seed, atom index)``; results are therefore
 independent of the order in which atoms are processed.  One per-atom
 routine draws an atom's next rows from its generator into buffers its
 caller owns; the samplers fill the ``(n_atoms, R, dim)`` ensemble with it,
-and the battery's HFPCA check (:mod:`opspectra.verify`) streams row blocks
-of every atom through it without ever holding an ensemble.  Atoms are
-drawn on the calling thread: the library's only concurrency is the
+and the battery's Monte Carlo checks (:mod:`opspectra.verify`) stream row
+blocks of every atom through it without ever holding an ensemble.  Atoms
+are drawn on the calling thread: the library's only concurrency is the
 battery's determinism rerun in a worker interpreter.
 """
 
@@ -136,8 +136,9 @@ def _real_kernels(roots: np.ndarray) -> np.ndarray:
 
 def _draw_atom(
     out: np.ndarray, normals: np.ndarray, kernel: np.ndarray, rng: np.random.Generator
-) -> None:
-    """Write an atom's next rows into ``out``, an ``(R, dim)`` complex array.
+) -> np.ndarray:
+    """Write an atom's next rows into ``out``, an ``(R, dim)`` complex array,
+    and return it.
 
     ``rng``, the atom's Philox substream (:func:`_atom_rng`), fills
     ``normals``, an ``(R, 2 dim)`` float array, with its next standard
@@ -148,6 +149,7 @@ def _draw_atom(
     """
     rng.standard_normal(out=normals)
     np.matmul(normals, kernel, out=out.view(np.float64))
+    return out
 
 
 def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:

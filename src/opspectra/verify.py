@@ -4,9 +4,9 @@ Every check ties a numerical experiment to an identity of the operator
 calculus and reports the worst observed residual against a fixed
 tolerance.  The battery is deterministic given its seed; Monte Carlo
 checks use 5 standard-error bands at :data:`MC_ENSEMBLE` realizations.
-They keep one ensemble live at a time, and the HFPCA check holds none:
-it streams fixed row blocks of every atom.  The same functions back the
-CLI ``verify`` command and the acceptance test suite.
+No check holds an ensemble: the three Monte Carlo checks read one stream
+of the sampler's rows in blocks, atom by atom, and score at one site.
+The same functions back the CLI ``verify`` command and the test suite.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .filtering import (
 )
 from .povm import AtomicTracePovm, gramian_inner, radon_nikodym
 from .random_measure import (
+    RandomMeasure,
     _atom_rng,
     _draw_atom,
     _draw_atoms,
@@ -70,7 +71,7 @@ __all__ = ["CheckResult", "emit_report", "human_summary", "run_battery"]
 
 MC_ENSEMBLE = 50_000
 MC_TIMES = (0, 3, 6)
-MC_BLOCK = 2000  # rows per cache-sized block of the HFPCA Monte Carlo
+MC_BLOCK = 2000  # rows per cache-sized block of the Monte Carlo stream
 
 
 @dataclass(frozen=True)
@@ -198,10 +199,12 @@ def check_gramian_isometry(seed, extra_povms=()) -> CheckResult:
         nu = _random_povm_normalized(rng, 3, 4, allow_deficient=False)
         phi = random_transfer(rng, 3, 2, nu.freqs)
         psi = random_transfer(rng, 3, 2, nu.freqs)
-        w = sample_gaussian_measure(nu, MC_ENSEMBLE, seed=int(rng.integers(2**31)))
-        u = spectral_integral(phi, w)
-        v = spectral_integral(psi, w)
-        del w  # one ensemble at a time; u and v also go before the next draw
+        u, v = np.empty((2, MC_ENSEMBLE, phi.out_dim), np.complex128)
+        for rows, atoms in _mc_stream(nu, int(rng.integers(2**31))):
+            # each atom's rows are copied before the stream draws the next
+            w = RandomMeasure(np.stack([z.copy() for z in atoms]), nu)
+            u[rows] = spectral_integral(phi, w)
+            v[rows] = spectral_integral(psi, w)
         model = gramian_inner(phi, psi, nu)
         scale = np.sqrt(
             np.trace(gramian_inner(phi, phi, nu)).real
@@ -209,8 +212,8 @@ def check_gramian_isometry(seed, extra_povms=()) -> CheckResult:
         )
         err = float(np.abs(empirical_gramian(u, v) - model).max())
         del u, v
-        z = err * np.sqrt(MC_ENSEMBLE) / scale
-        worst_z = max(worst_z, float(z))
+        z = _z_score(err, scale)
+        worst_z = max(worst_z, z)
         if z <= 5.0:
             inside += 1
     ok = worst <= 1e-12 and inside >= int(np.ceil(0.95 * n_mc))
@@ -389,11 +392,8 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
         mses = _hfpca_mc_errors(nu, np.eye(dim) - theta.ops, int(rng.integers(2**31)))
         scale = float(np.trace(nu.total_mass()).real)
         for mse in mses:
-            if scale > 0.0:
-                z = abs(mse - achieved) * np.sqrt(MC_ENSEMBLE) / scale
-            else:  # a zero measure: both errors are exactly zero
-                z = 0.0 if mse == achieved else np.inf
-            worst_z = max(worst_z, float(z))
+            z = _z_score(abs(mse - achieved), scale)
+            worst_z = max(worst_z, z)
             mc_total += 1
             if z <= 5.0:
                 mc_inside += 1
@@ -417,53 +417,73 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
     )
 
 
+def _z_score(err, scale) -> float:
+    """``err`` in standard errors of a mean of :data:`MC_ENSEMBLE` draws of
+    size ``scale``; a zero measure (``scale`` not positive) scores 0 for an
+    exact ``err``, else inf."""
+    if scale > 0.0:
+        return float(err * np.sqrt(MC_ENSEMBLE) / scale)
+    return 0.0 if err == 0 else np.inf
+
+
+def _mc_stream(nu, seed):
+    """The rows ``sample_gaussian_measure(nu, MC_ENSEMBLE, seed)`` draws, in
+    :data:`MC_BLOCK`-row blocks: yields each block's rows and an iterator,
+    read to its end before the next block, over the atoms in order.  It
+    draws each atom's rows through the atom's generator, open across
+    blocks, into one ``(rows, dim)`` buffer, the caller's until the next
+    draw, so one block of one atom is held, whatever ``nu`` and ``R``."""
+    kernels = _real_kernels(nu.sqrt_weights())
+    rngs = [_atom_rng(seed, j) for j in range(nu.n_atoms)]
+    normals = np.empty((MC_BLOCK, 2 * nu.dim))
+    z = np.empty((MC_BLOCK, nu.dim), np.complex128)
+    for start in range(0, MC_ENSEMBLE, MC_BLOCK):
+        n = min(MC_BLOCK, MC_ENSEMBLE - start)
+        draws = (_draw_atom(z[:n], normals[:n], k, rng) for k, rng in zip(kernels, rngs))
+        yield slice(start, start + n), draws
+
+
 def _hfpca_mc_errors(nu, complement, seed) -> list:
     """Monte Carlo ``E ||X_t - [Theta X]_t||^2`` at each of :data:`MC_TIMES`.
 
-    ``complement`` stacks the ``I - Theta_j``.  The :data:`MC_ENSEMBLE`
-    realizations run in blocks of :data:`MC_BLOCK` rows.  In a block, atom
-    ``j``'s generator, open across blocks, draws the rows of ``Z_j`` that
-    :func:`~opspectra.random_measure.sample_gaussian_measure` draws for
-    ``seed``; ``e^{i lambda_j t} Z_j (I - Theta_j)^T`` is added to one sum
-    per time, in atom order, and each row's ``||sum||^2`` is kept.  Beyond
-    those ``(len(MC_TIMES), R)`` floats, one block's buffers are held,
-    whatever the number of atoms and of realizations.
+    ``complement`` stacks the ``I - Theta_j``.  Over each block of
+    :func:`_mc_stream`, ``e^{i lambda_j t} Z_j (I - Theta_j)^T`` is added to
+    one sum per time, in atom order, and each row's ``||sum||^2`` is kept:
+    ``(len(MC_TIMES), R)`` floats and one block's buffers are held.
     """
-    kernels = _real_kernels(nu.sqrt_weights())
     phases = [np.exp(1j * nu.freqs * t) for t in MC_TIMES]
-    rngs = [_atom_rng(seed, j) for j in range(nu.n_atoms)]
-    normals = np.empty((MC_BLOCK, 2 * nu.dim))
-    buffers = np.empty((2 + len(MC_TIMES), MC_BLOCK, nu.dim), np.complex128)
+    buffers = np.empty((1 + len(MC_TIMES), MC_BLOCK, nu.dim), np.complex128)
     squares = np.empty((len(MC_TIMES), MC_ENSEMBLE))
-    for start in range(0, MC_ENSEMBLE, MC_BLOCK):
-        n = min(MC_BLOCK, MC_ENSEMBLE - start)
-        z, r, *sums = buffers[:, :n]
+    for rows, atoms in _mc_stream(nu, seed):
+        r, *sums = buffers[:, : rows.stop - rows.start]
         for acc in sums:
             acc[...] = 0.0
-        for j, rng in enumerate(rngs):
-            _draw_atom(z, normals[:n], kernels[j], rng)
+        for j, z in enumerate(atoms):
             np.matmul(z, complement[j].T, out=r)
             for acc, phase in zip(sums, phases):
                 np.multiply(r, phase[j], out=z)
                 acc += z
         for acc, sq in zip(sums, squares):
-            np.sum(np.abs(acc) ** 2, axis=1, out=sq[start : start + n])
+            np.sum(np.abs(acc) ** 2, axis=1, out=sq[rows])
     return [float(np.mean(sq)) for sq in squares]
 
 
 def check_increment_process(seed, extra_povms=()) -> CheckResult:
     rng = make_rng((seed, 9))
     nu = _random_povm_normalized(rng, 3, 6, allow_deficient=False)
-    w = sample_gaussian_measure(nu, MC_ENSEMBLE, seed=int(rng.integers(2**31)))
-    path = to_increment_path(w)
-    back = from_increment_path(path, nu)
-    exact = bool(np.array_equal(back.samples, w.samples))
-    path_again = to_increment_path(back)
-    exact = exact and bool(np.array_equal(path_again.increments, path.increments))
     freqs = nu.freqs
     mid = float(freqs[2] + (freqs[3] - freqs[2]) / 2.0)
-    left = path.value_at(mid)
-    right = path.value_at(np.pi) - left
+    left, right = np.empty((2, MC_ENSEMBLE, nu.dim), np.complex128)
+    exact = True
+    for rows, atoms in _mc_stream(nu, int(rng.integers(2**31))):
+        w = RandomMeasure(np.stack([z.copy() for z in atoms]), nu)
+        path = to_increment_path(w)
+        back = from_increment_path(path, nu)
+        exact = exact and bool(np.array_equal(back.samples, w.samples))
+        path_again = to_increment_path(back)
+        exact = exact and bool(np.array_equal(path_again.increments, path.increments))
+        left[rows] = path.value_at(mid)
+        right[rows] = path.value_at(np.pi) - left[rows]
     cross = float(np.abs(empirical_gramian(left, right)).max())
     scale = float(np.trace(nu.total_mass()).real)
     band = 5.0 * scale / np.sqrt(MC_ENSEMBLE)
@@ -475,7 +495,7 @@ def check_increment_process(seed, extra_povms=()) -> CheckResult:
         band,
         ok=exact and cross <= band,
         exact_round_trip=exact,
-        worst_z_score=float(cross * np.sqrt(MC_ENSEMBLE) / scale),
+        worst_z_score=_z_score(cross, scale),
     )
 
 

@@ -197,6 +197,38 @@ def test_array_dataclasses_rebuild_faithfully(index, how):
                 assert not vars(b)[name].flags.writeable, name
 
 
+@pytest.mark.parametrize("build", [ckl_decompose, radon_nikodym])
+def test_ckl_and_density_arrays_are_read_only(build):
+    record = build(bundled_example_povm())
+    fields = [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+    assert len(fields) == (4 if build is ckl_decompose else 2)
+    for value in fields:
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 0
+
+
+def test_read_only_ranks_keep_the_range_projectors():
+    s = ckl_decompose(bundled_example_povm())
+    before = s.range_projectors()
+    with pytest.raises(ValueError):
+        s.ranks[0] = 0
+    assert np.array_equal(s.range_projectors(), before)
+
+
+def test_density_keeps_no_writable_caller_array():
+    nu = bundled_example_povm()
+    mu = np.full(nu.n_atoms, 2.0)
+    density = radon_nikodym(nu, mu)
+    assert mu.flags.writeable  # the caller's array is left as it was
+    mu[0] = 7.0
+    assert density.base_weights[0] == 2.0
+    direct = type(density)(mu, np.array(density.densities))
+    mu[0] = 9.0
+    assert direct.base_weights[0] == 7.0
+    assert not direct.base_weights.flags.writeable
+    assert not direct.densities.flags.writeable
+
+
 def test_reports_keep_value_equality():
     assert CheckResult("id", "p", "pass", 0.0, 1.0) == CheckResult(
         "id", "p", "pass", 0.0, 1.0

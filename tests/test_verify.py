@@ -20,6 +20,8 @@ from opspectra.random_measure import (
     _draw_atom,
     _real_kernels,
     sample_gaussian_measure,
+    spectral_integral,
+    to_increment_path,
 )
 from opspectra.synthetic import (
     bundled_example_povm,
@@ -187,6 +189,96 @@ class TestGramianIsometry:
         ensembles = 4 * (sizes[1] - sizes[0]) * 3 * 16
         growth = peak_growth(monkeypatch, verify.check_gramian_isometry, sizes)
         assert growth <= 1.5 * ensembles + 64 * 1024
+
+
+class Stop(Exception):
+    """Ends a check at its first empirical Gramian."""
+
+
+def first_mc_instance(monkeypatch, check):
+    """Run ``check`` at the battery seed up to its first ``empirical_gramian``
+    call; return the measure and seed its stream got, the transfers it
+    integrated and the Gramian's two arguments."""
+    seen = {"transfers": []}
+    stream = verify._mc_stream
+
+    def spy_stream(nu, seed):
+        seen.update(nu=nu, seed=seed)
+        return stream(nu, seed)
+
+    def spy_integral(phi, w):
+        seen["transfers"].append(phi)
+        return spectral_integral(phi, w)
+
+    def stop(u, v):
+        seen["args"] = (u.copy(), v.copy())
+        raise Stop
+
+    monkeypatch.setattr(verify, "_mc_stream", spy_stream)
+    monkeypatch.setattr(verify, "spectral_integral", spy_integral)
+    monkeypatch.setattr(verify, "empirical_gramian", stop)
+    with pytest.raises(Stop):
+        check(20260809)
+    return seen
+
+
+def isometry_reference(seen):
+    """The two stochastic integrals over the whole ensemble."""
+    w = sample_gaussian_measure(seen["nu"], verify.MC_ENSEMBLE, seen["seed"])
+    phi, psi = seen["transfers"][:2]
+    return spectral_integral(phi, w), spectral_integral(psi, w)
+
+
+def increment_reference(seen):
+    """The path's values left of the mid-point between the third and fourth
+    atoms, and its increment right of it, over the whole ensemble."""
+    nu = seen["nu"]
+    w = sample_gaussian_measure(nu, verify.MC_ENSEMBLE, seen["seed"])
+    path = to_increment_path(w)
+    left = path.value_at(float(nu.freqs[2] + (nu.freqs[3] - nu.freqs[2]) / 2.0))
+    return left, path.value_at(np.pi) - left
+
+
+@pytest.mark.parametrize(
+    "check, reference, per_row",
+    [
+        # the two (R, 2) integrals
+        (verify.check_gramian_isometry, isometry_reference, 2 * 2),
+        # left, right and empirical_gramian's two centred copies, (R, 3) each
+        (verify.check_increment_process, increment_reference, 4 * 3),
+    ],
+    ids=["gramian-isometry", "increment-process"],
+)
+class TestMonteCarloStream:
+    """Both checks gather each row block of the stream into a block measure;
+    what they keep per realization is what they pass to
+    ``empirical_gramian``."""
+
+    def test_blocks_give_the_whole_ensemble_bitwise(
+        self, monkeypatch, check, reference, per_row
+    ):
+        assert verify.MC_ENSEMBLE % verify.MC_BLOCK == 0
+        seen = first_mc_instance(monkeypatch, check)
+        for got, want in zip(seen["args"], reference(seen), strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_a_short_last_block_keeps_the_arrays(
+        self, monkeypatch, check, reference, per_row
+    ):
+        # a one-row product may round otherwise than the same row in a block
+        monkeypatch.setattr(verify, "MC_ENSEMBLE", verify.MC_BLOCK + 1)
+        seen = first_mc_instance(monkeypatch, check)
+        for got, want in zip(seen["args"], reference(seen), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_peak_grows_by_the_kept_arrays_only(
+        self, monkeypatch, check, reference, per_row
+    ):
+        # an ensemble of 4 or 6 atoms in dim 3 would grow by 12 or 18
+        # complex floats per realization
+        sizes = (2000, 10000)
+        growth = peak_growth(monkeypatch, check, sizes)
+        assert growth <= 16 * per_row * (sizes[1] - sizes[0]) + 64 * 1024
 
 
 class TestWorker:
