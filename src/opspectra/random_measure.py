@@ -15,9 +15,10 @@ independent of the order in which atoms are processed.  One per-atom
 routine draws an atom's next rows from its generator into buffers its
 caller owns; the samplers fill the ``(n_atoms, R, dim)`` ensemble with it,
 and the battery's Monte Carlo checks (:mod:`opspectra.verify`) stream row
-blocks of every atom through it without ever holding an ensemble.  Atoms
-are drawn on the calling thread: the library's only concurrency is the
-battery's determinism rerun in a worker interpreter.
+blocks of every atom through it without ever holding an ensemble; they
+merge per-block centred co-moments, which :func:`empirical_gramian` does
+for one block.  Atoms are drawn on the calling thread: the library's only
+concurrency is the battery's determinism rerun in a worker interpreter.
 """
 
 from __future__ import annotations
@@ -286,7 +287,8 @@ def empirical_gramian(u, v) -> np.ndarray:
 
     ``u`` and ``v`` are (R, d) arrays over the same R realizations; the
     estimate is the mean of outer products minus the outer product of the
-    means.  ``empirical_gramian(u, u)`` is Hermitian by construction.
+    means, centred first (:func:`_merged_gramian` of one block).
+    ``empirical_gramian(u, u)`` is Hermitian by construction.
     """
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
@@ -297,10 +299,32 @@ def empirical_gramian(u, v) -> np.ndarray:
     r = u.shape[0]
     if r < 2:
         raise SampleSizeError(f"need at least 2 realizations, got {r}")
-    uc = u - u.mean(axis=0)
-    vc = v - v.mean(axis=0)
-    np.conjugate(vc, out=vc)
-    return (uc.T @ vc) / r
+    return _merged_gramian([(u, v)])
+
+
+def _merged_gramian(blocks) -> np.ndarray:
+    """:func:`empirical_gramian` of ensembles given as consecutive row
+    blocks ``(u, v)``, one block held at a time: each block's means and
+    centred product ``uc^T conj(vc)`` merge in order by the pairwise update
+    of Chan, Golub and LeVeque (The American Statistician 37(3), 1983).  A
+    block's means are corrected by those of its centred rows first."""
+    count = 0
+    for u, v in blocks:
+        n, mu, mv = u.shape[0], u.mean(axis=0), v.mean(axis=0)
+        uc, vc = u - mu, v - mv
+        mu += uc.mean(axis=0)
+        mv += vc.mean(axis=0)
+        product = uc.T @ np.conjugate(vc, out=vc)
+        del u, v, uc, vc  # before the next block is formed
+        if count == 0:
+            count, mean_u, mean_v, comoment = n, mu, mv, product
+            continue
+        du, dv = mu - mean_u, mv - mean_v
+        comoment += product + np.outer(du, dv.conj()) * (count * n / (count + n))
+        count += n
+        mean_u += du * (n / count)
+        mean_v += dv * (n / count)
+    return comoment / count
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,6 +17,7 @@ from .operators import as_operator, hermitian_defects, scaled_norms
 
 FREQ_MERGE_TOL = 1e-12
 DOMAIN_TOL = 1e-8
+DOMAIN_BLOCK = 16  # atoms per block of the domain test
 
 __all__ = [
     "DOMAIN_TOL",
@@ -121,11 +122,12 @@ class TransferFunction:
         """Apply every atom to its own vectors: ``out[j] = x[j] @ op_j^T``.
 
         ``x`` has shape ``(n_atoms, R, in_dim)``.  On partial atoms every
-        argument must lie in the domain: one stacked test compares each
-        defect ``x - D_j x`` with ``DOMAIN_TOL`` times ``x``, both norms taken
-        relative to the largest entry of ``x`` so that the test decides the
-        same at every scale, and a failure raises :class:`DimensionError`
-        naming the first failing atom rather than silently projecting.
+        argument must lie in the domain: one test, stacked over blocks of
+        atoms, compares each defect ``x - D_j x`` with ``DOMAIN_TOL`` times
+        ``x``, both norms taken relative to the largest entry of ``x`` so that
+        the test decides the same at every scale, and a failure raises
+        :class:`DimensionError` naming the first failing atom rather than
+        silently projecting.
         """
         x = np.asarray(x, dtype=np.complex128)
         self.require_domain(x)
@@ -133,19 +135,24 @@ class TransferFunction:
 
     def require_domain(self, x: np.ndarray) -> None:
         """The checks of :meth:`apply` on a complex array ``x``: its shape,
-        then the stacked domain test on partial atoms."""
+        then the domain test on partial atoms, over blocks of
+        :data:`DOMAIN_BLOCK` atoms."""
         if x.ndim != 3 or x.shape[0] != self.n_atoms or x.shape[2] != self.in_dim:
             raise DimensionError(
                 f"samples of shape ({self.n_atoms}, R, {self.in_dim}) expected,"
                 f" got {x.shape}"
             )
-        if self.domains is not None:
-            defect = x @ self.domains.swapaxes(1, 2)
-            np.subtract(x, defect, out=defect)
-            sizes, misses = scaled_norms(x, defect)
+        if self.domains is None:
+            return
+        # blocks of atoms in order, so the transient is one block's, not M's
+        for start in range(0, self.n_atoms, DOMAIN_BLOCK):
+            xb = x[start : start + DOMAIN_BLOCK]
+            defect = xb @ self.domains[start : start + DOMAIN_BLOCK].swapaxes(1, 2)
+            np.subtract(xb, defect, out=defect)
+            sizes, misses = scaled_norms(xb, defect)
             bad = misses > DOMAIN_TOL * sizes
             if bad.any():
-                j = int(np.argmax(bad.any(axis=1)))
+                j = start + int(np.argmax(bad.any(axis=1)))
                 raise DimensionError(
                     f"argument outside the domain of the partial operator at atom {j}"
                 )

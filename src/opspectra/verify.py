@@ -4,8 +4,10 @@ Every check ties a numerical experiment to an identity of the operator
 calculus and reports the worst observed residual against a fixed
 tolerance.  The battery is deterministic given its seed; Monte Carlo
 checks use 5 standard-error bands at :data:`MC_ENSEMBLE` realizations.
-No check holds an ensemble: the three Monte Carlo checks read one stream
-of the sampler's rows in blocks, atom by atom, and score at one site.
+No check holds anything of length ``R``: the three Monte Carlo checks read
+one stream of the sampler's rows in blocks, atom by atom, keep running
+moments (merged centred co-moments, or sums of squared norms) and score
+at one site, with one band count.
 The same functions back the CLI ``verify`` command and the test suite.
 """
 
@@ -49,8 +51,8 @@ from .random_measure import (
     _atom_rng,
     _draw_atom,
     _draw_atoms,
+    _merged_gramian,
     _real_kernels,
-    empirical_gramian,
     from_increment_path,
     sample_gaussian_measure,
     spectral_integral,
@@ -192,31 +194,24 @@ def check_gramian_isometry(seed, extra_povms=()) -> CheckResult:
         worst = max(
             worst, float(np.abs(model - gramian_inner(phi, psi, nu)).max())
         )
-    inside = 0
-    worst_z = 0.0
+    zs = []
     n_mc = 40
     for _ in range(n_mc):
         nu = _random_povm_normalized(rng, 3, 4, allow_deficient=False)
         phi = random_transfer(rng, 3, 2, nu.freqs)
         psi = random_transfer(rng, 3, 2, nu.freqs)
-        u, v = np.empty((2, MC_ENSEMBLE, phi.out_dim), np.complex128)
-        for rows, atoms in _mc_stream(nu, int(rng.integers(2**31))):
-            # each atom's rows are copied before the stream draws the next
-            w = RandomMeasure(np.stack([z.copy() for z in atoms]), nu)
-            u[rows] = spectral_integral(phi, w)
-            v[rows] = spectral_integral(psi, w)
+        blocks = _mc_measures(nu, int(rng.integers(2**31)))
+        gram = _merged_gramian(
+            (spectral_integral(phi, w), spectral_integral(psi, w)) for w in blocks
+        )
         model = gramian_inner(phi, psi, nu)
         scale = np.sqrt(
             np.trace(gramian_inner(phi, phi, nu)).real
             * np.trace(gramian_inner(psi, psi, nu)).real
         )
-        err = float(np.abs(empirical_gramian(u, v) - model).max())
-        del u, v
-        z = _z_score(err, scale)
-        worst_z = max(worst_z, z)
-        if z <= 5.0:
-            inside += 1
-    ok = worst <= 1e-12 and inside >= int(np.ceil(0.95 * n_mc))
+        zs.append(_z_score(float(np.abs(gram - model).max()), scale))
+    inside, worst_z, in_band = _band_count(zs)
+    ok = worst <= 1e-12 and in_band
     return _result(
         "gramian-isometry",
         "the stochastic integral is a Gramian isometry: model covariance"
@@ -362,9 +357,7 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
     pool = _pool(rng, 30, 6, 8, extra_povms)
     worst_closed = 0.0
     worst_beat = 0.0
-    worst_z = 0.0
-    mc_inside = 0
-    mc_total = 0
+    zs = []
     n_competitors = 1000
     for nu in pool:
         dim = nu.dim
@@ -391,17 +384,9 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
         # Monte Carlo corroboration of the error formula at three times
         mses = _hfpca_mc_errors(nu, np.eye(dim) - theta.ops, int(rng.integers(2**31)))
         scale = float(np.trace(nu.total_mass()).real)
-        for mse in mses:
-            z = _z_score(abs(mse - achieved), scale)
-            worst_z = max(worst_z, z)
-            mc_total += 1
-            if z <= 5.0:
-                mc_inside += 1
-    ok = (
-        worst_closed <= 1e-10
-        and worst_beat <= 1e-12
-        and mc_inside >= int(np.ceil(0.95 * mc_total))
-    )
+        zs += [_z_score(abs(mse - achieved), scale) for mse in mses]
+    mc_inside, worst_z, in_band = _band_count(zs)
+    ok = worst_closed <= 1e-10 and worst_beat <= 1e-12 and in_band
     return _result(
         "hfpca",
         "top eigenprojectors achieve the closed-form minimal reconstruction"
@@ -411,7 +396,7 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
         ok=ok,
         best_competitor_margin=worst_beat,
         mc_within_band=mc_inside,
-        mc_checks=mc_total,
+        mc_checks=len(zs),
         worst_z_score=worst_z,
         instances=len(pool),
     )
@@ -426,13 +411,20 @@ def _z_score(err, scale) -> float:
     return 0.0 if err == 0 else np.inf
 
 
+def _band_count(zs) -> tuple:
+    """How many z-scores ``zs`` lie in the 5-standard-error band, the worst
+    of them (0 for none), and whether at least 95% of them lie inside."""
+    inside = sum(z <= 5.0 for z in zs)
+    return inside, max(zs, default=0.0), inside >= int(np.ceil(0.95 * len(zs)))
+
+
 def _mc_stream(nu, seed):
     """The rows ``sample_gaussian_measure(nu, MC_ENSEMBLE, seed)`` draws, in
-    :data:`MC_BLOCK`-row blocks: yields each block's rows and an iterator,
-    read to its end before the next block, over the atoms in order.  It
-    draws each atom's rows through the atom's generator, open across
-    blocks, into one ``(rows, dim)`` buffer, the caller's until the next
-    draw, so one block of one atom is held, whatever ``nu`` and ``R``."""
+    :data:`MC_BLOCK`-row blocks: yields each block's row count and an
+    iterator, read to its end before the next block, over the atoms in
+    order.  It draws each atom's rows through the atom's generator, open
+    across blocks, into one ``(rows, dim)`` buffer, the caller's until the
+    next draw, so one block of one atom is held, whatever ``nu`` and ``R``."""
     kernels = _real_kernels(nu.sqrt_weights())
     rngs = [_atom_rng(seed, j) for j in range(nu.n_atoms)]
     normals = np.empty((MC_BLOCK, 2 * nu.dim))
@@ -440,7 +432,17 @@ def _mc_stream(nu, seed):
     for start in range(0, MC_ENSEMBLE, MC_BLOCK):
         n = min(MC_BLOCK, MC_ENSEMBLE - start)
         draws = (_draw_atom(z[:n], normals[:n], k, rng) for k, rng in zip(kernels, rngs))
-        yield slice(start, start + n), draws
+        yield n, draws
+
+
+def _mc_measures(nu, seed):
+    """The blocks of :func:`_mc_stream` as measures, each in one
+    ``(n_atoms, MC_BLOCK, dim)`` buffer, the caller's until the next."""
+    block = np.empty((nu.n_atoms, MC_BLOCK, nu.dim), np.complex128)
+    for n, atoms in _mc_stream(nu, seed):
+        for j, z in enumerate(atoms):
+            block[j, :n] = z
+        yield RandomMeasure(block[:, :n], nu)
 
 
 def _hfpca_mc_errors(nu, complement, seed) -> list:
@@ -448,14 +450,14 @@ def _hfpca_mc_errors(nu, complement, seed) -> list:
 
     ``complement`` stacks the ``I - Theta_j``.  Over each block of
     :func:`_mc_stream`, ``e^{i lambda_j t} Z_j (I - Theta_j)^T`` is added to
-    one sum per time, in atom order, and each row's ``||sum||^2`` is kept:
-    ``(len(MC_TIMES), R)`` floats and one block's buffers are held.
+    one sum per time, in atom order, and the block's squared norms are
+    added into one running total per time: one block's buffers are held.
     """
     phases = [np.exp(1j * nu.freqs * t) for t in MC_TIMES]
     buffers = np.empty((1 + len(MC_TIMES), MC_BLOCK, nu.dim), np.complex128)
-    squares = np.empty((len(MC_TIMES), MC_ENSEMBLE))
-    for rows, atoms in _mc_stream(nu, seed):
-        r, *sums = buffers[:, : rows.stop - rows.start]
+    totals = np.zeros(len(MC_TIMES))
+    for n, atoms in _mc_stream(nu, seed):
+        r, *sums = buffers[:, :n]
         for acc in sums:
             acc[...] = 0.0
         for j, z in enumerate(atoms):
@@ -463,9 +465,8 @@ def _hfpca_mc_errors(nu, complement, seed) -> list:
             for acc, phase in zip(sums, phases):
                 np.multiply(r, phase[j], out=z)
                 acc += z
-        for acc, sq in zip(sums, squares):
-            np.sum(np.abs(acc) ** 2, axis=1, out=sq[rows])
-    return [float(np.mean(sq)) for sq in squares]
+        totals += [np.sum(np.abs(acc) ** 2) for acc in sums]
+    return [float(t) for t in totals / MC_ENSEMBLE]
 
 
 def check_increment_process(seed, extra_povms=()) -> CheckResult:
@@ -473,18 +474,25 @@ def check_increment_process(seed, extra_povms=()) -> CheckResult:
     nu = _random_povm_normalized(rng, 3, 6, allow_deficient=False)
     freqs = nu.freqs
     mid = float(freqs[2] + (freqs[3] - freqs[2]) / 2.0)
-    left, right = np.empty((2, MC_ENSEMBLE, nu.dim), np.complex128)
+    blocks = _mc_measures(nu, int(rng.integers(2**31)))
     exact = True
-    for rows, atoms in _mc_stream(nu, int(rng.integers(2**31))):
-        w = RandomMeasure(np.stack([z.copy() for z in atoms]), nu)
+
+    def disjoint_increments(w):
+        nonlocal exact
         path = to_increment_path(w)
         back = from_increment_path(path, nu)
-        exact = exact and bool(np.array_equal(back.samples, w.samples))
-        path_again = to_increment_path(back)
-        exact = exact and bool(np.array_equal(path_again.increments, path.increments))
-        left[rows] = path.value_at(mid)
-        right[rows] = path.value_at(np.pi) - left[rows]
-    cross = float(np.abs(empirical_gramian(left, right)).max())
+        # the path's value at each breakpoint is the running sum of the atoms
+        running = np.cumsum(w.samples, axis=0)
+        exact = (
+            exact
+            and np.array_equal(back.samples, w.samples)
+            and np.array_equal(to_increment_path(back).increments, path.increments)
+            and all(map(np.array_equal, map(path.value_at, freqs), running))
+        )
+        left = path.value_at(mid)
+        return left, path.value_at(np.pi) - left
+
+    cross = float(np.abs(_merged_gramian(map(disjoint_increments, blocks))).max())
     scale = float(np.trace(nu.total_mass()).real)
     band = 5.0 * scale / np.sqrt(MC_ENSEMBLE)
     return _result(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import opspectra.povm as povm_module
 from opspectra import (
@@ -34,6 +35,7 @@ from opspectra.synthetic import (
     random_povm,
     random_transfer,
 )
+from opspectra.transfer import DOMAIN_BLOCK
 
 
 class TestCheckFilterable:
@@ -551,6 +553,20 @@ class TestTransferApply:
         mixed = np.array([[1.0, 0.0], [0.0, scale], [1e300, 0.0]])
         with pytest.raises(DimensionError, match="at atom 0"):
             phi.apply(mixed[None])
+
+    def test_domain_test_holds_one_block_of_atoms(self):
+        # a partial transfer on 1 and on 8 blocks of atoms: the test holds
+        # the defects and moduli of one block or two, whatever the atom count
+        peaks = []
+        for m in (DOMAIN_BLOCK, 8 * DOMAIN_BLOCK):
+            d = np.tile(np.diag([1.0, 1.0, 0.0]).astype(complex), (m, 1, 1))
+            phi = TransferFunction(3, 3, np.linspace(-3.0, 3.0, m), d, d)
+            x = random_complex(make_rng(543), (m, 256, 3))
+            x[..., 2] = 0.0
+            peaks.append(traced_peak(phi.require_domain, x))
+        one_block = DOMAIN_BLOCK * 256 * 3 * 16
+        assert peaks[0] >= one_block
+        assert peaks[1] - peaks[0] <= one_block
 
     def test_wrong_shape_rejected(self):
         phi = TransferFunction(2, 2, [0.0, 1.0], np.tile(np.eye(2), (2, 1, 1)))

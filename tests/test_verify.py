@@ -16,6 +16,7 @@ from opspectra.errors import PositivityError
 from opspectra.filtering import apply_filter, pushforward_povm
 from opspectra.povm import AtomicTracePovm
 from opspectra.random_measure import (
+    IncrementPath,
     _atom_rng,
     _draw_atom,
     _real_kernels,
@@ -138,12 +139,18 @@ class TestHfpcaMonteCarlo:
             )
             assert got == pytest.approx([hfpca_error(mu, theta)] * 3, rel=0.2)
 
-    def test_blocks_give_the_unblocked_stream_bitwise(self):
+    def test_blocks_match_the_unblocked_stream(self):
+        # each row's squared norm is the same; the blocks' running totals
+        # add them in another order than one mean over all rows
         assert verify.MC_ENSEMBLE % verify.MC_BLOCK == 0
         for mu, theta in mc_cases():
             complement = np.eye(mu.dim) - theta.ops
-            got = verify._hfpca_mc_errors(mu, complement, 9)
-            assert got == unblocked_mc_errors(mu, complement, 9)
+            np.testing.assert_allclose(
+                verify._hfpca_mc_errors(mu, complement, 9),
+                unblocked_mc_errors(mu, complement, 9),
+                rtol=1e-13,
+                atol=0.0,
+            )
 
     def test_a_short_last_block_keeps_the_errors(self, monkeypatch):
         # a one-row product may round otherwise than the same row in a block
@@ -158,12 +165,10 @@ class TestHfpcaMonteCarlo:
             )
 
     def test_peak_does_not_grow_with_the_ensemble(self, monkeypatch):
+        # the check keeps one running total per time, nothing of length R
         sizes = (verify.MC_BLOCK, 5 * verify.MC_BLOCK)
-        # of what the check holds, only one float per time and realization
-        # grows with R
-        floats = 8 * len(verify.MC_TIMES) * (sizes[1] - sizes[0])
         growth = peak_growth(monkeypatch, verify.check_hfpca, sizes)
-        assert growth <= floats + 64 * 1024
+        assert growth <= 64 * 1024
 
     def test_holds_less_than_one_ensemble(self, monkeypatch):
         monkeypatch.setattr(verify, "MC_ENSEMBLE", 5000)
@@ -183,22 +188,22 @@ class TestHfpcaMonteCarlo:
 
 class TestGramianIsometry:
     def test_one_ensemble_is_live_at_a_time(self, monkeypatch):
-        # an instance holds its ensemble of 4 atoms in dim 3, the two
-        # integrals in dim 2 and one atom's term, 1.5 ensembles in all
+        # an instance holds one block of its ensemble and of the two
+        # integrals, and the merged moments; nothing of length R
         sizes = (2000, 10000)
-        ensembles = 4 * (sizes[1] - sizes[0]) * 3 * 16
         growth = peak_growth(monkeypatch, verify.check_gramian_isometry, sizes)
-        assert growth <= 1.5 * ensembles + 64 * 1024
+        assert growth <= 64 * 1024
 
 
 class Stop(Exception):
-    """Ends a check at its first empirical Gramian."""
+    """Ends a check at its first merged Gramian."""
 
 
 def first_mc_instance(monkeypatch, check):
-    """Run ``check`` at the battery seed up to its first ``empirical_gramian``
-    call; return the measure and seed its stream got, the transfers it
-    integrated and the Gramian's two arguments."""
+    """Run ``check`` at the battery seed up to its first merged Gramian;
+    return the measure and seed its stream got, the transfers it
+    integrated, the row counts of the blocks that entered the merge and
+    the concatenation of their two ensembles."""
     seen = {"transfers": []}
     stream = verify._mc_stream
 
@@ -210,13 +215,15 @@ def first_mc_instance(monkeypatch, check):
         seen["transfers"].append(phi)
         return spectral_integral(phi, w)
 
-    def stop(u, v):
-        seen["args"] = (u.copy(), v.copy())
+    def stop(blocks):
+        pairs = [(u.copy(), v.copy()) for u, v in blocks]
+        seen["rows"] = [u.shape[0] for u, _ in pairs]
+        seen["args"] = tuple(map(np.concatenate, zip(*pairs)))
         raise Stop
 
     monkeypatch.setattr(verify, "_mc_stream", spy_stream)
     monkeypatch.setattr(verify, "spectral_integral", spy_integral)
-    monkeypatch.setattr(verify, "empirical_gramian", stop)
+    monkeypatch.setattr(verify, "_merged_gramian", stop)
     with pytest.raises(Stop):
         check(20260809)
     return seen
@@ -240,45 +247,80 @@ def increment_reference(seen):
 
 
 @pytest.mark.parametrize(
-    "check, reference, per_row",
+    "check, reference",
     [
-        # the two (R, 2) integrals
-        (verify.check_gramian_isometry, isometry_reference, 2 * 2),
-        # left, right and empirical_gramian's two centred copies, (R, 3) each
-        (verify.check_increment_process, increment_reference, 4 * 3),
+        (verify.check_gramian_isometry, isometry_reference),
+        (verify.check_increment_process, increment_reference),
     ],
     ids=["gramian-isometry", "increment-process"],
 )
 class TestMonteCarloStream:
-    """Both checks gather each row block of the stream into a block measure;
-    what they keep per realization is what they pass to
-    ``empirical_gramian``."""
+    """Both checks gather each row block of the stream into a block measure
+    and pass the block's pair of ensembles to one merge of centred
+    co-moments; they keep nothing per realization."""
 
-    def test_blocks_give_the_whole_ensemble_bitwise(
-        self, monkeypatch, check, reference, per_row
-    ):
+    def test_blocks_give_the_whole_ensemble_bitwise(self, monkeypatch, check, reference):
         assert verify.MC_ENSEMBLE % verify.MC_BLOCK == 0
         seen = first_mc_instance(monkeypatch, check)
+        assert seen["rows"] == [verify.MC_BLOCK] * (verify.MC_ENSEMBLE // verify.MC_BLOCK)
         for got, want in zip(seen["args"], reference(seen), strict=True):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_a_short_last_block_keeps_the_arrays(
-        self, monkeypatch, check, reference, per_row
-    ):
+    def test_a_short_last_block_keeps_the_arrays(self, monkeypatch, check, reference):
         # a one-row product may round otherwise than the same row in a block
         monkeypatch.setattr(verify, "MC_ENSEMBLE", verify.MC_BLOCK + 1)
         seen = first_mc_instance(monkeypatch, check)
+        assert seen["rows"] == [verify.MC_BLOCK, 1]
         for got, want in zip(seen["args"], reference(seen), strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-    def test_peak_grows_by_the_kept_arrays_only(
-        self, monkeypatch, check, reference, per_row
-    ):
-        # an ensemble of 4 or 6 atoms in dim 3 would grow by 12 or 18
-        # complex floats per realization
-        sizes = (2000, 10000)
-        growth = peak_growth(monkeypatch, check, sizes)
-        assert growth <= 16 * per_row * (sizes[1] - sizes[0]) + 64 * 1024
+    def test_peak_grows_by_the_kept_arrays_only(self, monkeypatch, check, reference):
+        # the merge keeps means and a co-moment, nothing of length R; an
+        # ensemble of 4 or 6 atoms in dim 3 would grow by 12 or 18 complex
+        # floats per realization
+        growth = peak_growth(monkeypatch, check, (2000, 10000))
+        assert growth <= 64 * 1024
+
+
+class TestIncrementRoundTrip:
+    """``exact_round_trip`` compares the conversions with the samples: a
+    wrong conversion makes it and the check fail."""
+
+    @staticmethod
+    def off_by_one(path, lam):
+        # the value just below each breakpoint instead of at it
+        k = int(np.searchsorted(path.breakpoints, lam, side="left"))
+        return path.increments[:k].sum(axis=0)
+
+    @staticmethod
+    def shifted(path):
+        increments = path.increments.copy()
+        increments[-1, -1, 0] += 1.0
+        return dataclasses.replace(path, increments=increments)
+
+    @pytest.fixture(autouse=True)
+    def small_ensemble(self, monkeypatch):
+        monkeypatch.setattr(verify, "MC_ENSEMBLE", 2 * verify.MC_BLOCK)
+
+    def test_correct_conversions_pass(self):
+        result = verify.check_increment_process(20260809)
+        assert result.details["exact_round_trip"] is True and result.passed
+
+    @pytest.mark.parametrize("wrong", ["to_increment_path", "from_increment_path", "value_at"])
+    def test_one_wrong_conversion_fails(self, monkeypatch, wrong):
+        if wrong == "value_at":
+            monkeypatch.setattr(IncrementPath, "value_at", self.off_by_one)
+        elif wrong == "to_increment_path":
+            convert = verify.to_increment_path
+            monkeypatch.setattr(verify, wrong, lambda w: self.shifted(convert(w)))
+        else:
+            convert = verify.from_increment_path
+            monkeypatch.setattr(
+                verify, wrong, lambda p, nu: convert(self.shifted(p), nu)
+            )
+        result = verify.check_increment_process(20260809)
+        assert result.details["exact_round_trip"] is False
+        assert not result.passed
 
 
 class TestWorker:
