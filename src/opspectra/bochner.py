@@ -28,6 +28,7 @@ from .errors import (
     NotPositiveTypeError,
     PositivityError,
     SampleSizeError,
+    _frozen,
     require_addressable,
     require_integers,
 )
@@ -51,13 +52,15 @@ def grid_frequencies(m: int) -> np.ndarray:
     """The uniform M-point grid ``-pi + 2 pi k / M`` in canonical order.
 
     The endpoint ``-pi`` is wrapped to the equivalent character ``pi``, so
-    the result is strictly increasing inside ``(-pi, pi]``.
+    the result, read-only, is strictly increasing inside ``(-pi, pi]``.
     """
     require_integers("grid sizes", m)
     if m < 1:
         raise DimensionError("grid size must be positive")
     raw = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    return np.sort(wrap_frequencies(raw))
+    freqs = np.sort(wrap_frequencies(raw))
+    freqs.flags.writeable = False
+    return freqs
 
 
 # Grid detection is ulp-tight: jittering the grid by 1e-9 moves lag t of the
@@ -81,19 +84,21 @@ def fourier_sum(freqs, stack, count: int) -> np.ndarray:
     ``(-1)^t n ifft(roll(stack, 1))[t mod n]`` for any ``count``.  Every
     other support takes the dense phase sum.  A ``count`` whose output (or
     dense phase matrix) numpy cannot address raises :class:`DimensionError`.
+    The output is fresh and read-only, so a record keeps it without a copy.
     """
     freqs = np.asarray(freqs, dtype=np.float64).ravel()
-    per_lag = max(freqs.size, int(np.prod(np.shape(stack)[1:])))
-    require_addressable(f"{count} lags", count, per_lag)
+    n, shape = freqs.size, np.shape(stack)[1:]
+    per_lag = int(np.prod(shape))
+    require_addressable(f"{count} lags", count, max(n, per_lag))
     t = np.arange(count)
-    if not on_grid(freqs):
-        phases = np.exp(1j * np.outer(t, freqs))
-        return np.tensordot(phases, stack, axes=(1, 0))
-    n = freqs.size
-    out = np.fft.ifft(np.roll(stack, 1, axis=0), axis=0)[t % n]
-    out *= n
-    out[1::2] *= -1.0
-    return out
+    if on_grid(freqs):
+        out = np.fft.ifft(np.roll(stack, 1, axis=0), axis=0)[t % n]
+        out *= n
+        out[1::2] *= -1.0
+    else:  # the product np.tensordot takes, not the view of it that it returns
+        out = np.dot(np.exp(1j * np.outer(t, freqs)), np.reshape(stack, (n, per_lag)))
+    out.flags.writeable = False
+    return out.reshape((count,) + shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +114,8 @@ class AutocovarianceSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        # a private read-only copy, so the caller's array cannot change it
-        vals = np.array(self.values, dtype=np.complex128)
-        vals.flags.writeable = False
+        require_integers("autocovariance dimensions and lags", self.dim, self.max_lag)
+        vals = _frozen(self.values, np.complex128)
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.max_lag + 1, self.dim, self.dim):
             raise DimensionError(
@@ -163,6 +167,7 @@ def povm_from_autocov_grid(gamma: AutocovarianceSequence, m: int) -> AtomicTrace
     signed = gamma.values[:m].copy()
     signed[1::2] *= -1.0
     weights = np.roll(np.fft.fft(signed, axis=0), -1, axis=0) / m
+    weights.flags.writeable = False  # fresh: the measure keeps it
     try:
         return AtomicTracePovm(dim=gamma.dim, freqs=freqs, weights=weights)
     except PositivityError as exc:

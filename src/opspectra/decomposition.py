@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, require_integers
+from .errors import DimensionError, _frozen, require_integers
 from .filtering import apply_filter
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import RandomMeasure
@@ -52,6 +52,11 @@ class CklSystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     ranks: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("base_weights", np.float64), ("eigenvalues", np.float64),
+                            ("eigenvectors", np.complex128), ("ranks", np.int64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
     @property
     def dim(self) -> int:
@@ -109,6 +114,7 @@ def ckl_decompose(nu: AtomicTracePovm) -> CklSystem:
 
 def component_transfer(sys: CklSystem, n: int) -> TransferFunction:
     """Rank-one component filter ``lambda_j -> phi_n(j) (x) phi_n(j)``."""
+    require_integers("component indices", n)
     if not 0 <= n < sys.dim:
         raise IndexError(f"component index {n} out of range for dim {sys.dim}")
     vecs = sys.eigenvectors[:, :, n]
@@ -118,6 +124,7 @@ def component_transfer(sys: CklSystem, n: int) -> TransferFunction:
 
 def scalar_component_transfer(sys: CklSystem, n: int) -> TransferFunction:
     """Row-functional filter ``lambda_j -> phi_n(j)^H`` with scalar output."""
+    require_integers("component indices", n)
     if not 0 <= n < sys.dim:
         raise IndexError(f"component index {n} out of range for dim {sys.dim}")
     ops = sys.eigenvectors[:, :, n].conj()[:, None, :]

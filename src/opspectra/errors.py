@@ -3,8 +3,9 @@
 Every error raised on invalid mathematical input derives from
 :class:`OpSpectraError`, so callers (and the CLI) can distinguish domain
 failures from programming errors.  :func:`require_addressable` is the one
-guard on counts too large to size an array, and :func:`require_integers`
-the one rule for lags, times, counts and seeds.
+guard on counts too large to size an array, :func:`require_integers`
+the one rule for lags, times, counts and seeds, and :func:`_frozen` the
+one rule for the arrays a record keeps.
 """
 
 import math
@@ -64,6 +65,23 @@ def require_integers(what: str, *values) -> None:
         isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values
     ):
         raise DimensionError(f"{what} must be integers")
+
+
+def _frozen(value, dtype) -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array no other array can change:
+    kept if read-only with a ``.base`` chain of read-only arrays ending in
+    one that owns its data, only marked if freshly converted (a list, a
+    dtype change), else copied once and marked."""
+    a = np.asarray(value, dtype=dtype)
+    if a is value or a.base is not None:
+        link = a
+        while isinstance(link, np.ndarray) and not link.flags.writeable:
+            if link.flags.owndata:
+                return a
+            link = link.base
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def require_addressable(what: str, *dims) -> None:

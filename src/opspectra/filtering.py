@@ -52,9 +52,9 @@ def apply_filter(phi: TransferFunction, w: RandomMeasure) -> RandomMeasure:
     atom.
     """
     require_integrable(phi, w.intensity)
-    return RandomMeasure(
-        samples=phi.apply(w.samples), intensity=_pushforward(phi, w.intensity)
-    )
+    samples = phi.apply(w.samples)
+    samples.flags.writeable = False  # fresh: the record keeps it
+    return RandomMeasure(samples=samples, intensity=_pushforward(phi, w.intensity))
 
 
 def compose_transfer(
@@ -171,6 +171,8 @@ def invert_transfer(
     domains = u @ u.conj().swapaxes(1, 2)
     del u
     domains[~mask] = np.eye(phi.out_dim)
+    for a in (inv_ops, domains):  # fresh stacks: the record keeps them
+        a.flags.writeable = False
     return TransferFunction(
         in_dim=phi.out_dim,
         out_dim=phi.in_dim,
@@ -206,6 +208,7 @@ def apply_fir_time(fir: FirFilter, x: ProcessSample) -> ProcessSample:
     for s, op in fir.taps.items():
         rolled = np.roll(x.values, shift=s, axis=1)
         out += rolled @ op.T
+    out.flags.writeable = False
     return ProcessSample(dim=fir.out_dim, period=x.period, values=out)
 
 

@@ -24,6 +24,8 @@ from .errors import (
     DimensionError,
     IntegrabilityError,
     PositivityError,
+    _frozen,
+    require_integers,
 )
 from .operators import ABS_FLOOR, psd_mask, scaled_norms, sorted_eigh, sqrt_from_eigh
 from .transfer import (
@@ -73,12 +75,12 @@ class AtomicTracePovm:
                 f"atom {j} (frequency {self.freqs[j]:+.6f}) weight is not PSD"
             )
 
-    def _store(self, copy: bool = True) -> None:
-        # private read-only copies: the cached eigensystem and roots must not
-        # go stale and the support must keep its rule
+    def _store(self) -> None:
+        # arrays no caller can change (errors._frozen): the cached eigensystem
+        # and roots must not go stale and the support must keep its rule
+        require_integers("measure dimensions", self.dim)
         freqs = require_support(self.freqs)
-        weights = np.array(self.weights, dtype=np.complex128, copy=copy)
-        weights.flags.writeable = False
+        weights = _frozen(self.weights, np.complex128)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "weights", weights)
         if freqs.size == 0:
@@ -105,19 +107,20 @@ class AtomicTracePovm:
     def _from_factors(cls, dim: int, freqs, factors) -> "AtomicTracePovm":
         """Measure whose weights are ``(B_j B_j^H + h.c.) / 2`` for finite
         factors ``B_j`` of shape ``(dim, k)``: Hermitian and PSD by
-        construction, so the PSD test of the constructor is skipped; the
-        copies and every other check stay.  The measure keeps ``B`` (not
-        copied, made read-only) as its :meth:`gram_factors`."""
+        construction, so the PSD test of the constructor is skipped; every
+        other check stays.  The measure keeps ``B`` (not copied, made
+        read-only) as its :meth:`gram_factors`."""
         factors = np.asarray(factors, dtype=np.complex128)
         # an overflowing product is reported by the finiteness check of _store
         with np.errstate(over="ignore", invalid="ignore"):
             weights = factors @ factors.conj().swapaxes(1, 2)
             weights /= 2.0  # before the sum, as in operators._hermitian_parts
             weights += weights.conj().swapaxes(1, 2)
+        weights.flags.writeable = False  # fresh: _store keeps it
         nu = object.__new__(cls)
         for name, value in (("dim", dim), ("freqs", freqs), ("weights", weights)):
             object.__setattr__(nu, name, value)
-        nu._store(copy=False)
+        nu._store()
         factors.flags.writeable = False
         object.__setattr__(nu, "_factors", factors)
         return nu
@@ -180,8 +183,8 @@ class AtomicTracePovm:
 
         This is the measure's only eigendecomposition.  It is computed on
         first use and cached; every call returns the same read-only arrays,
-        which stay valid because the measure holds its own read-only copy
-        of the weights.  :meth:`sqrt_weights`, the support basis of
+        which stay valid because no array can change the measure's
+        weights.  :meth:`sqrt_weights`, the support basis of
         :func:`~opspectra.filtering.invert_transfer` and
         :func:`~opspectra.decomposition.ckl_decompose` all read it.
         """
@@ -221,13 +224,8 @@ class PovmDensity:
     densities: np.ndarray
 
     def __post_init__(self):
-        # read-only arrays; a writable one may be the caller's, so it is copied
         for name, dtype in (("base_weights", np.float64), ("densities", np.complex128)):
-            a = np.asarray(getattr(self, name), dtype=dtype)
-            if a.flags.writeable:
-                a = a.copy()
-                a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
     def __reduce__(self):  # rebuilt by the constructor, as a measure is
         return type(self), (self.base_weights, self.densities)
@@ -254,7 +252,7 @@ def radon_nikodym(nu: AtomicTracePovm, mu=None) -> PovmDensity:
     if mu is None:
         w = traces
     else:
-        w = np.array(mu, dtype=np.float64).ravel()  # not the caller's array
+        w = np.array(np.ravel(mu), dtype=np.float64)  # fresh, not the caller's
         if w.shape != traces.shape:
             raise DimensionError("dominating weights must align with the atoms")
         if not np.isfinite(w).all():

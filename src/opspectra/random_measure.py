@@ -32,6 +32,7 @@ from .errors import (
     AlignmentError,
     DimensionError,
     SampleSizeError,
+    _frozen,
     require_addressable,
     require_integers,
 )
@@ -65,13 +66,16 @@ class RandomMeasure:
     intensity: AtomicTracePovm
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = _frozen(self.samples, np.complex128)
         object.__setattr__(self, "samples", samples)
         n, dim = self.n_atoms, self.dim
         if samples.ndim != 3 or samples.shape[0] != n or samples.shape[2] != dim:
             raise DimensionError(
                 f"samples must have shape ({n}, R, {dim}), got {samples.shape}"
             )
+
+    def __reduce__(self):  # rebuilt by the constructor, as a measure is
+        return type(self), (self.samples, self.intensity)
 
     @property
     def dim(self) -> int:
@@ -106,12 +110,16 @@ class ProcessSample:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
+        require_integers("process dimensions and periods", self.dim, self.period)
+        vals = _frozen(self.values, np.complex128)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 3 or vals.shape[1] != self.period or vals.shape[2] != self.dim:
             raise DimensionError("values must have shape (R, period, dim)")
         if not np.isfinite(vals).all():
             raise DimensionError("process values must be finite")
+
+    def __reduce__(self):  # rebuilt by the constructor, as a measure is
+        return type(self), (self.dim, self.period, self.values)
 
     @property
     def n_realizations(self) -> int:
@@ -191,6 +199,7 @@ def sample_gaussian_measure(
     """
     out = _sample_buffer(nu, n_realizations, seed)
     _draw_atoms(out, _real_kernels(nu.sqrt_weights()), range(nu.n_atoms), seed)
+    out.flags.writeable = False
     return RandomMeasure(samples=out, intensity=nu)
 
 
@@ -247,6 +256,7 @@ def sample_real_gaussian_measure(
         np.conjugate(out[j], out=out[partner[j]])
     for j in atoms[partner == atoms]:
         out[j] = _atom_rng(seed, j).standard_normal(out.shape[1:]) @ roots[j].real.T
+    out.flags.writeable = False
     return RandomMeasure(samples=out, intensity=nu)
 
 
@@ -276,6 +286,7 @@ def synthesize_process(w: RandomMeasure, period: int) -> ProcessSample:
     an inverse DFT and ``X_{t+M} = (-1)^M X_t`` holds exactly; any other
     support takes the dense phase sum (:func:`~opspectra.bochner.fourier_sum`).
     """
+    require_integers("periods", period)
     if period < 1:
         raise DimensionError("period must be positive")
     values = np.moveaxis(fourier_sum(w.freqs, w.samples, period), 0, 1)
@@ -341,8 +352,9 @@ class IncrementPath:
     increments: np.ndarray
 
     def __post_init__(self):
+        require_integers("path dimensions", self.dim)
         bp = require_support(self.breakpoints, "breakpoints")
-        inc = np.asarray(self.increments, dtype=np.complex128)
+        inc = _frozen(self.increments, np.complex128)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "increments", inc)
         if inc.ndim != 3 or inc.shape[0] != bp.size or inc.shape[2] != self.dim:

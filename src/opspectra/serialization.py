@@ -5,7 +5,7 @@ everywhere; floats keep full precision (shortest round-trip decimal), so a
 write followed by a read reproduces every value exactly.  Whole arrays
 cross the boundary in one step: :func:`encode_pairs` turns a complex array
 of any shape into nested lists ending in ``[re, im]``, and
-:func:`decode_pairs` reads them back with one ``np.asarray`` and a shape
+:func:`decode_pairs` reads them back with one ``np.array`` and a shape
 check against the counts the document declares.  A document whose arrays
 do not match those counts raises :class:`~opspectra.errors.FormatError`,
 and so does a count that is not a JSON integer.
@@ -65,11 +65,12 @@ def encode_pairs(a) -> list:
 def decode_pairs(pairs, shape) -> np.ndarray:
     """Inverse of :func:`encode_pairs` for an array of the given shape.
 
-    Short, long or ragged nesting raises :class:`FormatError`.
+    A read-only view of a fresh array, which a record keeps without a copy;
+    short, long or ragged nesting raises :class:`FormatError`.
     """
     shape = tuple(shape)
     try:
-        arr = np.ascontiguousarray(pairs, dtype=np.float64)
+        arr = np.array(pairs, dtype=np.float64, order="C")
     except (TypeError, ValueError) as exc:
         raise FormatError(f"expected {shape} [re, im] pairs: {exc}") from exc
     if arr.size == 0 and 0 in shape:
@@ -79,6 +80,7 @@ def decode_pairs(pairs, shape) -> np.ndarray:
         raise FormatError(
             f"expected {shape} [re, im] pairs, got an array of shape {arr.shape}"
         )
+    arr.flags.writeable = False
     # a view, bit-exact with signed zeros, where re + 1j * im is not
     return arr.view(np.complex128).reshape(shape)
 

@@ -9,10 +9,11 @@ every atom is a total operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import AlignmentError, DimensionError, require_integers
+from .errors import AlignmentError, DimensionError, _frozen, require_integers
 from .operators import as_operator, hermitian_defects, scaled_norms
 
 FREQ_MERGE_TOL = 1e-12
@@ -42,12 +43,12 @@ def require_aligned(freqs_a: np.ndarray, freqs_b: np.ndarray) -> None:
 
 
 def require_support(freqs, what: str = "frequencies") -> np.ndarray:
-    """A read-only float64 copy of a frequency support, flattened; raises
-    :class:`DimensionError` unless it is finite, inside ``(-pi, pi]`` and
-    strictly increasing.  Measures, transfer functions and increment paths
-    all take their support through this one rule."""
-    support = np.array(freqs, dtype=np.float64).ravel()
-    support.flags.writeable = False
+    """A frequency support as a flat float64 array no caller can change
+    (:func:`~opspectra.errors._frozen`); raises :class:`DimensionError`
+    unless it is finite, inside ``(-pi, pi]`` and strictly increasing.
+    Measures, transfer functions and increment paths all take their
+    support through this one rule."""
+    support = _frozen(np.asarray(freqs, dtype=np.float64).reshape(-1), np.float64)
     # NaN fails both comparisons, so it is refused with the infinities
     if not np.all((support > -np.pi) & (support <= np.pi)):
         raise DimensionError(f"{what} must be finite and lie in (-pi, pi]")
@@ -87,10 +88,9 @@ class TransferFunction:
     domains: np.ndarray | None = None
 
     def __post_init__(self):
-        # the operator stacks are large: read-only views, not copies
+        require_integers("transfer dimensions", self.in_dim, self.out_dim)
         freqs = require_support(self.freqs)
-        ops = np.asarray(self.ops, dtype=np.complex128).view()
-        ops.flags.writeable = False
+        ops = _frozen(self.ops, np.complex128)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "ops", ops)
         n = freqs.size
@@ -101,8 +101,7 @@ class TransferFunction:
         if not np.isfinite(ops).all():
             raise DimensionError("transfer operators must be finite")
         if self.domains is not None:
-            doms = np.asarray(self.domains, dtype=np.complex128).view()
-            doms.flags.writeable = False
+            doms = _frozen(self.domains, np.complex128)
             object.__setattr__(self, "domains", doms)
             if doms.shape != (n, self.in_dim, self.in_dim):
                 raise DimensionError(
@@ -160,24 +159,23 @@ class TransferFunction:
 
 @dataclass(frozen=True, eq=False)
 class FirFilter:
-    """Finite impulse response filter: a finite map lag -> operator."""
+    """Finite impulse response filter: a finite map lag -> operator, held
+    as a read-only mapping of read-only operators."""
 
     taps: dict
 
     def __post_init__(self):
-        taps = {}
-        shape = None
         require_integers("tap lags", *self.taps)
-        for s, op in self.taps.items():
-            op = as_operator(op)
-            if shape is None:
-                shape = op.shape
-            elif op.shape != shape:
-                raise DimensionError("all taps must share the same shape")
-            taps[int(s)] = op
+        taps = {int(s): as_operator(_frozen(op, np.complex128))
+                for s, op in self.taps.items()}
         if not taps:
             raise DimensionError("a FIR filter needs at least one tap")
-        object.__setattr__(self, "taps", taps)
+        if len({op.shape for op in taps.values()}) > 1:
+            raise DimensionError("all taps must share the same shape")
+        object.__setattr__(self, "taps", MappingProxyType(taps))
+
+    def __reduce__(self):  # rebuilt by the constructor, as a measure is
+        return type(self), (dict(self.taps),)
 
     @property
     def out_dim(self) -> int:

@@ -436,13 +436,15 @@ def _mc_stream(nu, seed):
 
 
 def _mc_measures(nu, seed):
-    """The blocks of :func:`_mc_stream` as measures, each in one
-    ``(n_atoms, MC_BLOCK, dim)`` buffer, the caller's until the next."""
-    block = np.empty((nu.n_atoms, MC_BLOCK, nu.dim), np.complex128)
+    """The blocks of :func:`_mc_stream` as measures, each in a fresh
+    read-only ``(n_atoms, rows, dim)`` array."""
     for n, atoms in _mc_stream(nu, seed):
+        block = None  # the previous block goes before the next is allocated
+        block = np.empty((nu.n_atoms, n, nu.dim), np.complex128)
         for j, z in enumerate(atoms):
-            block[j, :n] = z
-        yield RandomMeasure(block[:, :n], nu)
+            block[j] = z
+        block.flags.writeable = False
+        yield RandomMeasure(block, nu)
 
 
 def _hfpca_mc_errors(nu, complement, seed) -> list:

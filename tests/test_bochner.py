@@ -10,12 +10,15 @@ from opspectra import (
     NotPositiveTypeError,
     SampleSizeError,
     autocov_from_povm,
+    ckl_decompose,
+    component_transfer,
     empirical_autocov,
     grid_frequencies,
     hermitian_nnd_check,
     positive_type_check,
     povm_from_autocov_grid,
     sample_gaussian_measure,
+    scalar_component_transfer,
     synthesize_process,
 )
 from opspectra.bochner import on_grid
@@ -365,7 +368,8 @@ class TestHermitianNnd:
 
 
 class TestCountArguments:
-    """Grid sizes and lag counts follow the one integer rule."""
+    """Grid sizes, lag counts, periods and component indices follow the one
+    integer rule."""
 
     @pytest.mark.parametrize("m", [2.5, True, 4.0, "4", 0, -2])
     def test_grid_size(self, m):
@@ -384,6 +388,15 @@ class TestCountArguments:
         with pytest.raises(DimensionError):
             empirical_autocov(x, max_lag)
 
+    @pytest.mark.parametrize("count", [2.5, True, 1.0, 1.5])
+    def test_period_and_component_index(self, count):
+        nu = bundled_example_povm()
+        with pytest.raises(DimensionError):
+            synthesize_process(sample_gaussian_measure(nu, 4, seed=1), count)
+        for build in (component_transfer, scalar_component_transfer):
+            with pytest.raises(DimensionError):
+                build(ckl_decompose(nu), count)
+
     def test_numpy_integers_accepted(self):
         nu = bundled_example_povm()
         x = synthesize_process(sample_gaussian_measure(nu, 4, seed=1), 8)
@@ -392,6 +405,9 @@ class TestCountArguments:
         assert gamma.max_lag == 15
         assert povm_from_autocov_grid(gamma, np.int64(16)).n_atoms == 16
         assert empirical_autocov(x, np.int64(3))[0].max_lag == 3
+        w = sample_gaussian_measure(nu, 4, seed=1)
+        assert synthesize_process(w, np.int64(8)).period == 8
+        assert component_transfer(ckl_decompose(nu), np.int64(1)).out_dim == 3
 
 
 class TestEmpiricalAutocov:

@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import importlib
 import inspect
 import pickle
@@ -11,10 +12,20 @@ import pytest
 
 import opspectra
 from opspectra import (
+    AtomicTracePovm,
+    AutocovarianceSequence,
+    CklSystem,
+    DimensionError,
     FirFilter,
+    IncrementPath,
+    ProcessSample,
     TransferFunction,
+    apply_filter,
     autocov_from_povm,
     ckl_decompose,
+    errors,
+    invert_transfer,
+    povm_from_autocov_grid,
     pushforward_povm,
     radon_nikodym,
     sample_gaussian_measure,
@@ -150,6 +161,7 @@ def test_every_public_name_has_a_caller_or_a_reason():
 def _array_dataclass_instances():
     nu = bundled_example_povm()
     w = sample_gaussian_measure(nu, 4, seed=1)
+    s = ckl_decompose(nu)
     return [
         nu,
         radon_nikodym(nu),
@@ -159,12 +171,18 @@ def _array_dataclass_instances():
         w,
         synthesize_process(w, 4),
         to_increment_path(w),
-        ckl_decompose(nu),
+        s,
         pushforward_povm(random_transfer(make_rng(7), 3, 3, nu.freqs), nu),
+        # built directly, from writable copies of its arrays
+        CklSystem(nu, *(np.array(getattr(s, name)) for name in
+                        ("base_weights", "eigenvalues", "eigenvectors", "ranks"))),
     ]
 
 
-@pytest.mark.parametrize("index", range(10))
+RECORDS = range(len(_array_dataclass_instances()))
+
+
+@pytest.mark.parametrize("index", RECORDS)
 def test_array_dataclasses_compare_by_identity(index):
     a = _array_dataclass_instances()[index]
     b = _array_dataclass_instances()[index]
@@ -182,7 +200,7 @@ CACHES = ("_eigensystem", "_roots")
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))
-@pytest.mark.parametrize("index", range(10))
+@pytest.mark.parametrize("index", RECORDS)
 def test_array_dataclasses_rebuild_faithfully(index, how):
     a = _array_dataclass_instances()[index]
     b = COPIES[how](a)
@@ -195,6 +213,126 @@ def test_array_dataclasses_rebuild_faithfully(index, how):
             assert np.array_equal(vars(b)[name], value), name
             if not value.flags.writeable:
                 assert not vars(b)[name].flags.writeable, name
+
+
+def _held_arrays(record) -> dict:
+    """Every array field of a record, and each FIR tap under its lag."""
+    if isinstance(record, FirFilter):
+        return dict(record.taps)
+    return {
+        f.name: getattr(record, f.name) for f in dataclasses.fields(record)
+        if isinstance(getattr(record, f.name), np.ndarray)
+    }
+
+
+def _read_only_view(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def _rebuilt_from(record, inputs) -> object:
+    """``record`` built again by its constructor from ``inputs``, arrays in
+    the place of those :func:`_held_arrays` finds."""
+    if isinstance(record, FirFilter):
+        return FirFilter(inputs)
+    return dataclasses.replace(record, **inputs)
+
+
+@pytest.mark.parametrize("index", RECORDS)
+def test_array_dataclasses_record_no_array_a_caller_can_change(index):
+    record = _array_dataclass_instances()[index]
+    held = _held_arrays(record)
+    assert held
+    for value in held.values():
+        assert not value.flags.writeable
+    if isinstance(record, FirFilter):
+        with pytest.raises(TypeError):
+            record.taps[1] = np.eye(3)
+    # the caller's own writable arrays, then read-only views of them
+    for wrap in (lambda a: a, _read_only_view):
+        owned = {key: np.array(value) for key, value in held.items()}
+        rebuilt = _rebuilt_from(record, {key: wrap(a) for key, a in owned.items()})
+        for a in owned.values():
+            a += 1
+        for key, value in _held_arrays(rebuilt).items():
+            assert not value.flags.writeable, key
+            assert np.array_equal(value, held[key]), key
+    for how, copier in COPIES.items():
+        for key, value in _held_arrays(copier(record)).items():
+            assert not value.flags.writeable, (how, key)
+
+
+def test_every_array_dataclass_is_listed():
+    """A new record that holds arrays must join the list above, so that the
+    tests over it cover it."""
+    listed = {type(record) for record in _array_dataclass_instances()}
+    holders = {
+        cls
+        for name in MODULES
+        for cls in vars(importlib.import_module(f"opspectra.{name}")).values()
+        if dataclasses.is_dataclass(cls) and isinstance(cls, type)
+        and any("ndarray" in str(f.type) or f.name == "taps"
+                for f in dataclasses.fields(cls))
+    }
+    assert {AtomicTracePovm, CklSystem, FirFilter} <= holders
+    assert not holders - listed, f"unlisted array dataclasses: {holders - listed}"
+
+
+def test_no_record_copies_a_library_built_array(monkeypatch):
+    """From read-only inputs through every stage of the pipeline, each array
+    a record receives is kept: the library marks what it builds."""
+    source = bundled_example_povm()
+    weights = np.array(source.weights)
+    ops = np.array(random_transfer(make_rng(5), 3, 3, source.freqs).ops)
+    off_grid = source.freqs - 0.01
+    for a in (weights, ops, off_grid):
+        a.flags.writeable = False
+    copied = []
+    keep = errors._frozen
+
+    def spy(value, dtype):
+        frozen = keep(value, dtype)
+        if not np.shares_memory(frozen, value):
+            copied.append((np.shape(value), dtype))
+        return frozen
+
+    for name in MODULES:
+        module = importlib.import_module(f"opspectra.{name}")
+        if getattr(module, "_frozen", None) is keep:
+            monkeypatch.setattr(module, "_frozen", spy)
+    nu = AtomicTracePovm(3, source.freqs, weights)
+    fit = povm_from_autocov_grid(autocov_from_povm(nu, 15), 16)
+    w = sample_gaussian_measure(fit, 8, seed=3)
+    synthesize_process(w, 16)
+    phi = TransferFunction(3, 3, fit.freqs, ops)
+    filtered = apply_filter(phi, w)
+    apply_filter(invert_transfer(phi, fit), filtered)
+    ckl_decompose(filtered.intensity)
+    # the dense route of the Fourier sums, off the grid
+    w = sample_gaussian_measure(AtomicTracePovm(3, off_grid, weights), 8, seed=3)
+    autocov_from_povm(w.intensity, 4)
+    synthesize_process(w, 16)
+    assert nu.weights is weights and phi.ops is ops
+    assert copied == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AtomicTracePovm(True, [0.0], np.ones((1, 1, 1))),
+        lambda: AtomicTracePovm(1.0, [0.0], np.ones((1, 1, 1))),
+        lambda: TransferFunction(1.0, 1.0, [0.0], np.ones((1, 1, 1))),
+        lambda: TransferFunction(1, True, [0.0], np.ones((1, 1, 1))),
+        lambda: AutocovarianceSequence(1, 0.0, np.ones((1, 1, 1))),
+        lambda: IncrementPath(3.0, [0.0], np.ones((1, 2, 3))),
+        lambda: ProcessSample(3, 3.0, np.ones((2, 3, 3))),
+        lambda: ProcessSample(True, 3, np.ones((2, 3, 1))),
+    ],
+)
+def test_record_counts_follow_the_integer_rule(build):
+    with pytest.raises(DimensionError, match="must be integers"):
+        build()
 
 
 @pytest.mark.parametrize("build", [ckl_decompose, radon_nikodym])

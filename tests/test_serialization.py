@@ -126,6 +126,11 @@ class TestSeriesFormat:
         assert back.period == 6 and back.n_realizations == 4
         np.testing.assert_array_equal(back.values, x.values)
 
+    def test_record_keeps_the_read_only_decoded_values(self):
+        values = decode_pairs(roundtrip(encode_pairs(np.ones((2, 3, 1)))), (2, 3, 1))
+        assert not values.flags.writeable
+        assert ProcessSample(1, 3, values).values is values
+
 
 class TestFiles:
     def test_write_read_exact(self, tmp_path):

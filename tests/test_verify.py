@@ -282,6 +282,19 @@ class TestMonteCarloStream:
         assert growth <= 64 * 1024
 
 
+def test_each_block_measure_holds_its_own_read_only_rows(monkeypatch):
+    monkeypatch.setattr(verify, "MC_ENSEMBLE", verify.MC_BLOCK + 1)
+    nu = bundled_example_povm()
+    first, last = verify._mc_measures(nu, 5)
+    assert [w.n_realizations for w in (first, last)] == [verify.MC_BLOCK, 1]
+    assert not (first.samples.flags.writeable or last.samples.flags.writeable)
+    assert not np.shares_memory(first.samples, last.samples)
+    whole = sample_gaussian_measure(nu, verify.MC_BLOCK + 1, 5).samples
+    np.testing.assert_allclose(
+        np.concatenate([first.samples, last.samples], axis=1), whole, rtol=1e-13
+    )
+
+
 class TestIncrementRoundTrip:
     """``exact_round_trip`` compares the conversions with the samples: a
     wrong conversion makes it and the check fail."""
