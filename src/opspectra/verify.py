@@ -204,12 +204,10 @@ def check_gramian_isometry(seed, extra_povms=()) -> CheckResult:
         gram = _merged_gramian(
             (spectral_integral(phi, w), spectral_integral(psi, w)) for w in blocks
         )
-        model = gramian_inner(phi, psi, nu)
-        scale = np.sqrt(
-            np.trace(gramian_inner(phi, phi, nu)).real
-            * np.trace(gramian_inner(psi, psi, nu)).real
-        )
-        zs.append(_z_score(float(np.abs(gram - model).max()), scale))
+        # entry (a, b) of one draw's u conj(v)^T has variance G_phi,aa G_psi,bb
+        g_phi, g_psi = gramian_inner(phi, phi, nu), gramian_inner(psi, psi, nu)
+        sd = np.sqrt(np.outer(np.diag(g_phi).real, np.diag(g_psi).real))
+        zs.append(_z_score(gram - gramian_inner(phi, psi, nu), sd, nu.traces().sum()))
     inside, worst_z, in_band = _band_count(zs)
     ok = worst <= 1e-12 and in_band
     return _result(
@@ -382,9 +380,12 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
             errors += total_sq - np.linalg.norm(qhs, axis=(1, 2)) ** 2
         worst_beat = max(worst_beat, float(optimal - errors.min()))
         # Monte Carlo corroboration of the error formula at three times
-        mses = _hfpca_mc_errors(nu, np.eye(dim) - theta.ops, int(rng.integers(2**31)))
-        scale = float(np.trace(nu.total_mass()).real)
-        zs += [_z_score(abs(mse - achieved), scale) for mse in mses]
+        complement = np.eye(dim) - theta.ops
+        mses = _hfpca_mc_errors(nu, complement, int(rng.integers(2**31)))
+        # one draw's ||r||^2, r ~ CN(0, C), has variance ||C||_F^2
+        g = complement @ nu.gram_factors()
+        sd = np.linalg.norm(np.einsum("jak,jbk->ab", g, g.conj()))
+        zs += [_z_score(mse - achieved, sd, nu.traces().sum()) for mse in mses]
     mc_inside, worst_z, in_band = _band_count(zs)
     ok = worst_closed <= 1e-10 and worst_beat <= 1e-12 and in_band
     return _result(
@@ -402,13 +403,17 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
     )
 
 
-def _z_score(err, scale) -> float:
-    """``err`` in standard errors of a mean of :data:`MC_ENSEMBLE` draws of
-    size ``scale``; a zero measure (``scale`` not positive) scores 0 for an
-    exact ``err``, else inf."""
-    if scale > 0.0:
-        return float(err * np.sqrt(MC_ENSEMBLE) / scale)
-    return 0.0 if err == 0 else np.inf
+def _z_score(err, sd, mass) -> float:
+    """The largest ``|err|``, entry by entry, in standard errors of a mean
+    of :data:`MC_ENSEMBLE` draws whose standard deviation is ``sd``, exact
+    by the complex Isserlis theorem (Reed, IRE Trans. Inf. Theory 8(3),
+    1962) and floored at ``8 eps`` times the measure's trace ``mass``; a
+    zero measure scores 0 for an exact ``err``, else inf."""
+    sd = np.maximum(sd, 8.0 * np.finfo(np.float64).eps * mass)
+    err = np.abs(err)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(err == 0.0, 0.0, err * np.sqrt(MC_ENSEMBLE) / sd)
+    return float(z.max())
 
 
 def _band_count(zs) -> tuple:
@@ -494,18 +499,19 @@ def check_increment_process(seed, extra_povms=()) -> CheckResult:
         left = path.value_at(mid)
         return left, path.value_at(np.pi) - left
 
-    cross = float(np.abs(_merged_gramian(map(disjoint_increments, blocks))).max())
-    scale = float(np.trace(nu.total_mass()).real)
-    band = 5.0 * scale / np.sqrt(MC_ENSEMBLE)
+    cross = _merged_gramian(map(disjoint_increments, blocks))
+    # entry (a, b) of one draw's left conj(right)^T has variance L_aa R_bb
+    left, right = nu.weights[:3].sum(axis=0), nu.weights[3:].sum(axis=0)
+    sd = np.sqrt(np.outer(np.diag(left).real, np.diag(right).real))
+    z = _z_score(cross, sd, nu.traces().sum())
     return _result(
         "increment-process",
         "a sampled measure and its orthogonal-increment path convert back"
         " and forth exactly; disjoint increments are uncorrelated",
-        cross,
-        band,
-        ok=exact and cross <= band,
+        z,
+        5.0,
+        ok=exact and z <= 5.0,
         exact_round_trip=exact,
-        worst_z_score=_z_score(cross, scale),
     )
 
 

@@ -186,6 +186,32 @@ class TestHfpcaMonteCarlo:
         assert result.passed
 
 
+class TestExactStandardErrors:
+    """The bands are in exact standard errors of one draw, so a sampler
+    whose draws are scaled by a few percent fails them."""
+
+    @pytest.mark.parametrize(
+        "check, factor",
+        [(verify.check_hfpca, 1.01), (verify.check_gramian_isometry, 1.03)],
+        ids=["hfpca", "gramian-isometry"],
+    )
+    def test_a_scaled_sampler_fails_the_band(self, monkeypatch, check, factor):
+        draw = verify._draw_atom
+
+        def scaled(*args):
+            out = draw(*args)
+            out *= factor
+            return out
+
+        monkeypatch.setattr(verify, "_draw_atom", scaled)
+        result = check(20260809, (bundled_example_povm(),))
+        details = result.details
+        n = details.get("mc_checks", details.get("mc_instances"))
+        assert details["mc_within_band"] < np.ceil(0.95 * n)
+        assert details["worst_z_score"] > 5.0
+        assert not result.passed
+
+
 class TestGramianIsometry:
     def test_one_ensemble_is_live_at_a_time(self, monkeypatch):
         # an instance holds one block of its ensemble and of the two
