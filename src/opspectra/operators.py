@@ -3,8 +3,8 @@
 Operators between finite-dimensional complex Hilbert spaces are plain 2-d
 ``numpy`` arrays of ``complex128``.  This module collects the primitives the
 rest of the library is built on: outer products, positivity checks,
-positive square roots of a Hermitian eigensystem and deterministic
-Hermitian eigendecompositions.
+Gram factors of a Hermitian eigensystem and deterministic Hermitian
+eigendecompositions.
 
 The spectral conventions are written once, over ``(n, d, d)`` stacks such
 as the atom weights of a measure; single-operator functions are the n = 1
@@ -29,7 +29,6 @@ __all__ = [
     "psd_mask",
     "scaled_norms",
     "sorted_eigh",
-    "sqrt_from_eigh",
 ]
 
 
@@ -190,16 +189,15 @@ def psd_check(p, tol: float = 1e-10) -> bool:
     return bool(psd_mask(a[None], tol)[0])
 
 
-def sqrt_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Positive square roots of a PSD stack from its Hermitian eigensystem
-    (any eigenvalue order): negative eigenvalues are clamped to zero."""
+def _eigenfactors(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Gram factors ``V diag(sqrt(vals))`` of a PSD stack from its Hermitian
+    or real eigensystem, in any order: negative eigenvalues become zero."""
     vals = np.clip(vals, 0.0, None)
     # Eigenvalues at round-off level are noise; left in place they would
-    # inflate to sqrt scale and pollute the range of the root.
+    # inflate to sqrt scale and pollute the range of the factor.
     top = vals.max(axis=-1, keepdims=True, initial=0.0)
     vals[vals <= 256.0 * np.finfo(np.float64).eps * top] = 0.0
-    root = (vecs * np.sqrt(vals)[..., None, :]) @ _adjoints(vecs)
-    return _hermitian_parts(root)
+    return vecs * np.sqrt(vals)[..., None, :]
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:

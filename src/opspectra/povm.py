@@ -27,7 +27,7 @@ from .errors import (
     _frozen,
     require_integers,
 )
-from .operators import ABS_FLOOR, psd_mask, scaled_norms, sorted_eigh, sqrt_from_eigh
+from .operators import ABS_FLOOR, _eigenfactors, psd_mask, scaled_norms, sorted_eigh
 from .transfer import (
     DOMAIN_TOL,
     FREQ_MERGE_TOL,
@@ -77,7 +77,7 @@ class AtomicTracePovm:
 
     def _store(self) -> None:
         # arrays no caller can change (errors._frozen): the cached eigensystem
-        # and roots must not go stale and the support must keep its rule
+        # and factors must not go stale and the support must keep its rule
         require_integers("measure dimensions", self.dim)
         freqs = require_support(self.freqs)
         weights = _frozen(self.weights, np.complex128)
@@ -184,35 +184,28 @@ class AtomicTracePovm:
         This is the measure's only eigendecomposition.  It is computed on
         first use and cached; every call returns the same read-only arrays,
         which stay valid because no array can change the measure's
-        weights.  :meth:`sqrt_weights`, the support basis of
+        weights.  :meth:`gram_factors`, the support basis of
         :func:`~opspectra.filtering.invert_transfer` and
         :func:`~opspectra.decomposition.ckl_decompose` all read it.
         """
         return self._cached("_eigensystem", lambda: sorted_eigh(self.weights))
 
-    def sqrt_weights(self) -> np.ndarray:
-        """Positive square roots ``nu_j^{1/2}`` of the atom weights, stacked.
-
-        The ``(n, dim, dim)`` stack is built from :meth:`eigensystem` on
-        first use (no further eigendecomposition) and cached; every call
-        returns the same read-only array.  Only sampling needs these roots
-        themselves; norms read any factor, see :meth:`gram_factors`.
-        """
-        return self._cached("_roots", lambda: sqrt_from_eigh(*self.eigensystem()))
-
     def gram_factors(self) -> np.ndarray:
-        """A read-only stack ``F_j`` with ``F_j F_j^H = nu_j``.
+        """The read-only stack ``F_j`` with ``F_j F_j^H = nu_j``, the one
+        factor the samplers and every norm read.
 
         A filtered measure ``Phi nu Phi^H`` keeps ``Phi_j F_j`` from the
-        measure it was built from; any other measure returns
-        :meth:`sqrt_weights`.  Since ``||X F_j||_F^2 = tr(X nu_j X^H)`` and
-        ``||X F_j||_2^2 = ||X nu_j X^H||_2``, every norm read through a
-        factor is the same for any choice of it, so integrability tests,
-        HFPCA errors and the CKL residual take no eigendecomposition of a
+        measure it was built from; any other measure caches the factors
+        ``V_j diag(lambda_j^{1/2})`` of :meth:`eigensystem`, zero past each
+        atom's rank.  Since ``||X F_j||_F^2 = tr(X nu_j X^H)``, ``||X
+        F_j||_2^2 = ||X nu_j X^H||_2`` and ``F_j xi`` has covariance
+        ``nu_j`` whatever the factor, sampling, integrability tests, HFPCA
+        errors and the CKL residual take no eigendecomposition of a
         filtered measure.
         """
-        factors = self.__dict__.get("_factors")
-        return self.sqrt_weights() if factors is None else factors
+        if (factors := self.__dict__.get("_factors")) is not None:
+            return factors
+        return self._cached("_eigenfactors", lambda: _eigenfactors(*self.eigensystem()))
 
 
 @dataclass(frozen=True, eq=False)

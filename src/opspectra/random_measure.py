@@ -1,9 +1,9 @@
 """Gaussian orthogonally scattered random measures on an atomic support.
 
 Sampling draws, for every atom, independent circularly-symmetric complex
-Gaussian vectors ``Z_j = nu_j^{1/2} xi_j`` so that the ensemble covariance
-of ``Z_j`` converges to the atom weight ``nu_j`` and atoms are mutually
-uncorrelated.  Everything downstream of sampling is a pure finite sum:
+Gaussian vectors ``Z_j = F_j xi_j`` through its Gram factor, ``F_j F_j^H =
+nu_j``, so atoms are mutually uncorrelated and the ensemble covariance of
+``Z_j`` converges to ``nu_j``.  Everything downstream is a pure finite sum:
 
 * the stochastic integral ``int Phi dW = sum_j Phi_j Z_j``,
 * process synthesis ``X_t = sum_j exp(i lambda_j t) Z_j``,
@@ -36,6 +36,7 @@ from .errors import (
     require_addressable,
     require_integers,
 )
+from .operators import _eigenfactors
 from .povm import AtomicTracePovm, require_integrable
 from .transfer import FREQ_MERGE_TOL, TransferFunction, require_aligned, require_support
 
@@ -131,16 +132,15 @@ def _atom_rng(seed: int, atom: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _real_kernels(roots: np.ndarray) -> np.ndarray:
-    """Real ``(2 dim, 2 dim)`` matrices ``K_j`` with ``[a | b] K_j`` equal to
-    ``sqrt(1/2) (a + i b) R_j^T``, ``R_j = roots[j]``, in complex layout:
-    output columns alternate real and imaginary parts, so the product is
-    the float64 view of the complex samples."""
-    s = np.swapaxes(roots, 1, 2) * np.sqrt(0.5)
-    re_cols = np.concatenate([s.real, -s.imag], axis=1)
-    im_cols = np.concatenate([s.imag, s.real], axis=1)
-    n, two_d = roots.shape[0], 2 * roots.shape[1]
-    return np.stack([re_cols, im_cols], axis=-1).reshape(n, two_d, two_d)
+def _kernel(factor: np.ndarray) -> np.ndarray:
+    """The real ``(2 k, 2 dim)`` matrix ``K`` with ``[a | b] K`` equal to
+    ``sqrt(1/2) (a + i b) F^T`` for the ``k`` nonzero columns ``F`` of an
+    atom's factor, in complex layout: output columns alternate real and
+    imaginary parts, so the product is the float64 view of the samples."""
+    s = factor[:, factor.any(axis=0)].T * np.sqrt(0.5)
+    re_cols = np.concatenate([s.real, -s.imag])
+    im_cols = np.concatenate([s.imag, s.real])
+    return np.stack([re_cols, im_cols], axis=-1).reshape(len(s) * 2, len(factor) * 2)
 
 
 def _draw_atom(
@@ -149,25 +149,28 @@ def _draw_atom(
     """Write an atom's next rows into ``out``, an ``(R, dim)`` complex array,
     and return it.
 
-    ``rng``, the atom's Philox substream (:func:`_atom_rng`), fills
-    ``normals``, an ``(R, 2 dim)`` float array, with its next standard
-    normals, so consecutive calls draw consecutive row blocks, and one real
-    product with the atom's kernel (:func:`_real_kernels`) writes them into
-    ``out``.  Both buffers are the caller's, so a caller that reuses them
-    allocates nothing per atom.
+    ``rng``, the atom's substream (:func:`_atom_rng`), fills ``normals``, an
+    ``(R, 2 k)`` float array for the atom's ``(2 k, 2 dim)`` kernel
+    (:func:`_kernel`), with its next standard normals, so consecutive calls
+    draw consecutive row blocks, and one real product with the kernel
+    writes them into ``out``.  Both buffers are the caller's, so a caller
+    that reuses them allocates nothing per atom.
     """
     rng.standard_normal(out=normals)
     np.matmul(normals, kernel, out=out.view(np.float64))
     return out
 
 
-def _draw_atoms(out: np.ndarray, kernels: np.ndarray, atoms, seed: int) -> None:
+def _draw_atoms(out: np.ndarray, factors: np.ndarray, atoms, seed: int) -> None:
     """Fill ``out[j]`` for each ``j`` in ``atoms`` by :func:`_draw_atom`
-    from its own generator for ``seed``, in turn on the calling thread,
-    through one normals buffer; any order of ``atoms`` fills the same."""
-    normals = np.empty((out.shape[1], 2 * out.shape[2]))
+    from its generator for ``seed`` and its factor, in turn on the calling
+    thread, through one normals store; any order of ``atoms`` fills the same."""
+    n = out.shape[1]
+    store = np.empty(n * 2 * factors.shape[2])
     for j in atoms:
-        _draw_atom(out[j], normals, kernels[j], _atom_rng(seed, j))
+        k = _kernel(factors[j])
+        normals = store[: n * len(k)].reshape(n, len(k))
+        _draw_atom(out[j], normals, k, _atom_rng(seed, j))
 
 
 def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
@@ -189,16 +192,16 @@ def sample_gaussian_measure(
 ) -> RandomMeasure:
     """Draw a Gaussian random measure ensemble with intensity ``nu``.
 
-    For every atom, ``Z_j = nu_j^{1/2} xi_j`` with ``xi_j`` standard
-    circularly-symmetric complex Gaussian (real and imaginary parts i.i.d.
-    N(0, 1/2)).  Atoms and realizations are independent, and the output is
-    a deterministic function of ``seed`` alone: each atom has its own
-    counter-based substream, so any processing order gives identical
-    results.  Atoms are drawn on the calling thread.  ``n_realizations``
-    and ``seed`` must be integers (:func:`~opspectra.errors.require_integers`).
+    For every atom, ``Z_j = F_j xi_j`` with ``F_j = nu.gram_factors()[j]``
+    and ``xi_j`` standard circularly-symmetric complex Gaussian (real and
+    imaginary parts i.i.d. N(0, 1/2)).  Atoms and realizations are
+    independent, and the output is a deterministic function of ``seed``
+    alone: each atom has its own substream, so any processing order gives
+    identical results.  Atoms are drawn on the calling thread.
+    ``n_realizations`` and ``seed`` must be integers.
     """
     out = _sample_buffer(nu, n_realizations, seed)
-    _draw_atoms(out, _real_kernels(nu.sqrt_weights()), range(nu.n_atoms), seed)
+    _draw_atoms(out, nu.gram_factors(), range(nu.n_atoms), seed)
     out.flags.writeable = False
     return RandomMeasure(samples=out, intensity=nu)
 
@@ -213,13 +216,13 @@ def sample_real_gaussian_measure(
     at ``0`` and ``pi`` must be real, both to within ``1e-10`` times the
     largest atom trace.  Mirrors match within ``FREQ_MERGE_TOL`` and must
     pair both ways, else :class:`AlignmentError` is raised.  Samples at
-    mirror atoms are complex conjugates and samples at the self-paired
-    atoms are real Gaussian, so the synthesised process is real-valued.
-    The atom covariances still match the intensity, but the self-paired
-    atoms are not circularly symmetric; this is a modeling extension for
-    real-valued output.  The leading atom of each pair takes the sample
-    :func:`sample_gaussian_measure` draws for it, and ``n_realizations``
-    and ``seed`` obey the same integer rule.
+    mirror atoms are complex conjugates and samples at the self-paired atoms
+    are real Gaussian, through a real factor of the real weight, so the
+    synthesised process is real-valued.  The atom covariances still match the
+    intensity, but the self-paired atoms are not circularly symmetric; this
+    is a modeling extension for real-valued output.  The leading atom of
+    each pair takes the sample :func:`sample_gaussian_measure` draws for it,
+    and ``n_realizations`` and ``seed`` obey the same integer rule.
     """
     out = _sample_buffer(nu, n_realizations, seed)
     freqs = nu.freqs
@@ -249,13 +252,14 @@ def sample_real_gaussian_measure(
             )
         if k > j and np.abs(nu.weights[k] - nu.weights[j].T).max() > floor:
             raise DimensionError(f"atoms {j} and {k} are not transposes of each other")
-    roots = nu.sqrt_weights()
     leads = atoms[partner > atoms]
-    _draw_atoms(out, _real_kernels(roots), leads, seed)
+    _draw_atoms(out, nu.gram_factors(), leads, seed)
     for j in leads:
         np.conjugate(out[j], out=out[partner[j]])
-    for j in atoms[partner == atoms]:
-        out[j] = _atom_rng(seed, j).standard_normal(out.shape[1:]) @ roots[j].real.T
+    # a degenerate eigenspace of a complex eigh need not be real: a real one
+    selfs = atoms[partner == atoms]
+    for j, g in zip(selfs, _eigenfactors(*np.linalg.eigh(nu.weights[selfs].real))):
+        out[j] = _atom_rng(seed, j).standard_normal(out.shape[1:]) @ g.T
     out.flags.writeable = False
     return RandomMeasure(samples=out, intensity=nu)
 

@@ -51,8 +51,8 @@ from .random_measure import (
     _atom_rng,
     _draw_atom,
     _draw_atoms,
+    _kernel,
     _merged_gramian,
-    _real_kernels,
     from_increment_path,
     sample_gaussian_measure,
     spectral_integral,
@@ -365,7 +365,7 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
         achieved = hfpca_error(nu, theta)
         optimal = hfpca_optimal_error(sys, q)
         worst_closed = max(worst_closed, abs(achieved - optimal))
-        roots = nu.sqrt_weights()
+        factors = nu.gram_factors()
         # vectorised competitor sweep: random rank-q frames per atom, with
         # || (I - P) S ||^2 = ||S||^2 - ||Q^H S||^2 for the projector QQ^H
         errors = np.zeros(n_competitors)
@@ -375,15 +375,15 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
                 + 1j * rng.standard_normal((n_competitors, dim, int(q[j])))
             )
             qmat = np.linalg.qr(g)[0]
-            total_sq = float(np.linalg.norm(roots[j]) ** 2)
-            qhs = np.einsum("cak,au->cku", qmat.conj(), roots[j])
+            total_sq = float(np.linalg.norm(factors[j]) ** 2)
+            qhs = np.einsum("cak,au->cku", qmat.conj(), factors[j])
             errors += total_sq - np.linalg.norm(qhs, axis=(1, 2)) ** 2
         worst_beat = max(worst_beat, float(optimal - errors.min()))
         # Monte Carlo corroboration of the error formula at three times
         complement = np.eye(dim) - theta.ops
         mses = _hfpca_mc_errors(nu, complement, int(rng.integers(2**31)))
         # one draw's ||r||^2, r ~ CN(0, C), has variance ||C||_F^2
-        g = complement @ nu.gram_factors()
+        g = complement @ factors
         sd = np.linalg.norm(np.einsum("jak,jbk->ab", g, g.conj()))
         zs += [_z_score(mse - achieved, sd, nu.traces().sum()) for mse in mses]
     mc_inside, worst_z, in_band = _band_count(zs)
@@ -430,13 +430,16 @@ def _mc_stream(nu, seed):
     order.  It draws each atom's rows through the atom's generator, open
     across blocks, into one ``(rows, dim)`` buffer, the caller's until the
     next draw, so one block of one atom is held, whatever ``nu`` and ``R``."""
-    kernels = _real_kernels(nu.sqrt_weights())
+    kernels = [_kernel(f) for f in nu.gram_factors()]
     rngs = [_atom_rng(seed, j) for j in range(nu.n_atoms)]
-    normals = np.empty((MC_BLOCK, 2 * nu.dim))
+    store = np.empty(MC_BLOCK * max(map(len, kernels)))
     z = np.empty((MC_BLOCK, nu.dim), np.complex128)
     for start in range(0, MC_ENSEMBLE, MC_BLOCK):
         n = min(MC_BLOCK, MC_ENSEMBLE - start)
-        draws = (_draw_atom(z[:n], normals[:n], k, rng) for k, rng in zip(kernels, rngs))
+        draws = (
+            _draw_atom(z[:n], store[: n * len(k)].reshape(n, len(k)), k, rng)
+            for k, rng in zip(kernels, rngs)
+        )
         yield n, draws
 
 
@@ -538,7 +541,7 @@ def check_determinism(seed, extra_povms, baseline, reruns) -> CheckResult:
     first = sample_gaussian_measure(nu, 4096, seed=seed)
     second = sample_gaussian_measure(nu, 4096, seed=seed)
     shuffled = np.empty_like(first.samples)
-    _draw_atoms(shuffled, _real_kernels(nu.sqrt_weights()), [4, 0, 3, 1, 2], seed)
+    _draw_atoms(shuffled, nu.gram_factors(), [4, 0, 3, 1, 2], seed)
     ok = bool(np.array_equal(first.samples, second.samples))
     ok = ok and bool(np.array_equal(first.samples, shuffled))
     mismatches = [

@@ -346,7 +346,7 @@ class TestStackedSpectra:
         for nu in inputs:
             calls.clear()
             nu = AtomicTracePovm(nu.dim, nu.freqs, nu.weights)
-            nu.sqrt_weights()
+            nu.gram_factors()
             ckl_decompose(nu)
             hfpca_report(nu, 2)
             counts.append(dict(calls))

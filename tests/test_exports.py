@@ -196,7 +196,7 @@ COPIES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
 }
-CACHES = ("_eigensystem", "_roots")
+CACHES = ("_eigensystem", "_eigenfactors")
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))

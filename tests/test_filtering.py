@@ -159,9 +159,9 @@ class TestPushforward:
         nu = random_povm(rng, 3, 4)
         phi = random_transfer(rng, 3, 2, nu.freqs)
         out = pushforward_povm(phi, nu)
-        roots = nu.sqrt_weights()
+        factors = nu.gram_factors()
         for j in range(4):
-            expected = np.linalg.norm(phi.ops[j] @ roots[j]) ** 2
+            expected = np.linalg.norm(phi.ops[j] @ factors[j]) ** 2
             assert np.trace(out.weights[j]).real == pytest.approx(
                 expected, abs=1e-12 * max(1.0, expected)
             )
@@ -718,7 +718,7 @@ class TestPushforwardWeights:
         assert not push.freqs.flags.writeable
         ref = [
             (b @ b.conj().T + (b @ b.conj().T).conj().T) / 2.0
-            for b in phi.ops @ nu.sqrt_weights()
+            for b in phi.ops @ nu.gram_factors()
         ]
         np.testing.assert_array_equal(push.weights, ref)
 

@@ -8,7 +8,7 @@ from opspectra import (
     outer,
     psd_check,
 )
-from opspectra.operators import sorted_eigh, sqrt_from_eigh
+from opspectra.operators import _eigenfactors, sorted_eigh
 from opspectra.synthetic import make_rng, random_complex, random_psd
 
 
@@ -54,54 +54,64 @@ class TestPsdCheck:
             psd_check(np.ones((2, 3)), 1e-10)
 
 
-def root(p):
-    """The positive root of ``p`` through the one root API: ``sqrt_weights``
+def factor(p):
+    """The Gram factor of ``p`` through the one factor API: ``gram_factors``
     of a one-atom measure."""
     p = np.asarray(p, dtype=np.complex128)
-    return AtomicTracePovm(p.shape[0], [0.0], p[None]).sqrt_weights()[0]
+    return AtomicTracePovm(p.shape[0], [0.0], p[None]).gram_factors()[0]
 
 
 class TestPsdSqrt:
-    """Positive square roots: ``sqrt_weights``, which is ``sqrt_from_eigh``
-    of the measure's cached eigensystem."""
+    """Gram factors ``F`` with ``F F^H = p`` (they replaced the positive
+    roots): ``gram_factors``, which is ``_eigenfactors`` of the measure's
+    cached eigensystem, cached and read-only."""
 
     def test_diagonal(self):
+        # eigenvalues non-increasing: the columns are 3 e_2 and 2 e_1
         np.testing.assert_allclose(
-            root(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14
+            factor(np.diag([4.0, 9.0])), [[0.0, 2.0], [3.0, 0.0]], atol=1e-14
         )
 
     def test_zero(self):
-        np.testing.assert_array_equal(root(np.zeros((2, 2))), np.zeros((2, 2)))
+        np.testing.assert_array_equal(factor(np.zeros((2, 2))), np.zeros((2, 2)))
 
     def test_squaring_oracle(self):
         rng = make_rng(104)
         p = random_psd(rng, 5)
-        s = root(p)
-        assert psd_check(s, 1e-10)
-        assert np.abs(s @ s - p).max() <= 1e-10 * np.linalg.norm(p, 2)
-        # the root is sqrt_from_eigh of the cached eigensystem, bit for bit
+        f = factor(p)
+        # orthogonal columns: F^H F is the PSD diagonal of the eigenvalues
+        gram = f.conj().T @ f
+        assert psd_check(gram, 1e-10)
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12 * np.linalg.norm(p, 2)
+        assert np.abs(f @ f.conj().T - p).max() <= 1e-10 * np.linalg.norm(p, 2)
+        # the factor is _eigenfactors of the cached eigensystem, bit for bit,
+        # cached and read-only
         nu = AtomicTracePovm(5, [0.0], p[None])
-        np.testing.assert_array_equal(
-            nu.sqrt_weights(), sqrt_from_eigh(*nu.eigensystem())
-        )
+        np.testing.assert_array_equal(nu.gram_factors(), _eigenfactors(*nu.eigensystem()))
+        assert nu.gram_factors() is nu.gram_factors()
+        assert not nu.gram_factors().flags.writeable
 
     def test_rejects_indefinite(self):
         p = np.diag([1.0, -1.0])
         assert not psd_check(p)
         with pytest.raises(PositivityError):
-            root(p)
+            factor(p)
 
     def test_rank_deficient_root_has_clean_range(self):
         rng = make_rng(105)
         p = random_psd(rng, 4, rank=2)
-        s = np.linalg.svd(root(p), compute_uv=False)
+        f = factor(p)
+        s = np.linalg.svd(f, compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) == 2
-        # round-off directions stay at working precision, not sqrt scale
-        assert s[2] <= 1e-14 * s[0]
-        # the same holds for sqrt_from_eigh of an unsorted eigensystem
+        # round-off directions are clamped: the columns past the rank are zero
+        assert not f[:, 2:].any()
+        assert np.abs(f @ f.conj().T - p).max() <= 1e-12 * np.linalg.norm(p, 2)
+        # the same holds for _eigenfactors of an unsorted eigensystem, whose
+        # zero columns come first
         vals, vecs = np.linalg.eigh(p)
-        s = np.linalg.svd(sqrt_from_eigh(vals[None], vecs[None])[0], compute_uv=False)
-        assert np.sum(s > 1e-10 * s[0]) == 2 and s[2] <= 1e-14 * s[0]
+        f = _eigenfactors(vals[None], vecs[None])[0]
+        assert not f[:, :2].any() and np.all(np.linalg.norm(f[:, 2:], axis=0) > 0)
+        assert np.abs(f @ f.conj().T - p).max() <= 1e-12 * np.linalg.norm(p, 2)
 
 
 def eig(h):

@@ -95,23 +95,30 @@ class TestConstruction:
 
 
 class TestSqrtWeights:
+    """The Gram factors that replaced the roots: cached, read-only, and
+    fixed when the caller changes the weights it passed."""
+
     def test_cached_read_only_roots(self):
         rng = make_rng(223)
-        nu = random_povm(rng, 3, 4, ranks=[3, 1, 2, 3])
-        roots = nu.sqrt_weights()
-        assert nu.sqrt_weights() is roots
-        assert not roots.flags.writeable
-        assert np.abs(roots @ roots - nu.weights).max() <= 1e-12
+        ranks = [3, 1, 2, 3]
+        nu = random_povm(rng, 3, 4, ranks=ranks)
+        factors = nu.gram_factors()
+        assert nu.gram_factors() is factors
+        assert not factors.flags.writeable
+        gram = factors @ factors.conj().swapaxes(1, 2)
+        assert np.abs(gram - nu.weights).max() <= 1e-12
+        for f, r in zip(factors, ranks):
+            assert not f[:, r:].any() and np.all(np.linalg.norm(f[:, :r], axis=0) > 0)
 
 
     def test_weights_are_a_read_only_copy(self):
         weights = np.stack([np.eye(2, dtype=complex)] * 3)
         nu = AtomicTracePovm(2, [-1.0, 0.0, 1.0], weights)
-        roots = nu.sqrt_weights()
+        factors = nu.gram_factors()
         weights *= 4.0
         np.testing.assert_array_equal(nu.weights, np.stack([np.eye(2)] * 3))
-        np.testing.assert_array_equal(nu.sqrt_weights(), np.stack([np.eye(2)] * 3))
-        assert nu.sqrt_weights() is roots
+        np.testing.assert_array_equal(nu.gram_factors(), np.stack([np.eye(2)] * 3))
+        assert nu.gram_factors() is factors
         assert not nu.weights.flags.writeable
         with pytest.raises(ValueError):
             nu.weights[0, 0, 0] = 2.0
@@ -282,9 +289,9 @@ class TestGramian:
         rng = make_rng(213)
         nu = random_povm(rng, 3, 4)
         phi = TransferFunction(3, 3, nu.freqs, random_complex(rng, (4, 3, 3)))
-        roots = nu.sqrt_weights()
+        factors = nu.gram_factors()
         expected_sq = sum(
-            np.linalg.norm(phi.ops[j] @ roots[j]) ** 2 for j in range(4)
+            np.linalg.norm(phi.ops[j] @ factors[j]) ** 2 for j in range(4)
         )
         assert gramian_norm(phi, nu) ** 2 == pytest.approx(
             expected_sq, abs=1e-12 * max(1.0, expected_sq)
@@ -477,12 +484,12 @@ class TestIntegrabilityScreen:
 
     @staticmethod
     def spectral_reference(phi, nu, tol):
-        roots = nu.sqrt_weights()
+        factors = nu.gram_factors()
         mask = nu.positive_mass_mask()
         ok = True
         for j in np.flatnonzero(mask):
-            defect = roots[j] - phi.domains[j] @ roots[j]
-            ok &= np.linalg.norm(defect, 2) <= tol * np.linalg.norm(roots[j], 2)
+            defect = factors[j] - phi.domains[j] @ factors[j]
+            ok &= np.linalg.norm(defect, 2) <= tol * np.linalg.norm(factors[j], 2)
         return bool(ok)
 
     def test_accepts_exactly_when_spectral_reference_does(self):
@@ -503,9 +510,9 @@ class TestIntegrabilityScreen:
             assert got == ref, eps
             assert bool(square_integrability_check(phi, nu)) == ref
             decisions.append(got)
-            root = nu.sqrt_weights()[1]
-            fro = np.linalg.norm(root - phi.domains[1] @ root)
-            if ref and fro > tol * np.linalg.norm(root) / 2.0:
+            factor = nu.gram_factors()[1]
+            fro = np.linalg.norm(factor - phi.domains[1] @ factor)
+            if ref and fro > tol * np.linalg.norm(factor) / 2.0:
                 unsure_but_accepted += 1
         assert True in decisions and False in decisions
         # accepted instances the Frobenius bound alone could not clear

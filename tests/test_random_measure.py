@@ -26,12 +26,13 @@ from opspectra import (
 )
 from opspectra.bochner import on_grid
 from opspectra.filtering import pushforward_povm
+from opspectra.operators import _eigenfactors
 from opspectra.random_measure import (
     _atom_rng,
     _draw_atom,
     _draw_atoms,
+    _kernel,
     _merged_gramian,
-    _real_kernels,
 )
 from opspectra.synthetic import (
     bundled_example_povm,
@@ -59,7 +60,7 @@ def relative_error(got, ref):
 def shuffled_draw(nu, n_real, seed, order):
     """The sampler's atoms, drawn one by one in the given order."""
     out = np.empty((nu.n_atoms, n_real, nu.dim), dtype=complex)
-    _draw_atoms(out, _real_kernels(nu.sqrt_weights()), order, seed)
+    _draw_atoms(out, nu.gram_factors(), order, seed)
     return out
 
 
@@ -310,11 +311,11 @@ class TestThreadedSampling:
 
     def test_random_weights_combine_the_draws(self):
         nu = random_povm(make_rng(440), 3, 4)
-        roots = nu.sqrt_weights()
+        factors = nu.gram_factors()
         for n_real in (SMALL_R, LARGE_R):
             w = sample_gaussian_measure(nu, n_real, seed=41)
             for j in range(4):
-                ref = philox_reference(41, j, n_real, 3) @ roots[j].T
+                ref = philox_reference(41, j, n_real, 3) @ factors[j].T
                 assert relative_error(w.samples[j], ref) <= 1e-15
 
     def test_atom_order_gives_identical_samples(self):
@@ -327,20 +328,91 @@ class TestThreadedSampling:
     def test_one_atom_draw_writes_the_sampler_s_atom(self, n_real):
         """The per-atom routine, through buffers cut from storage sized for a
         larger dim, writes each atom's samples bit for bit, for a mixed-rank
-        measure and a filtered one (its sampler roots are not its Gram
-        factors)."""
+        measure and a filtered one (it samples through its kept factors, not
+        the eigenfactors of its weights)."""
         rng = make_rng(442)
         mixed = random_povm(rng, 3, 5, ranks=[1, 3, 2, 3, 1])
         filtered = pushforward_povm(random_transfer(rng, 3, 3, mixed.freqs), mixed)
-        assert not np.array_equal(filtered.gram_factors(), filtered.sqrt_weights())
+        own = _eigenfactors(*filtered.eigensystem())
+        assert not np.array_equal(filtered.gram_factors(), own)
         store = np.empty((2, n_real * 5), dtype=complex)
         for nu in (mixed, filtered):
             w = sample_gaussian_measure(nu, n_real, seed=43)
-            z, normals = (row[: n_real * 3].reshape(n_real, 3) for row in store)
-            kernels = _real_kernels(nu.sqrt_weights())
             for j in range(nu.n_atoms):
-                _draw_atom(z, normals.view(np.float64), kernels[j], _atom_rng(43, j))
+                kernel = _kernel(nu.gram_factors()[j])
+                z = store[0, : n_real * 3].reshape(n_real, 3)
+                normals = store[1].view(np.float64)[: n_real * len(kernel)]
+                normals = normals.reshape(n_real, len(kernel))
+                _draw_atom(z, normals, kernel, _atom_rng(43, j))
                 assert z.tobytes() == w.samples[j].tobytes()
+
+
+class TestOneFactor:
+    """Both samplers draw through ``gram_factors()``: an atom of rank r reads
+    2 r normals per row, a self-paired atom draws through a real factor of
+    its real weight, and a filtered measure through its kept factors."""
+
+    def test_rank_r_atom_reads_2r_normals_per_row(self, monkeypatch):
+        ranks = [0, 1, 2, 3]
+        nu = random_povm(make_rng(450), 3, 4, ranks=ranks)
+        generators = {}
+
+        def spy(seed, atom):
+            generators[atom] = _atom_rng(seed, atom)
+            return generators[atom]
+
+        monkeypatch.setattr("opspectra.random_measure._atom_rng", spy)
+        n_real = 100
+        w = sample_gaussian_measure(nu, n_real, seed=50)
+        assert not w.samples[0].any()
+        for j, r in enumerate(ranks):
+            fresh = _atom_rng(50, j)
+            normals = fresh.standard_normal((n_real, 2 * r))
+            # the substream goes on where the 2 r normals per row left it
+            np.testing.assert_array_equal(
+                generators[j].bit_generator.random_raw(4), fresh.bit_generator.random_raw(4)
+            )
+            xi = np.sqrt(0.5) * (normals[:, :r] + 1j * normals[:, r:])
+            ref = xi @ nu.gram_factors()[j][:, :r].T
+            np.testing.assert_allclose(w.samples[j], ref, rtol=0, atol=1e-14)
+
+    def test_self_paired_degenerate_weights_give_real_samples(self):
+        a = random_complex(make_rng(451), (3, 3))
+        pos = a @ a.conj().T
+        weights = np.stack([pos.T, np.diag([2.0, 2.0, 0.0]), pos, np.eye(3)])
+        nu = AtomicTracePovm(3, [-1.0, 0.0, 1.0, np.pi], weights)
+        n_real = 50_000
+        w = sample_real_gaussian_measure(nu, n_real, seed=51)
+        for j in range(4):
+            z, sigma = w.samples[j], nu.weights[j]
+            var = np.outer(np.diag(sigma).real, np.diag(sigma).real)
+            if j in (1, 3):  # real Gaussian: Var(x_a x_b) = S_aa S_bb + S_ab^2
+                assert not z.imag.any()
+                var = var + np.abs(sigma) ** 2
+            err = np.abs(empirical_gramian(z, z) - sigma)
+            assert np.all(err <= 5.0 * np.sqrt(var / n_real))
+        x = synthesize_process(w, 8).values
+        assert np.abs(x.imag).max() <= 1e-12 * np.abs(x.real).max()
+
+    def test_filtered_measure_samples_without_eigh(self, monkeypatch):
+        rng = make_rng(452)
+        nu = random_povm(rng, 3, 4, ranks=[1, 3, 2, 3])
+        nu.gram_factors()  # the source factor is cached
+        mu = pushforward_povm(random_transfer(rng, 3, 2, nu.freqs), nu)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        n_real = 20_000
+        w = sample_gaussian_measure(mu, n_real, seed=52)
+        assert calls == []
+        for z, sigma in zip(w.samples, mu.weights):
+            sd = np.sqrt(np.outer(np.diag(sigma).real, np.diag(sigma).real) / n_real)
+            assert np.all(np.abs(empirical_gramian(z, z) - sigma) <= 5.0 * sd)
 
 
 class TestSpectralIntegral:

@@ -14,12 +14,13 @@ from opspectra import verify
 from opspectra.decomposition import ckl_decompose, hfpca_error, hfpca_projector
 from opspectra.errors import PositivityError
 from opspectra.filtering import apply_filter, pushforward_povm
+from opspectra.operators import _eigenfactors
 from opspectra.povm import AtomicTracePovm
 from opspectra.random_measure import (
     IncrementPath,
     _atom_rng,
     _draw_atom,
-    _real_kernels,
+    _kernel,
     sample_gaussian_measure,
     spectral_integral,
     to_increment_path,
@@ -65,7 +66,7 @@ class TestExtraMeasure:
         # and HFPCA checks read them, so the worker must rebuild them too
         nu = bundled_example_povm()
         mu = pushforward_povm(random_transfer(make_rng(7), 3, 3, nu.freqs), nu)
-        assert not np.array_equal(mu.gram_factors(), mu.sqrt_weights())
+        assert not np.array_equal(mu.gram_factors(), _eigenfactors(*mu.eigensystem()))
         determinism = verify.run_battery(20260809, povm=mu)[-1]
         assert determinism.details["mismatched"] == []
         assert determinism.passed
@@ -89,12 +90,12 @@ def unblocked_mc_errors(nu, complement, seed):
     ``R`` rows at once: the same draws, products and sums in atom order,
     without row blocks."""
     shape = (verify.MC_ENSEMBLE, nu.dim)
-    normals = np.empty((shape[0], 2 * shape[1]))
     z, r, *sums = np.zeros((2 + len(verify.MC_TIMES), *shape), dtype=complex)
-    kernels = _real_kernels(nu.sqrt_weights())
     phases = [np.exp(1j * nu.freqs * t) for t in verify.MC_TIMES]
     for j in range(nu.n_atoms):
-        _draw_atom(z, normals, kernels[j], _atom_rng(seed, j))
+        kernel = _kernel(nu.gram_factors()[j])
+        normals = np.empty((shape[0], len(kernel)))
+        _draw_atom(z, normals, kernel, _atom_rng(seed, j))
         np.matmul(z, complement[j].T, out=r)
         for acc, phase in zip(sums, phases):
             acc += r * phase[j]
@@ -102,8 +103,9 @@ def unblocked_mc_errors(nu, complement, seed):
 
 
 def mc_cases():
-    """A mixed-rank measure, the bundled one and a filtered one (its sampler
-    roots are not its Gram factors), each with a random HFPCA projector."""
+    """A mixed-rank measure, the bundled one and a filtered one (its kept
+    Gram factors are not its eigenfactors), each with a random HFPCA
+    projector."""
     rng = make_rng(51)
     nu = bundled_example_povm()
     mixed = random_povm(rng, 4, 6, ranks=[1, 4, 2, 3, 4, 1])
