@@ -9,9 +9,9 @@ nu_j``, so atoms are mutually uncorrelated and the ensemble covariance of
 * process synthesis ``X_t = sum_j exp(i lambda_j t) Z_j``,
 * the correspondence with orthogonal-increment paths.
 
-Randomness comes from a counter-based Philox generator with one substream
-per atom, derived from ``(seed, atom index)``; results are therefore
-independent of the order in which atoms are processed.  One per-atom
+Randomness comes from an SFC64 generator with one substream per atom,
+seeded from ``(seed, atom index)``; results are therefore independent of
+the order in which atoms are processed.  One per-atom
 routine draws an atom's next rows from its generator into buffers its
 caller owns; the samplers fill the ``(n_atoms, R, dim)`` ensemble with it,
 and the battery's Monte Carlo checks (:mod:`opspectra.verify`) stream row
@@ -129,7 +129,7 @@ class ProcessSample:
 
 def _atom_rng(seed: int, atom: int) -> np.random.Generator:
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(atom),))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _kernel(factor: np.ndarray) -> np.ndarray:

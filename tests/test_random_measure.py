@@ -286,18 +286,18 @@ SMALL_R = 64
 LARGE_R = 8192
 
 
-def philox_reference(seed, atom, n_real, dim):
-    """Atom ``atom``'s standard complex Gaussians, drawn from its Philox
+def sfc64_reference(seed, atom, n_real, dim):
+    """Atom ``atom``'s standard complex Gaussians, drawn from its SFC64
     substream as ``standard_normal((R, 2 dim))``: real parts first."""
     ss = np.random.SeedSequence(seed, spawn_key=(atom,))
-    draws = np.random.Generator(np.random.Philox(ss)).standard_normal(
+    draws = np.random.Generator(np.random.SFC64(ss)).standard_normal(
         (n_real, 2 * dim)
     )
     return np.sqrt(0.5) * (draws[:, :dim] + 1j * draws[:, dim:])
 
 
 class TestThreadedSampling:
-    """Small and large draws are the per-atom Philox draws, taken in any
+    """Small and large draws are the per-atom SFC64 draws, taken in any
     atom order on the calling thread."""
 
     def test_identity_weights_give_the_draws_bitwise(self):
@@ -306,7 +306,7 @@ class TestThreadedSampling:
             w = sample_gaussian_measure(nu, n_real, seed=40)
             for j in range(4):
                 np.testing.assert_array_equal(
-                    w.samples[j], philox_reference(40, j, n_real, 3)
+                    w.samples[j], sfc64_reference(40, j, n_real, 3)
                 )
 
     def test_random_weights_combine_the_draws(self):
@@ -315,7 +315,7 @@ class TestThreadedSampling:
         for n_real in (SMALL_R, LARGE_R):
             w = sample_gaussian_measure(nu, n_real, seed=41)
             for j in range(4):
-                ref = philox_reference(41, j, n_real, 3) @ factors[j].T
+                ref = sfc64_reference(41, j, n_real, 3) @ factors[j].T
                 assert relative_error(w.samples[j], ref) <= 1e-15
 
     def test_atom_order_gives_identical_samples(self):
