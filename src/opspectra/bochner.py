@@ -114,9 +114,11 @@ class AutocovarianceSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        require_integers("autocovariance dimensions and lags", self.dim, self.max_lag)
+        counts = require_integers("autocovariance dimensions and lags",
+                                  self.dim, self.max_lag)
         vals = _frozen(self.values, np.complex128)
-        object.__setattr__(self, "values", vals)
+        for name, value in zip(("dim", "max_lag", "values"), (*counts, vals)):
+            object.__setattr__(self, name, value)
         if vals.shape != (self.max_lag + 1, self.dim, self.dim):
             raise DimensionError(
                 f"values must have shape {(self.max_lag + 1, self.dim, self.dim)}"

@@ -58,13 +58,15 @@ class SampleSizeError(OpSpectraError, ValueError):
     """An ensemble is too small for the requested estimator."""
 
 
-def require_integers(what: str, *values) -> None:
-    """Raise :class:`DimensionError` unless every value is a Python or numpy
-    integer; a ``bool`` or a float raises rather than being truncated."""
+def require_integers(what: str, *values) -> list:
+    """Every value as a Python ``int``, for a record to store; raise
+    :class:`DimensionError` unless each is a Python or numpy integer (a
+    ``bool`` or a float raises rather than being truncated)."""
     if not all(
         isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in values
     ):
         raise DimensionError(f"{what} must be integers")
+    return [int(x) for x in values]
 
 
 def _frozen(value, dtype) -> np.ndarray:

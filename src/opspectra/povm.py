@@ -78,11 +78,11 @@ class AtomicTracePovm:
     def _store(self) -> None:
         # arrays no caller can change (errors._frozen): the cached eigensystem
         # and factors must not go stale and the support must keep its rule
-        require_integers("measure dimensions", self.dim)
+        (dim,) = require_integers("measure dimensions", self.dim)
         freqs = require_support(self.freqs)
         weights = _frozen(self.weights, np.complex128)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "weights", weights)
+        for name, value in (("dim", dim), ("freqs", freqs), ("weights", weights)):
+            object.__setattr__(self, name, value)
         if freqs.size == 0:
             raise DimensionError("a measure needs at least one atom")
         if weights.shape != (freqs.size, self.dim, self.dim):
@@ -191,18 +191,14 @@ class AtomicTracePovm:
         return self._cached("_eigensystem", lambda: sorted_eigh(self.weights))
 
     def gram_factors(self) -> np.ndarray:
-        """The read-only stack ``F_j`` with ``F_j F_j^H = nu_j``, the one
-        factor the samplers and every norm read.
-
-        A filtered measure ``Phi nu Phi^H`` keeps ``Phi_j F_j`` from the
-        measure it was built from; any other measure caches the factors
+        """The read-only stack ``F_j`` with ``F_j F_j^H = nu_j`` that the
+        samplers and every norm read: a filtered measure ``Phi nu Phi^H``
+        keeps ``Phi_j F_j`` from its source; any other caches the factors
         ``V_j diag(lambda_j^{1/2})`` of :meth:`eigensystem`, zero past each
-        atom's rank.  Since ``||X F_j||_F^2 = tr(X nu_j X^H)``, ``||X
-        F_j||_2^2 = ||X nu_j X^H||_2`` and ``F_j xi`` has covariance
-        ``nu_j`` whatever the factor, sampling, integrability tests, HFPCA
-        errors and the CKL residual take no eigendecomposition of a
-        filtered measure.
-        """
+        atom's rank.  Norms (``||X F_j||_F^2 = tr(X nu_j X^H)``, ``||X
+        F_j||_2^2 = ||X nu_j X^H||_2``) and the law of ``F_j xi`` do not
+        depend on the factor, so none takes an eigendecomposition of a
+        filtered measure."""
         if (factors := self.__dict__.get("_factors")) is not None:
             return factors
         return self._cached("_eigenfactors", lambda: _eigenfactors(*self.eigensystem()))

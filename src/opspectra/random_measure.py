@@ -111,9 +111,11 @@ class ProcessSample:
     values: np.ndarray
 
     def __post_init__(self):
-        require_integers("process dimensions and periods", self.dim, self.period)
+        counts = require_integers("process dimensions and periods",
+                                  self.dim, self.period)
         vals = _frozen(self.values, np.complex128)
-        object.__setattr__(self, "values", vals)
+        for name, value in zip(("dim", "period", "values"), (*counts, vals)):
+            object.__setattr__(self, name, value)
         if vals.ndim != 3 or vals.shape[1] != self.period or vals.shape[2] != self.dim:
             raise DimensionError("values must have shape (R, period, dim)")
         if not np.isfinite(vals).all():
@@ -133,14 +135,12 @@ def _atom_rng(seed: int, atom: int) -> np.random.Generator:
 
 
 def _kernel(factor: np.ndarray) -> np.ndarray:
-    """The real ``(2 k, 2 dim)`` matrix ``K`` with ``[a | b] K`` equal to
-    ``sqrt(1/2) (a + i b) F^T`` for the ``k`` nonzero columns ``F`` of an
-    atom's factor, in complex layout: output columns alternate real and
-    imaginary parts, so the product is the float64 view of the samples."""
+    """The real ``(2 k, 2 dim)`` kernel ``K`` with ``[a | b] K = sqrt(1/2) (a
+    + i b) F^T`` for the ``k`` nonzero columns ``F`` of an atom's factor: the
+    float64 view of ``[S; i S]``, ``S = sqrt(1/2) F^T``, whose columns
+    alternate real and imaginary parts as the float64 view of samples does."""
     s = factor[:, factor.any(axis=0)].T * np.sqrt(0.5)
-    re_cols = np.concatenate([s.real, -s.imag])
-    im_cols = np.concatenate([s.imag, s.real])
-    return np.stack([re_cols, im_cols], axis=-1).reshape(len(s) * 2, len(factor) * 2)
+    return np.concatenate([s, 1j * s]).view(np.float64)
 
 
 def _draw_atom(
@@ -356,7 +356,7 @@ class IncrementPath:
     increments: np.ndarray
 
     def __post_init__(self):
-        require_integers("path dimensions", self.dim)
+        object.__setattr__(self, "dim", *require_integers("path dimensions", self.dim))
         bp = require_support(self.breakpoints, "breakpoints")
         inc = _frozen(self.increments, np.complex128)
         object.__setattr__(self, "breakpoints", bp)

@@ -88,11 +88,12 @@ class TransferFunction:
     domains: np.ndarray | None = None
 
     def __post_init__(self):
-        require_integers("transfer dimensions", self.in_dim, self.out_dim)
+        dims = require_integers("transfer dimensions", self.in_dim, self.out_dim)
         freqs = require_support(self.freqs)
         ops = _frozen(self.ops, np.complex128)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "ops", ops)
+        fields = zip(("in_dim", "out_dim", "freqs", "ops"), (*dims, freqs, ops))
+        for name, value in fields:
+            object.__setattr__(self, name, value)
         n = freqs.size
         if ops.shape != (n, self.out_dim, self.in_dim):
             raise DimensionError(

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import importlib
 import inspect
+import json
 import pickle
 import pkgutil
 from pathlib import Path
@@ -18,7 +19,9 @@ from opspectra import (
     DimensionError,
     FirFilter,
     IncrementPath,
+    PovmDensity,
     ProcessSample,
+    RandomMeasure,
     TransferFunction,
     apply_filter,
     autocov_from_povm,
@@ -31,6 +34,20 @@ from opspectra import (
     sample_gaussian_measure,
     synthesize_process,
     to_increment_path,
+)
+from opspectra.serialization import (
+    decode_autocov,
+    decode_fir,
+    decode_povm,
+    decode_series,
+    decode_transfer,
+    encode_autocov,
+    encode_fir,
+    encode_povm,
+    encode_series,
+    encode_transfer,
+    read_json,
+    write_json,
 )
 from opspectra.synthetic import bundled_example_povm, make_rng, random_transfer
 from opspectra.verify import CheckResult
@@ -371,3 +388,82 @@ def test_reports_keep_value_equality():
     assert CheckResult("id", "p", "pass", 0.0, 1.0) == CheckResult(
         "id", "p", "pass", 0.0, 1.0
     )
+
+
+def test_numpy_integer_counts_reach_json():
+    json.dumps(encode_povm(AtomicTracePovm(np.int64(1), [0.0], np.ones((1, 1, 1)))))
+    nu = bundled_example_povm()
+    json.dumps(encode_autocov(autocov_from_povm(nu, np.int32(2))))
+
+
+# the document of every record that has one, and the records without one
+DOCUMENTS = {
+    AtomicTracePovm: (encode_povm, decode_povm),
+    TransferFunction: (encode_transfer, decode_transfer),
+    FirFilter: (encode_fir, decode_fir),
+    AutocovarianceSequence: (encode_autocov, decode_autocov),
+    ProcessSample: (encode_series, decode_series),
+}
+NO_DOCUMENT = {PovmDensity, RandomMeasure, IncrementPath, CklSystem}
+DOCUMENTED = [
+    i for i, r in enumerate(_array_dataclass_instances()) if type(r) in DOCUMENTS
+]
+
+
+def test_every_record_has_a_document_or_is_listed_without_one():
+    kinds = {type(r) for r in _array_dataclass_instances()}
+    assert kinds == set(DOCUMENTS) | NO_DOCUMENT
+    assert not set(DOCUMENTS) & NO_DOCUMENT
+
+
+def _with_counts(record, kind):
+    """``record`` built again with each integer count given as ``kind``."""
+    if isinstance(record, FirFilter):
+        return FirFilter({kind(s): op for s, op in record.taps.items()})
+    counts = {
+        f.name: kind(getattr(record, f.name)) for f in dataclasses.fields(record)
+        if type(getattr(record, f.name)) is int
+    }
+    assert counts
+    return dataclasses.replace(record, **counts)
+
+
+def _fields(record) -> dict:
+    """Every field of a record; a FIR filter's lags and taps."""
+    if isinstance(record, FirFilter):
+        return {**{f"lag {s}": s for s in record.taps},
+                **{f"tap {s}": op for s, op in record.taps.items()}}
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
+def _json_native(value) -> bool:
+    if isinstance(value, dict):
+        return all(type(k) is str and _json_native(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(map(_json_native, value))
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("kind", [int, np.int32, np.int64, np.uint8],
+                         ids=lambda k: k.__name__)
+@pytest.mark.parametrize("index", DOCUMENTED)
+def test_records_round_trip_through_json_files(index, kind, tmp_path):
+    record = _with_counts(_array_dataclass_instances()[index], kind)
+    encode, decode = DOCUMENTS[type(record)]
+    doc = encode(record)
+    assert _json_native(doc)
+    write_json(doc, tmp_path / "record.json")
+    back = decode(read_json(tmp_path / "record.json"))
+    assert type(back) is type(record)
+    fields, got = _fields(record), _fields(back)
+    assert set(got) == set(fields)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].dtype == value.dtype and got[name].shape == value.shape
+            assert got[name].tobytes() == value.tobytes(), name
+            assert not got[name].flags.writeable, name
+        elif value is None:
+            assert got[name] is None, name
+        else:  # a count, held as a Python int
+            assert type(value) is int and type(got[name]) is int, name
+            assert got[name] == value, name
