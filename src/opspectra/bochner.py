@@ -182,8 +182,10 @@ def _lag_table(gamma: AutocovarianceSequence, times) -> np.ndarray:
     """``table[i, j] = Gamma(t_i - t_j)``, shape ``(n, n, dim, dim)``: the
     stored value at ``|t_i - t_j|``, conjugate-transposed for negative lags.
 
-    Times must be integers (:func:`~opspectra.errors.require_integers`)."""
+    Times are one or more integers (:func:`~opspectra.errors.require_integers`)."""
     times = list(times)
+    if not times:
+        raise DimensionError("at least one time point is required")
     require_integers("time points and lags", *times)
     t = np.array(times, dtype=np.int64)
     lags = t[:, None] - t[None, :]
@@ -207,8 +209,6 @@ def positive_type_check(gamma: AutocovarianceSequence, times) -> bool:
     """
     table = _lag_table(gamma, times)
     n, d = table.shape[0], gamma.dim
-    if n == 0:
-        raise DimensionError("at least one time point is required")
     return psd_check(table.swapaxes(1, 2).reshape(n * d, n * d), 1e-10)
 
 

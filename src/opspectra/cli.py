@@ -11,7 +11,8 @@ numeric parameters.  Values are checked, never converted: counts
 (``realizations``, ``period``, ``max_lag``) are positive integers of at
 most ``2**31 - 1``, ``seed`` is a non-negative integer, ``real`` and
 ``strict_injectivity`` are booleans, ``rank_tol`` is a finite non-negative
-number, ``q`` is an integer or a list of integers and paths are strings.
+number (for ``invert`` only the injectivity threshold), ``q`` is an
+integer or a list of integers and paths are strings.
 All file formats are the JSON encodings of :mod:`opspectra.serialization`.
 The special input value ``"bundled"`` refers to the built-in example
 measure.

@@ -42,9 +42,9 @@ class CklSystem:
 
     ``eigenvalues[j]`` holds the non-increasing spectrum of the unit-trace
     density of atom ``j`` and ``eigenvectors[j]`` the matching orthonormal
-    basis (columns).  ``ranks[j]`` counts the numerically positive
-    eigenvalues, so the sum of the first ``ranks[j]`` eigenprojectors is
-    the range projector of the atom.
+    basis (columns).  ``ranks[j]`` counts the positive eigenvalues, so the
+    sum of the first ``ranks[j]`` eigenprojectors is the range projector
+    of the atom.
     """
 
     povm: AtomicTracePovm
@@ -83,13 +83,12 @@ def _top_projectors(eigenvectors: np.ndarray, ranks: np.ndarray) -> np.ndarray:
 
 def ckl_decompose(nu: AtomicTracePovm) -> CklSystem:
     """Eigensystems of the default density (weight over trace) of every
-    atom; zero-trace atoms get zero eigenvalues and rank zero, and an
-    eigenvalue counts towards the rank when it exceeds ``1e-12`` times the
-    atom's largest.
+    atom; zero-trace atoms get zero eigenvalues and rank zero.
 
     The eigenvalues are those of the measure's cached
     :meth:`~opspectra.povm.AtomicTracePovm.eigensystem` divided by the
-    atom traces, and ``eigenvectors`` *is* its read-only eigenvector
+    atom traces, so they obey its one rank rule and each rank counts the
+    positive eigenvalues; ``eigenvectors`` *is* its read-only eigenvector
     stack, shared with the measure: decomposing a measure takes no
     eigendecomposition once it has been sampled or inverted against, and
     none the second time.  Every array of the system is read-only.
@@ -99,8 +98,7 @@ def ckl_decompose(nu: AtomicTracePovm) -> CklSystem:
     eigenvalues = np.divide(
         vals, traces[:, None], out=np.zeros_like(vals), where=traces[:, None] > 0
     )
-    top = eigenvalues.max(axis=1, keepdims=True, initial=0.0)
-    ranks = np.where(top[:, 0] > 0, np.sum(eigenvalues > 1e-12 * top, axis=1), 0)
+    ranks = np.sum(eigenvalues > 0, axis=1)
     for a in (traces, eigenvalues, ranks):  # fresh arrays: read-only, no copy
         a.flags.writeable = False
     return CklSystem(

@@ -75,10 +75,9 @@ def compose_transfer(
     ops = np.einsum("jab,jbc->jac", psi.ops, phi.ops)
     if psi.domains is None and phi.domains is None:
         return TransferFunction(phi.in_dim, psi.out_dim, phi.freqs, ops)
-    # The composed domain is the null space of the stacked constraint rows.
-    # The rank cut is relative to the magnitude of a non-degenerate
-    # constraint, so an all-noise constraint (domain is everything) has
-    # rank zero.
+    # The composed domain is the null space of the stacked constraint rows,
+    # cut relative to a non-degenerate constraint or the largest singular
+    # value, so an all-noise constraint (domain is everything) has rank 0.
     rows, scale = [], np.ones(phi.n_atoms)
     if phi.domains is not None:
         rows.append(np.eye(phi.in_dim) - phi.domains)
@@ -86,7 +85,8 @@ def compose_transfer(
         rows.append((np.eye(psi.in_dim) - psi.domains) @ phi.ops)
         scale = np.maximum(scale, np.linalg.norm(phi.ops, 2, axis=(1, 2)))
     _, s, vh = np.linalg.svd(np.concatenate(rows, axis=1), full_matrices=True)
-    rank = np.sum(s > rank_tol * np.maximum(s[:, :1], scale[:, None]), axis=1)
+    scale = np.maximum(scale, s[:, 0])
+    rank = np.sum(s > rank_tol * scale[:, None], axis=1)
     null = np.arange(phi.in_dim) >= rank[:, None]
     basis = vh.conj().swapaxes(1, 2) * null[:, None, :]
     domains = basis @ basis.conj().swapaxes(1, 2)
@@ -112,16 +112,16 @@ def invert_transfer(
     zero operator with the identity domain.
 
     All atoms are inverted by one stacked SVD of ``Phi_j V_j``, where the
-    columns of ``V_j`` past the support rank ``r_j`` are zeroed (in strict
-    mode ``V_j = I``); each atom keeps its top ``r_j`` singular triplets.
-    ``V_j`` comes from the measure's cached
-    :meth:`~opspectra.povm.AtomicTracePovm.eigensystem`, read and never
+    ``r_j`` columns of ``V_j`` with positive eigenvalues in the measure's
+    cached :meth:`~opspectra.povm.AtomicTracePovm.eigensystem` are kept
+    and the rest zeroed (in strict mode ``V_j = I``); each atom keeps its
+    top ``r_j`` singular triplets.  The eigensystem is read and never
     written, so inverting against a measure already sampled or decomposed
     takes no eigendecomposition of its weights.
-    A positive-mass atom is rejected with :class:`NonInvertibleError`,
-    naming the first such atom, when its ``r_j``-th singular value is at
-    most ``rank_tol`` times ``||Phi_j||_2``, read off the largest
-    eigenvalue of ``Phi_j^H Phi_j``.
+    ``rank_tol`` is the injectivity threshold only: a positive-mass atom
+    is rejected with :class:`NonInvertibleError`, naming the first such
+    atom, when its ``r_j``-th singular value is at most ``rank_tol`` times
+    ``||Phi_j||_2``, read off the largest eigenvalue of ``Phi_j^H Phi_j``.
     """
     # a transfer must be applicable to the measure before it can be inverted
     require_integrable(phi, nu)
@@ -131,11 +131,11 @@ def invert_transfer(
     if strict:
         op, rank = phi.ops, np.full(phi.n_atoms, phi.in_dim)
     else:
-        # the range of nu_j is spanned by its leading eigenvectors above the
-        # cut; the rest of the basis is zeroed, which pads every operator
-        # Phi_j V_j with zero columns and adds only zero singular values
+        # the range of nu_j is spanned by its positive eigenvectors; the rest
+        # of the basis is zeroed, which pads every operator Phi_j V_j with
+        # zero columns and adds only zero singular values
         vals, vecs = nu.eigensystem()
-        support = vals > rank_tol * np.maximum(vals[:, :1], 0.0)
+        support = vals > 0
         basis = vecs * support[:, None, :]
         op, rank = phi.ops @ basis, support.sum(axis=1)
     u, s, vh = np.linalg.svd(op, full_matrices=False)

@@ -3,8 +3,8 @@
 Operators between finite-dimensional complex Hilbert spaces are plain 2-d
 ``numpy`` arrays of ``complex128``.  This module collects the primitives the
 rest of the library is built on: outer products, positivity checks,
-Gram factors of a Hermitian eigensystem and deterministic Hermitian
-eigendecompositions.
+deterministic Hermitian eigendecompositions and the one rank rule that
+cuts their eigenvalues.
 
 The spectral conventions are written once, over ``(n, d, d)`` stacks such
 as the atom weights of a measure; single-operator functions are the n = 1
@@ -189,15 +189,16 @@ def psd_check(p, tol: float = 1e-10) -> bool:
     return bool(psd_mask(a[None], tol)[0])
 
 
-def _eigenfactors(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Gram factors ``V diag(sqrt(vals))`` of a PSD stack from its Hermitian
-    or real eigensystem, in any order: negative eigenvalues become zero."""
+def _rank_cut(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one rank rule on a Hermitian eigensystem in any order: negative
+    eigenvalues and any at most ``256 eps`` times the operator's largest
+    become exactly zero, so its support is where its eigenvalues are positive."""
     vals = np.clip(vals, 0.0, None)
     # Eigenvalues at round-off level are noise; left in place they would
-    # inflate to sqrt scale and pollute the range of the factor.
+    # inflate to sqrt scale and pollute the range of a Gram factor.
     top = vals.max(axis=-1, keepdims=True, initial=0.0)
     vals[vals <= 256.0 * np.finfo(np.float64).eps * top] = 0.0
-    return vecs * np.sqrt(vals)[..., None, :]
+    return vals, vecs
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from .errors import (
     _frozen,
     require_integers,
 )
-from .operators import ABS_FLOOR, _eigenfactors, psd_mask, scaled_norms, sorted_eigh
+from .operators import ABS_FLOOR, _rank_cut, psd_mask, scaled_norms, sorted_eigh
 from .transfer import (
     DOMAIN_TOL,
     FREQ_MERGE_TOL,
@@ -177,18 +177,19 @@ class AtomicTracePovm:
         return value
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`~opspectra.operators.sorted_eigh` of the atom weights:
-        non-increasing eigenvalues ``(n, dim)`` and phase-fixed eigenvector
-        columns ``(n, dim, dim)``.
+        """:func:`~opspectra.operators.sorted_eigh` of the atom weights, cut
+        by the one rank rule (:func:`~opspectra.operators._rank_cut`):
+        non-increasing eigenvalues ``(n, dim)``, positive exactly on each
+        atom's support, and phase-fixed eigenvector columns ``(n, dim, dim)``.
 
         This is the measure's only eigendecomposition.  It is computed on
         first use and cached; every call returns the same read-only arrays,
         which stay valid because no array can change the measure's
         weights.  :meth:`gram_factors`, the support basis of
-        :func:`~opspectra.filtering.invert_transfer` and
+        :func:`~opspectra.filtering.invert_transfer` and the ranks of
         :func:`~opspectra.decomposition.ckl_decompose` all read it.
         """
-        return self._cached("_eigensystem", lambda: sorted_eigh(self.weights))
+        return self._cached("_eigensystem", lambda: _rank_cut(*sorted_eigh(self.weights)))
 
     def gram_factors(self) -> np.ndarray:
         """The read-only stack ``F_j`` with ``F_j F_j^H = nu_j`` that the
@@ -201,7 +202,8 @@ class AtomicTracePovm:
         filtered measure."""
         if (factors := self.__dict__.get("_factors")) is not None:
             return factors
-        return self._cached("_eigenfactors", lambda: _eigenfactors(*self.eigensystem()))
+        vals, vecs = self.eigensystem()
+        return self._cached("_gram_factors", lambda: vecs * np.sqrt(vals)[:, None, :])
 
 
 @dataclass(frozen=True, eq=False)

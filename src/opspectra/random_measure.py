@@ -36,7 +36,6 @@ from .errors import (
     require_addressable,
     require_integers,
 )
-from .operators import _eigenfactors
 from .povm import AtomicTracePovm, require_integrable
 from .transfer import FREQ_MERGE_TOL, TransferFunction, require_aligned, require_support
 
@@ -216,13 +215,14 @@ def sample_real_gaussian_measure(
     at ``0`` and ``pi`` must be real, both to within ``1e-10`` times the
     largest atom trace.  Mirrors match within ``FREQ_MERGE_TOL`` and must
     pair both ways, else :class:`AlignmentError` is raised.  Samples at
-    mirror atoms are complex conjugates and samples at the self-paired atoms
-    are real Gaussian, through a real factor of the real weight, so the
-    synthesised process is real-valued.  The atom covariances still match the
-    intensity, but the self-paired atoms are not circularly symmetric; this
-    is a modeling extension for real-valued output.  The leading atom of
-    each pair takes the sample :func:`sample_gaussian_measure` draws for it,
-    and ``n_realizations`` and ``seed`` obey the same integer rule.
+    mirror atoms are complex conjugates and a self-paired atom keeps
+    ``sqrt(2) Re`` of its draw ``F_j xi_j``, real Gaussian with covariance
+    ``Re(F_j F_j^H) = nu_j``, so the synthesised process is real-valued.
+    The atom covariances still match the intensity, but the self-paired
+    atoms are not circularly symmetric; this is a modeling extension for
+    real-valued output.  Every atom but a mirror draws the sample
+    :func:`sample_gaussian_measure` draws for it, and ``n_realizations``
+    and ``seed`` obey the same integer rule.
     """
     out = _sample_buffer(nu, n_realizations, seed)
     freqs = nu.freqs
@@ -244,22 +244,19 @@ def sample_real_gaussian_measure(
         raise AlignmentError(f"atom {j} and mirror {partner[j]} do not pair both ways")
     # relative to the largest trace norm, so scaling nu changes no decision
     floor = 1e-10 * nu.traces().max()
-    for j in range(freqs.size):
-        k = int(partner[j])
+    for j, k in enumerate(partner):
         if k == j and np.abs(nu.weights[j].imag).max() > floor:
             raise DimensionError(
                 f"self-paired atom {j} needs a real weight for real output"
             )
         if k > j and np.abs(nu.weights[k] - nu.weights[j].T).max() > floor:
             raise DimensionError(f"atoms {j} and {k} are not transposes of each other")
-    leads = atoms[partner > atoms]
-    _draw_atoms(out, nu.gram_factors(), leads, seed)
-    for j in leads:
-        np.conjugate(out[j], out=out[partner[j]])
-    # a degenerate eigenspace of a complex eigh need not be real: a real one
-    selfs = atoms[partner == atoms]
-    for j, g in zip(selfs, _eigenfactors(*np.linalg.eigh(nu.weights[selfs].real))):
-        out[j] = _atom_rng(seed, j).standard_normal(out.shape[1:]) @ g.T
+    _draw_atoms(out, nu.gram_factors(), atoms[partner >= atoms], seed)
+    for j, k in enumerate(partner):
+        if k > j:
+            np.conjugate(out[j], out=out[k])
+        elif k == j:
+            out[j] = np.sqrt(2.0) * out[j].real
     out.flags.writeable = False
     return RandomMeasure(samples=out, intensity=nu)
 

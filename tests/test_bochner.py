@@ -313,6 +313,12 @@ class TestLagTable:
         with pytest.raises(DimensionError, match="at least one time point"):
             positive_type_check(gamma, [])
 
+    def test_empty_time_list_is_no_hermitian_certificate(self):
+        # the rule of positive_type_check: no time point, no certificate
+        gamma = autocov_from_povm(random_povm(make_rng(317), 2, 3), 2)
+        with pytest.raises(DimensionError, match="at least one time point"):
+            hermitian_nnd_check(gamma, [], [])
+
     @pytest.mark.parametrize(
         "times", [[0.4, 1.9], [0, 1.0], [0, np.float64(1.0)], [True, 0]],
         ids=["fractional", "float", "numpy-float", "bool"],

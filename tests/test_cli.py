@@ -267,6 +267,14 @@ class TestVerifyDispatch:
             "check_id", "property", "status", "metric", "tolerance", "details",
         }
 
+    def test_measure_with_an_eigenvalue_above_the_rank_cut_passes(self, workdir):
+        nu = AtomicTracePovm(3, [0.0, 1.0], [np.diag([1.0, 1e-13, 0.5]), np.eye(3)])
+        write_json(encode_povm(nu), workdir / "povm.json")
+        config = {"command": "verify", "povm": "povm.json", "out": "report.json"}
+        assert run_config(workdir, "v.json", config) == 0
+        report = read_json(workdir / "report.json")
+        assert [row["status"] for row in report] == ["pass"] * 10
+
     def test_failing_check_exits_one(self, workdir, monkeypatch):
         canned = [CheckResult("a", "prop a", "fail", 2.0, 1.0)]
         monkeypatch.setattr("opspectra.cli.run_battery", lambda **kw: canned)

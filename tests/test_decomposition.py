@@ -29,9 +29,28 @@ from opspectra.synthetic import (
     bundled_example_povm,
     haar_frame,
     make_rng,
+    random_conditioned_transfer,
     random_povm,
     random_transfer,
 )
+
+
+@pytest.mark.parametrize("ratio", np.logspace(-17, -6, 12))
+def test_factor_ckl_and_inversion_share_one_rank(ratio):
+    """An eigenvalue at ``ratio`` times its atom's largest, on either side
+    of the rank cut, counts the same towards the factor's nonzero columns,
+    the CKL rank and the rank of the inverse's domain."""
+    rng = make_rng(640)
+    u = haar_frame(rng, 3, 3)
+    spectra = [[1.0, ratio, 0.5], [1.0, ratio, 0.0], [2.0, 2.0 * ratio, 1.0]]
+    weights = [u @ np.diag(s) @ u.conj().T for s in spectra[:2]] + [np.diag(spectra[2])]
+    nu = AtomicTracePovm(3, [-1.0, 0.5, 2.0], weights)
+    phi = random_conditioned_transfer(rng, 3, nu.freqs, cond=10)
+    domains = invert_transfer(phi, nu).domains
+    domain_ranks = np.rint(np.trace(domains, axis1=1, axis2=2).real).astype(int)
+    factor_ranks = nu.gram_factors().any(axis=1).sum(axis=1)
+    np.testing.assert_array_equal(ckl_decompose(nu).ranks, factor_ranks)
+    np.testing.assert_array_equal(domain_ranks, factor_ranks)
 
 
 class TestCklDecompose:

@@ -213,7 +213,7 @@ COPIES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
 }
-CACHES = ("_eigensystem", "_eigenfactors")
+CACHES = ("_eigensystem", "_gram_factors")
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))

@@ -289,6 +289,16 @@ class TestInvert:
         back = pushforward_povm(inv, pushforward_povm(phi, nu))
         assert np.abs(back.weights - nu.weights).max() <= 1e-8
 
+    @pytest.mark.parametrize("e", [1e-13, 1e-11])
+    def test_round_trip_keeps_a_small_supported_eigenvalue(self, e):
+        # the direction of e is in the factor that samples nu, so it is in
+        # the filtered samples and must be in the inverse's domain too
+        nu = AtomicTracePovm(2, [0.0, 1.0], [np.diag([1.0, e]), np.eye(2)])
+        phi = random_conditioned_transfer(make_rng(523), 2, nu.freqs, cond=10)
+        w = sample_gaussian_measure(nu, 64, seed=37)
+        back = apply_filter(invert_transfer(phi, nu), apply_filter(phi, w))
+        assert np.abs(back.samples - w.samples).max() <= 1e-12 * np.abs(w.samples).max()
+
     def test_injective_on_support_only(self):
         rng = make_rng(522)
         # rank-1 atoms: any generic square map is injective on the support
@@ -586,16 +596,19 @@ class TestTransferApply:
 
 
 def reference_inverse(phi, nu, rank_tol=1e-10, strict=False):
-    """One SVD per positive-mass atom, as the inversion is defined."""
+    """One SVD per positive-mass atom, as the inversion is defined: the
+    support keeps the eigenvalues above ``256 eps`` of the atom's largest,
+    and ``rank_tol`` is the injectivity threshold."""
     mask = nu.positive_mass_mask()
     vals, vecs = sorted_eigh(nu.weights)
+    cut = 256.0 * np.finfo(np.float64).eps
     ops = np.zeros((phi.n_atoms, phi.in_dim, phi.out_dim), dtype=complex)
     domains = np.tile(np.eye(phi.out_dim, dtype=complex), (phi.n_atoms, 1, 1))
     for j in np.flatnonzero(mask):
         if strict:
             basis = np.eye(phi.in_dim)
         else:
-            basis = vecs[j][:, vals[j] > rank_tol * max(vals[j, 0], 0.0)]
+            basis = vecs[j][:, vals[j] > cut * max(vals[j, 0], 0.0)]
         op = phi.ops[j] @ basis
         u, s, vh = np.linalg.svd(op, full_matrices=False)
         smin = s[-1] if s.size == op.shape[1] else 0.0

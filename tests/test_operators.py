@@ -8,7 +8,7 @@ from opspectra import (
     outer,
     psd_check,
 )
-from opspectra.operators import _eigenfactors, sorted_eigh
+from opspectra.operators import _rank_cut, sorted_eigh
 from opspectra.synthetic import make_rng, random_complex, random_psd
 
 
@@ -63,7 +63,7 @@ def factor(p):
 
 class TestPsdSqrt:
     """Gram factors ``F`` with ``F F^H = p`` (they replaced the positive
-    roots): ``gram_factors``, which is ``_eigenfactors`` of the measure's
+    roots): ``gram_factors``, which is ``V sqrt(vals)`` of the measure's
     cached eigensystem, cached and read-only."""
 
     def test_diagonal(self):
@@ -84,10 +84,11 @@ class TestPsdSqrt:
         assert psd_check(gram, 1e-10)
         assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12 * np.linalg.norm(p, 2)
         assert np.abs(f @ f.conj().T - p).max() <= 1e-10 * np.linalg.norm(p, 2)
-        # the factor is _eigenfactors of the cached eigensystem, bit for bit,
+        # the factor is V sqrt(vals) of the cached eigensystem, bit for bit,
         # cached and read-only
         nu = AtomicTracePovm(5, [0.0], p[None])
-        np.testing.assert_array_equal(nu.gram_factors(), _eigenfactors(*nu.eigensystem()))
+        vals, vecs = nu.eigensystem()
+        np.testing.assert_array_equal(nu.gram_factors(), vecs * np.sqrt(vals)[:, None, :])
         assert nu.gram_factors() is nu.gram_factors()
         assert not nu.gram_factors().flags.writeable
 
@@ -106,10 +107,10 @@ class TestPsdSqrt:
         # round-off directions are clamped: the columns past the rank are zero
         assert not f[:, 2:].any()
         assert np.abs(f @ f.conj().T - p).max() <= 1e-12 * np.linalg.norm(p, 2)
-        # the same holds for _eigenfactors of an unsorted eigensystem, whose
+        # the same holds for the rank rule on an unsorted eigensystem, whose
         # zero columns come first
-        vals, vecs = np.linalg.eigh(p)
-        f = _eigenfactors(vals[None], vecs[None])[0]
+        vals, vecs = _rank_cut(*np.linalg.eigh(p))
+        f = vecs * np.sqrt(vals)
         assert not f[:, :2].any() and np.all(np.linalg.norm(f[:, 2:], axis=0) > 0)
         assert np.abs(f @ f.conj().T - p).max() <= 1e-12 * np.linalg.norm(p, 2)
 

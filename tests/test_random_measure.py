@@ -26,7 +26,6 @@ from opspectra import (
 )
 from opspectra.bochner import on_grid
 from opspectra.filtering import pushforward_povm
-from opspectra.operators import _eigenfactors
 from opspectra.random_measure import (
     _atom_rng,
     _draw_atom,
@@ -333,7 +332,8 @@ class TestThreadedSampling:
         rng = make_rng(442)
         mixed = random_povm(rng, 3, 5, ranks=[1, 3, 2, 3, 1])
         filtered = pushforward_povm(random_transfer(rng, 3, 3, mixed.freqs), mixed)
-        own = _eigenfactors(*filtered.eigensystem())
+        vals, vecs = filtered.eigensystem()
+        own = vecs * np.sqrt(vals)[:, None, :]
         assert not np.array_equal(filtered.gram_factors(), own)
         store = np.empty((2, n_real * 5), dtype=complex)
         for nu in (mixed, filtered):
@@ -349,8 +349,8 @@ class TestThreadedSampling:
 
 class TestOneFactor:
     """Both samplers draw through ``gram_factors()``: an atom of rank r reads
-    2 r normals per row, a self-paired atom draws through a real factor of
-    its real weight, and a filtered measure through its kept factors."""
+    2 r normals per row, a self-paired atom keeps ``sqrt(2) Re`` of its
+    draw, and a filtered measure draws through its kept factors."""
 
     def test_rank_r_atom_reads_2r_normals_per_row(self, monkeypatch):
         ranks = [0, 1, 2, 3]
@@ -413,6 +413,34 @@ class TestOneFactor:
         for z, sigma in zip(w.samples, mu.weights):
             sd = np.sqrt(np.outer(np.diag(sigma).real, np.diag(sigma).real) / n_real)
             assert np.all(np.abs(empirical_gramian(z, z) - sigma) <= 5.0 * sd)
+
+    def test_real_sampler_of_a_filtered_measure_takes_no_eigh(self, monkeypatch):
+        rng = make_rng(453)
+        a, b = random_complex(rng, (3, 3)), random_complex(rng, (3, 3))
+        pos, real = a @ a.conj().T, b.real @ b.real.T
+        nu = AtomicTracePovm(3, [-1.0, 0.0, 1.0, np.pi], [pos.T, real, pos, np.eye(3)])
+        nu.gram_factors()  # the source factor is cached
+        g, h = random_complex(rng, (2, 3, 3))
+        phi = TransferFunction(3, 3, nu.freqs, np.stack([g.conj(), h.real, g, h.imag]))
+        mu = pushforward_povm(phi, nu)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        n_real = 20_000
+        w = sample_real_gaussian_measure(mu, n_real, seed=53)
+        assert calls == []
+        for j, (z, sigma) in enumerate(zip(w.samples, mu.weights)):
+            var = np.outer(np.diag(sigma).real, np.diag(sigma).real)
+            if j in (1, 3):  # real Gaussian: Var(x_a x_b) = S_aa S_bb + S_ab^2
+                assert not z.imag.any()
+                var = var + np.abs(sigma) ** 2
+            err = np.abs(empirical_gramian(z, z) - sigma)
+            assert np.all(err <= 5.0 * np.sqrt(var / n_real))
 
 
 class TestSpectralIntegral:

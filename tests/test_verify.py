@@ -14,7 +14,6 @@ from opspectra import verify
 from opspectra.decomposition import ckl_decompose, hfpca_error, hfpca_projector
 from opspectra.errors import PositivityError
 from opspectra.filtering import apply_filter, pushforward_povm
-from opspectra.operators import _eigenfactors
 from opspectra.povm import AtomicTracePovm
 from opspectra.random_measure import (
     IncrementPath,
@@ -66,10 +65,19 @@ class TestExtraMeasure:
         # and HFPCA checks read them, so the worker must rebuild them too
         nu = bundled_example_povm()
         mu = pushforward_povm(random_transfer(make_rng(7), 3, 3, nu.freqs), nu)
-        assert not np.array_equal(mu.gram_factors(), _eigenfactors(*mu.eigensystem()))
+        vals, vecs = mu.eigensystem()
+        assert not np.array_equal(mu.gram_factors(), vecs * np.sqrt(vals)[:, None, :])
         determinism = verify.run_battery(20260809, povm=mu)[-1]
         assert determinism.details["mismatched"] == []
         assert determinism.passed
+
+
+def test_ckl_passes_on_an_eigenvalue_above_the_rank_cut():
+    # 1e-13 of the atom's largest is kept by the factor, so the CKL ranks
+    # must keep it too, else the completeness residual is sqrt(1e-13)
+    nu = AtomicTracePovm(3, [0.0, 1.0], [np.diag([1.0, 1e-13, 0.5]), np.eye(3)])
+    result = verify.check_ckl(20260809, (nu,))
+    assert result.passed, result
 
 
 def reference_mc_errors(nu, theta, seed):
