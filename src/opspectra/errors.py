@@ -4,8 +4,8 @@ Every error raised on invalid mathematical input derives from
 :class:`OpSpectraError`, so callers (and the CLI) can distinguish domain
 failures from programming errors.  :func:`require_addressable` is the one
 guard on counts too large to size an array, :func:`require_integers`
-the one rule for lags, times, counts and seeds, and :func:`_frozen` the
-one rule for the arrays a record keeps.
+the one rule for lags, times and counts, :func:`require_seed` for seeds,
+and :func:`_frozen` the one rule for the arrays a record keeps.
 """
 
 import math
@@ -67,6 +67,12 @@ def require_integers(what: str, *values) -> list:
     ):
         raise DimensionError(f"{what} must be integers")
     return [int(x) for x in values]
+
+
+def require_seed(seed) -> None:
+    """Raise :class:`DimensionError` unless ``seed`` is a non-negative integer."""
+    if require_integers("seeds", seed)[0] < 0:
+        raise DimensionError(f"seed must be non-negative, got {seed}")
 
 
 def _frozen(value, dtype) -> np.ndarray:

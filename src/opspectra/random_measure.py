@@ -11,14 +11,14 @@ nu_j``, so atoms are mutually uncorrelated and the ensemble covariance of
 
 Randomness comes from an SFC64 generator with one substream per atom,
 seeded from ``(seed, atom index)``; results are therefore independent of
-the order in which atoms are processed.  One per-atom
-routine draws an atom's next rows from its generator into buffers its
-caller owns; the samplers fill the ``(n_atoms, R, dim)`` ensemble with it,
-and the battery's Monte Carlo checks (:mod:`opspectra.verify`) stream row
-blocks of every atom through it without ever holding an ensemble; they
-merge per-block centred co-moments, which :func:`empirical_gramian` does
-for one block.  Atoms are drawn on the calling thread: the library's only
-concurrency is the battery's determinism rerun in a worker interpreter.
+the order in which atoms are processed.  One loop over the atoms draws
+their next rows: the samplers fill the ``(n_atoms, R, dim)`` ensemble
+with it, and a private stream yields the same rows as row-block measures,
+so the battery's Monte Carlo checks (:mod:`opspectra.verify`) never hold
+an ensemble; they merge per-block centred co-moments, which
+:func:`empirical_gramian` does for one block.  Atoms are drawn on the
+calling thread: the library's only concurrency is the battery's
+determinism rerun in a worker interpreter.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     _frozen,
     require_addressable,
     require_integers,
+    require_seed,
 )
 from .povm import AtomicTracePovm, require_integrable
 from .transfer import FREQ_MERGE_TOL, TransferFunction, require_aligned, require_support
@@ -160,25 +161,52 @@ def _draw_atom(
     return out
 
 
-def _draw_atoms(out: np.ndarray, factors: np.ndarray, atoms, seed: int) -> None:
-    """Fill ``out[j]`` for each ``j`` in ``atoms`` by :func:`_draw_atom`
-    from its generator for ``seed`` and its factor, in turn on the calling
-    thread, through one normals store; any order of ``atoms`` fills the same."""
+def _atom_streams(factors: np.ndarray, atoms, seed: int):
+    """Each atom ``j`` of ``atoms`` with its kernel (:func:`_kernel`) and its
+    generator for ``seed`` (:func:`_atom_rng`), built as a loop reaches it."""
+    return ((j, _kernel(factors[j]), _atom_rng(seed, j)) for j in atoms)
+
+
+def _draw_rows(out: np.ndarray, store: np.ndarray, streams) -> None:
+    """The one loop over atoms: for each ``(j, kernel, rng)`` of ``streams``
+    in turn, write atom ``j``'s next rows into ``out[j]`` by :func:`_draw_atom`
+    through ``store``, a normals store of at least ``2 dim`` floats per row."""
     n = out.shape[1]
-    store = np.empty(n * 2 * factors.shape[2])
-    for j in atoms:
-        k = _kernel(factors[j])
-        normals = store[: n * len(k)].reshape(n, len(k))
-        _draw_atom(out[j], normals, k, _atom_rng(seed, j))
+    for j, k, rng in streams:
+        _draw_atom(out[j], store[: n * len(k)].reshape(n, len(k)), k, rng)
+
+
+def _draw_atoms(out: np.ndarray, factors: np.ndarray, atoms, seed: int) -> None:
+    """Fill ``out[j]`` for each ``j`` in ``atoms`` from its stream for
+    ``seed`` by :func:`_draw_rows`, each kernel built and dropped in turn;
+    any order of ``atoms`` fills the same."""
+    store = np.empty(out.shape[1] * 2 * factors.shape[2])
+    _draw_rows(out, store, _atom_streams(factors, atoms, seed))
+
+
+def _sample_blocks(nu: AtomicTracePovm, n_realizations: int, seed: int, rows: int):
+    """The rows ``sample_gaussian_measure(nu, n_realizations, seed)`` draws,
+    as consecutive read-only measures of ``rows`` rows (the last may be
+    shorter).  Each atom's kernel and generator, and one normals store, are
+    kept from block to block; the previous block is released before the
+    next is allocated, so one block is held, whatever ``n_realizations``."""
+    streams = list(_atom_streams(nu.gram_factors(), range(nu.n_atoms), seed))
+    store = np.empty(min(rows, n_realizations) * 2 * nu.dim)
+    for start in range(0, n_realizations, rows):
+        n = min(rows, n_realizations - start)
+        block = None  # the previous block goes before the next is allocated
+        block = np.empty((nu.n_atoms, n, nu.dim), np.complex128)
+        _draw_rows(block, store, streams)
+        block.flags.writeable = False
+        yield RandomMeasure(block, nu)
 
 
 def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
-    """The empty ``(n_atoms, R, dim)`` samples of a sampler, once ``R`` and
-    ``seed`` are integers, ``seed`` is non-negative and ``R`` is positive
-    and addressable."""
-    require_integers("realization counts and seeds", n_realizations, seed)
-    if seed < 0:
-        raise DimensionError(f"seed must be non-negative, got {seed}")
+    """The empty ``(n_atoms, R, dim)`` samples of a sampler, once ``seed``
+    obeys :func:`~opspectra.errors.require_seed` and ``R`` is a positive,
+    addressable integer."""
+    require_integers("realization counts", n_realizations)
+    require_seed(seed)
     if n_realizations < 1:
         raise SampleSizeError("need at least one realization")
     shape = (nu.n_atoms, int(n_realizations), nu.dim)

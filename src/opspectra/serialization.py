@@ -195,12 +195,13 @@ def encode_fir(fir: FirFilter) -> dict:
 
 
 def decode_fir(obj) -> FirFilter:
-    return FirFilter(
-        taps={
-            _integer(t, "s", signed=True): decode_operator(t["op"])
-            for t in obj["taps"]
-        }
-    )
+    taps = {}
+    for t in obj["taps"]:
+        s = _integer(t, "s", signed=True)
+        if s in taps:
+            raise FormatError(f"FIR lag {s} is given more than once")
+        taps[s] = decode_operator(t["op"])
+    return FirFilter(taps=taps)
 
 
 def encode_series(x: ProcessSample) -> dict:

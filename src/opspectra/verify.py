@@ -5,9 +5,9 @@ calculus and reports the worst observed residual against a fixed
 tolerance.  The battery is deterministic given its seed; Monte Carlo
 checks use 5 standard-error bands at :data:`MC_ENSEMBLE` realizations.
 No check holds anything of length ``R``: the three Monte Carlo checks read
-one stream of the sampler's rows in blocks, atom by atom, keep running
-moments (merged centred co-moments, or sums of squared norms) and score
-at one site, with one band count.
+the sampler's rows as the row-block measures of its one stream, keep
+running moments (merged centred co-moments, or sums of squared norms)
+and score at one site, with one band count.
 The same functions back the CLI ``verify`` command and the test suite.
 """
 
@@ -36,23 +36,21 @@ from .decomposition import (
     hfpca_projector,
     scalar_component_transfer,
 )
-from .errors import NonInvertibleError
+from .errors import NonInvertibleError, require_seed
 from .filtering import (
     apply_filter,
     apply_fir_time,
     compose_transfer,
     fir_to_transfer,
     invert_transfer,
+    modulate_transfer,
     pushforward_povm,
 )
 from .povm import AtomicTracePovm, gramian_inner, radon_nikodym
 from .random_measure import (
-    RandomMeasure,
-    _atom_rng,
-    _draw_atom,
     _draw_atoms,
-    _kernel,
     _merged_gramian,
+    _sample_blocks,
     from_increment_path,
     sample_gaussian_measure,
     spectral_integral,
@@ -423,59 +421,24 @@ def _band_count(zs) -> tuple:
     return inside, max(zs, default=0.0), inside >= int(np.ceil(0.95 * len(zs)))
 
 
-def _mc_stream(nu, seed):
-    """The rows ``sample_gaussian_measure(nu, MC_ENSEMBLE, seed)`` draws, in
-    :data:`MC_BLOCK`-row blocks: yields each block's row count and an
-    iterator, read to its end before the next block, over the atoms in
-    order.  It draws each atom's rows through the atom's generator, open
-    across blocks, into one ``(rows, dim)`` buffer, the caller's until the
-    next draw, so one block of one atom is held, whatever ``nu`` and ``R``."""
-    kernels = [_kernel(f) for f in nu.gram_factors()]
-    rngs = [_atom_rng(seed, j) for j in range(nu.n_atoms)]
-    store = np.empty(MC_BLOCK * max(map(len, kernels)))
-    z = np.empty((MC_BLOCK, nu.dim), np.complex128)
-    for start in range(0, MC_ENSEMBLE, MC_BLOCK):
-        n = min(MC_BLOCK, MC_ENSEMBLE - start)
-        draws = (
-            _draw_atom(z[:n], store[: n * len(k)].reshape(n, len(k)), k, rng)
-            for k, rng in zip(kernels, rngs)
-        )
-        yield n, draws
-
-
 def _mc_measures(nu, seed):
-    """The blocks of :func:`_mc_stream` as measures, each in a fresh
-    read-only ``(n_atoms, rows, dim)`` array."""
-    for n, atoms in _mc_stream(nu, seed):
-        block = None  # the previous block goes before the next is allocated
-        block = np.empty((nu.n_atoms, n, nu.dim), np.complex128)
-        for j, z in enumerate(atoms):
-            block[j] = z
-        block.flags.writeable = False
-        yield RandomMeasure(block, nu)
+    """The rows ``sample_gaussian_measure(nu, MC_ENSEMBLE, seed)`` draws, as
+    consecutive :data:`MC_BLOCK`-row read-only block measures."""
+    return _sample_blocks(nu, MC_ENSEMBLE, seed, MC_BLOCK)
 
 
 def _hfpca_mc_errors(nu, complement, seed) -> list:
-    """Monte Carlo ``E ||X_t - [Theta X]_t||^2`` at each of :data:`MC_TIMES`.
+    """Monte Carlo ``E ||X_t - [Theta X]_t||^2`` at each of :data:`MC_TIMES`:
+    the error at ``t`` is the integral of ``I - Theta`` (``complement``
+    stacks the ``I - Theta_j``) modulated by the character ``e^{i lambda t}``,
+    its squared norms summed over the block measures, one total per time."""
+    residual = TransferFunction(nu.dim, nu.dim, nu.freqs, complement)
+    shifted = [modulate_transfer(residual, t) for t in MC_TIMES]
 
-    ``complement`` stacks the ``I - Theta_j``.  Over each block of
-    :func:`_mc_stream`, ``e^{i lambda_j t} Z_j (I - Theta_j)^T`` is added to
-    one sum per time, in atom order, and the block's squared norms are
-    added into one running total per time: one block's buffers are held.
-    """
-    phases = [np.exp(1j * nu.freqs * t) for t in MC_TIMES]
-    buffers = np.empty((1 + len(MC_TIMES), MC_BLOCK, nu.dim), np.complex128)
-    totals = np.zeros(len(MC_TIMES))
-    for n, atoms in _mc_stream(nu, seed):
-        r, *sums = buffers[:, :n]
-        for acc in sums:
-            acc[...] = 0.0
-        for j, z in enumerate(atoms):
-            np.matmul(z, complement[j].T, out=r)
-            for acc, phase in zip(sums, phases):
-                np.multiply(r, phase[j], out=z)
-                acc += z
-        totals += [np.sum(np.abs(acc) ** 2) for acc in sums]
+    def squared_norms(w):
+        return [np.sum(np.abs(spectral_integral(phi, w)) ** 2) for phi in shifted]
+
+    totals = sum(map(squared_norms, _mc_measures(nu, seed)), np.zeros(len(MC_TIMES)))
     return [float(t) for t in totals / MC_ENSEMBLE]
 
 
@@ -641,6 +604,7 @@ def run_battery(seed: int = 20260809, povm: AtomicTracePovm | None = None) -> li
     BLAS thread count when this one runs BLAS with more.  The worker is
     killed and reaped if anything here raises, an interrupt included.
     """
+    require_seed(seed)  # the samplers' rule, before a worker exists to reap
     extra = (povm,) if povm is not None else ()
     worker = _start_rerun(seed, povm)
     try:

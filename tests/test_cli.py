@@ -23,6 +23,7 @@ from opspectra.serialization import (
     decode_transfer,
     encode_autocov,
     encode_fir,
+    encode_operator,
     encode_povm,
     encode_series,
     encode_transfer,
@@ -167,6 +168,18 @@ class TestFilterCommands:
         }) == 0
         y = decode_series(read_json(workdir / "y.json"))
         assert not y.values.any()
+
+    def test_fir_with_a_repeated_lag_exits_2(self, workdir, capsys):
+        x = ProcessSample(2, 6, np.zeros((2, 6, 2), dtype=complex))
+        write_json(encode_series(x), workdir / "x.json")
+        taps = [{"s": 0, "op": encode_operator(k * np.eye(2))} for k in (1, 2)]
+        write_json({"taps": taps}, workdir / "fir.json")
+        assert run_config(workdir, "f.json", {
+            "command": "filter", "fir": "fir.json", "series": "x.json",
+            "out": "y.json",
+        }) == 2
+        assert "lag 0 is given more than once" in capsys.readouterr().err
+        assert not (workdir / "y.json").exists()
 
     def test_ambiguous_inputs_rejected(self, workdir, capsys):
         status = run_config(workdir, "f.json", {

@@ -114,7 +114,6 @@ PAPER_NAMES = {
     "scalar_integral": "the integral of a scalar function against the measure",
     "ckl_component": "the n-th Cramer-Karhunen-Loeve component of W",
     "ckl_scalar_component": "the n-th scalar (univariate) CKL component of W",
-    "modulate_transfer": "the lag shift as multiplication by a character",
     "RandomMeasure.restrict": "the random measure W on a union of atoms",
     "AtomicTracePovm.from_atoms": "the measure builder README Conventions documents",
     "encode_fir": "writes the FIR input format the command line reads",
@@ -173,6 +172,26 @@ def test_every_public_name_has_a_caller_or_a_reason():
         q for q in PAPER_NAMES if q not in surface or surface[q] in used
     )
     assert not stale, f"PAPER_NAMES entries without need: {stale}"
+
+
+# What only the sampler knows: an atom's generator, kernel and draw.
+DRAW_INTERNALS = {"_atom_rng", "_draw_atom", "_kernel"}
+
+
+def test_the_battery_reads_no_draw_internals():
+    """``random_measure`` owns the one stream of sampled rows: the battery
+    reads its block measures and neither imports nor reads the names that
+    draw an atom's rows."""
+    path = Path(importlib.import_module("opspectra.verify").__file__)
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name for alias in node.names)
+    assert not read & DRAW_INTERNALS, sorted(read & DRAW_INTERNALS)
 
 
 def _array_dataclass_instances():

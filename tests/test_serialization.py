@@ -116,6 +116,12 @@ class TestFirFormat:
         for s in fir.taps:
             np.testing.assert_array_equal(back.taps[s], fir.taps[s])
 
+    def test_repeated_lag_is_refused(self):
+        # a second tap at s = 0 would silently replace the first
+        taps = [{"s": 0, "op": encode_operator(k * np.eye(2))} for k in (1, 2)]
+        with pytest.raises(FormatError, match="lag 0 is given more than once"):
+            decode_fir({"taps": taps})
+
 
 class TestSeriesFormat:
     def test_exact_roundtrip(self):

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from conftest import traced_peak
 
-from opspectra import verify
+from opspectra import random_measure, verify
 from opspectra.decomposition import ckl_decompose, hfpca_error, hfpca_projector
-from opspectra.errors import PositivityError
+from opspectra.errors import DimensionError, PositivityError
 from opspectra.filtering import apply_filter, pushforward_povm
 from opspectra.povm import AtomicTracePovm
 from opspectra.random_measure import (
@@ -134,7 +134,8 @@ def peak_growth(monkeypatch, check, sizes):
 
 
 class TestHfpcaMonteCarlo:
-    """The HFPCA check streams its Monte Carlo in row blocks, atom by atom."""
+    """The HFPCA check integrates the modulated residual filter over the row
+    blocks of the sampler's stream."""
 
     @pytest.fixture
     def small_ensemble(self, monkeypatch):
@@ -206,14 +207,14 @@ class TestExactStandardErrors:
         ids=["hfpca", "gramian-isometry"],
     )
     def test_a_scaled_sampler_fails_the_band(self, monkeypatch, check, factor):
-        draw = verify._draw_atom
+        draw = random_measure._draw_atom
 
         def scaled(*args):
             out = draw(*args)
             out *= factor
             return out
 
-        monkeypatch.setattr(verify, "_draw_atom", scaled)
+        monkeypatch.setattr(random_measure, "_draw_atom", scaled)
         result = check(20260809, (bundled_example_povm(),))
         details = result.details
         n = details.get("mc_checks", details.get("mc_instances"))
@@ -241,11 +242,11 @@ def first_mc_instance(monkeypatch, check):
     integrated, the row counts of the blocks that entered the merge and
     the concatenation of their two ensembles."""
     seen = {"transfers": []}
-    stream = verify._mc_stream
+    measures = verify._mc_measures
 
-    def spy_stream(nu, seed):
+    def spy_measures(nu, seed):
         seen.update(nu=nu, seed=seed)
-        return stream(nu, seed)
+        return measures(nu, seed)
 
     def spy_integral(phi, w):
         seen["transfers"].append(phi)
@@ -257,7 +258,7 @@ def first_mc_instance(monkeypatch, check):
         seen["args"] = tuple(map(np.concatenate, zip(*pairs)))
         raise Stop
 
-    monkeypatch.setattr(verify, "_mc_stream", spy_stream)
+    monkeypatch.setattr(verify, "_mc_measures", spy_measures)
     monkeypatch.setattr(verify, "spectral_integral", spy_integral)
     monkeypatch.setattr(verify, "_merged_gramian", stop)
     with pytest.raises(Stop):
@@ -291,9 +292,9 @@ def increment_reference(seen):
     ids=["gramian-isometry", "increment-process"],
 )
 class TestMonteCarloStream:
-    """Both checks gather each row block of the stream into a block measure
-    and pass the block's pair of ensembles to one merge of centred
-    co-moments; they keep nothing per realization."""
+    """Both checks read the block measures of the sampler's stream and pass
+    each block's pair of ensembles to one merge of centred co-moments; they
+    keep nothing per realization."""
 
     def test_blocks_give_the_whole_ensemble_bitwise(self, monkeypatch, check, reference):
         assert verify.MC_ENSEMBLE % verify.MC_BLOCK == 0
@@ -373,6 +374,22 @@ class TestIncrementRoundTrip:
 
 
 class TestWorker:
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_a_bad_seed_is_refused_before_the_worker_starts(self, monkeypatch, seed):
+        # the samplers' seed rule, applied before any check or worker runs
+        started = []
+        start = verify._start_rerun
+
+        def spy(*args):
+            started.append(args)
+            return start(*args)
+
+        monkeypatch.setattr(verify, "_start_rerun", spy)
+        with pytest.raises(DimensionError, match="seed"):
+            verify.run_battery(seed)
+        assert started == []
+        assert_no_child_left()
+
     def test_library_error_reaches_the_caller_with_its_type(self):
         class NotPsd:
             # unpickles as a measure whose second atom is not PSD, so the
