@@ -130,7 +130,8 @@ class AtomicTracePovm:
         """Build a measure, canonicalising frequencies and merging duplicates.
 
         Frequencies are wrapped into (-pi, pi]; atoms closer than
-        ``FREQ_MERGE_TOL`` are merged by adding their weights.
+        ``FREQ_MERGE_TOL`` on the circle are merged by adding their weights,
+        and a merge across the seam keeps the frequency near pi.
         """
         freqs = wrap_frequencies(freqs)
         weights = np.asarray(weights, dtype=np.complex128)
@@ -143,6 +144,9 @@ class AtomicTracePovm:
             else:
                 merged_f.append(f)
                 merged_w.append(w.copy())
+        if merged_f and merged_f[0] + 2 * np.pi - merged_f[-1] <= FREQ_MERGE_TOL:
+            merged_f.pop(0)
+            merged_w[-1] = merged_w[-1] + merged_w.pop(0)
         return cls(dim, np.array(merged_f), np.array(merged_w))
 
     @property

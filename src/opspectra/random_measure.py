@@ -15,9 +15,9 @@ the order in which atoms are processed.  One loop over the atoms draws
 their next rows: the samplers fill the ``(n_atoms, R, dim)`` ensemble
 with it, and a private stream yields the same rows as row-block measures,
 so the battery's Monte Carlo checks (:mod:`opspectra.verify`) never hold
-an ensemble; they merge per-block centred co-moments, which
-:func:`empirical_gramian` does for one block.  Atoms are drawn on the
-calling thread: the library's only concurrency is the battery's
+an ensemble; they sum uncentred per-row moments block by block, while
+:func:`empirical_gramian` centres one whole ensemble.  Atoms are drawn
+on the calling thread: the library's only concurrency is the battery's
 determinism rerun in a worker interpreter.
 """
 
@@ -326,9 +326,9 @@ def empirical_gramian(u, v) -> np.ndarray:
     """Sample covariance operator between two ensembles of vectors.
 
     ``u`` and ``v`` are (R, d) arrays over the same R realizations; the
-    estimate is the mean of outer products minus the outer product of the
-    means, centred first (:func:`_merged_gramian` of one block).
-    ``empirical_gramian(u, u)`` is Hermitian by construction.
+    estimate is ``(u - mean u)^T conj(v - mean v) / R``, the mean of the
+    outer products of the centred rows.  ``empirical_gramian(u, u)`` is
+    Hermitian by construction.
     """
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)
@@ -339,32 +339,7 @@ def empirical_gramian(u, v) -> np.ndarray:
     r = u.shape[0]
     if r < 2:
         raise SampleSizeError(f"need at least 2 realizations, got {r}")
-    return _merged_gramian([(u, v)])
-
-
-def _merged_gramian(blocks) -> np.ndarray:
-    """:func:`empirical_gramian` of ensembles given as consecutive row
-    blocks ``(u, v)``, one block held at a time: each block's means and
-    centred product ``uc^T conj(vc)`` merge in order by the pairwise update
-    of Chan, Golub and LeVeque (The American Statistician 37(3), 1983).  A
-    block's means are corrected by those of its centred rows first."""
-    count = 0
-    for u, v in blocks:
-        n, mu, mv = u.shape[0], u.mean(axis=0), v.mean(axis=0)
-        uc, vc = u - mu, v - mv
-        mu += uc.mean(axis=0)
-        mv += vc.mean(axis=0)
-        product = uc.T @ np.conjugate(vc, out=vc)
-        del u, v, uc, vc  # before the next block is formed
-        if count == 0:
-            count, mean_u, mean_v, comoment = n, mu, mv, product
-            continue
-        du, dv = mu - mean_u, mv - mean_v
-        comoment += product + np.outer(du, dv.conj()) * (count * n / (count + n))
-        count += n
-        mean_u += du * (n / count)
-        mean_v += dv * (n / count)
-    return comoment / count
+    return (u - u.mean(axis=0)).T @ (v - v.mean(axis=0)).conj() / r
 
 
 @dataclass(frozen=True, eq=False)

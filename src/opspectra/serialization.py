@@ -66,13 +66,17 @@ def decode_pairs(pairs, shape) -> np.ndarray:
     """Inverse of :func:`encode_pairs` for an array of the given shape.
 
     A read-only view of a fresh array, which a record keeps without a copy;
-    short, long or ragged nesting raises :class:`FormatError`.
+    short, long or ragged nesting, and entries that are not all JSON
+    numbers (strings, ``null``, or booleans only), raise :class:`FormatError`.
     """
     shape = tuple(shape)
     try:
-        arr = np.array(pairs, dtype=np.float64, order="C")
+        arr = np.array(pairs, order="C")
+        if arr.dtype.kind not in "iuf":
+            raise TypeError(f"entries must be JSON numbers, got {arr.dtype}")
     except (TypeError, ValueError) as exc:
         raise FormatError(f"expected {shape} [re, im] pairs: {exc}") from exc
+    arr = arr.astype(np.float64, copy=False)
     if arr.size == 0 and 0 in shape:
         # an empty list carries no inner axes to compare
         arr = arr.reshape(shape + (2,))
@@ -94,6 +98,14 @@ def _integer(obj, key: str, signed: bool = False) -> int:
         kind = "an integer" if signed else "a non-negative integer"
         raise FormatError(f"{key!r} must be {kind}, got {value!r}")
     return value
+
+
+def _floats(values, key: str) -> np.ndarray:
+    """``values``, a flat list of JSON numbers (``int`` or ``float``, not a
+    boolean), as floats; anything else raises :class:`FormatError`."""
+    if type(values) is not list or any(type(v) not in (int, float) for v in values):
+        raise FormatError(f"{key!r} values must be JSON numbers in a flat list")
+    return np.array(values, dtype=np.float64)
 
 
 def _encode_stack(stack) -> list:
@@ -142,7 +154,7 @@ def encode_povm(nu: AtomicTracePovm) -> dict:
 def decode_povm(obj) -> AtomicTracePovm:
     dim = _integer(obj, "dim")
     atoms = obj["atoms"]
-    freqs = np.asarray([a["freq"] for a in atoms], dtype=np.float64)
+    freqs = _floats([a["freq"] for a in atoms], "freq")
     weights = _decode_stack([a["weight"] for a in atoms], (len(atoms), dim, dim))
     return AtomicTracePovm(dim=dim, freqs=freqs, weights=weights)
 
@@ -171,7 +183,7 @@ def encode_transfer(phi: TransferFunction) -> dict:
 
 def decode_transfer(obj) -> TransferFunction:
     in_dim, out_dim = _integer(obj, "in_dim"), _integer(obj, "out_dim")
-    freqs = np.asarray(obj["freqs"], dtype=np.float64)
+    freqs = _floats(obj["freqs"], "freqs")
     n = freqs.size
     domains = obj.get("domains")
     if domains is not None:

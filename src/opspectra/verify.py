@@ -4,10 +4,10 @@ Every check ties a numerical experiment to an identity of the operator
 calculus and reports the worst observed residual against a fixed
 tolerance.  The battery is deterministic given its seed; Monte Carlo
 checks use 5 standard-error bands at :data:`MC_ENSEMBLE` realizations.
-No check holds anything of length ``R``: the three Monte Carlo checks read
-the sampler's rows as the row-block measures of its one stream, keep
-running moments (merged centred co-moments, or sums of squared norms)
-and score at one site, with one band count.
+No check holds anything of length ``R``: the three Monte Carlo checks are
+one estimator, :func:`_mc_mean`, the mean of a per-row uncentred second
+moment summed block by block over the row-block measures of the
+sampler's one stream, and score at one site, with one band count.
 The same functions back the CLI ``verify`` command and the test suite.
 """
 
@@ -49,7 +49,6 @@ from .filtering import (
 from .povm import AtomicTracePovm, gramian_inner, radon_nikodym
 from .random_measure import (
     _draw_atoms,
-    _merged_gramian,
     _sample_blocks,
     from_increment_path,
     sample_gaussian_measure,
@@ -198,10 +197,11 @@ def check_gramian_isometry(seed, extra_povms=()) -> CheckResult:
         nu = _random_povm_normalized(rng, 3, 4, allow_deficient=False)
         phi = random_transfer(rng, 3, 2, nu.freqs)
         psi = random_transfer(rng, 3, 2, nu.freqs)
-        blocks = _mc_measures(nu, int(rng.integers(2**31)))
-        gram = _merged_gramian(
-            (spectral_integral(phi, w), spectral_integral(psi, w)) for w in blocks
-        )
+
+        def product(w):  # one block's sum of the rows' u conj(v)^T
+            return spectral_integral(phi, w).T @ spectral_integral(psi, w).conj()
+
+        gram = _mc_mean(nu, int(rng.integers(2**31)), product)
         # entry (a, b) of one draw's u conj(v)^T has variance G_phi,aa G_psi,bb
         g_phi, g_psi = gramian_inner(phi, phi, nu), gramian_inner(psi, psi, nu)
         sd = np.sqrt(np.outer(np.diag(g_phi).real, np.diag(g_psi).real))
@@ -421,25 +421,28 @@ def _band_count(zs) -> tuple:
     return inside, max(zs, default=0.0), inside >= int(np.ceil(0.95 * len(zs)))
 
 
-def _mc_measures(nu, seed):
-    """The rows ``sample_gaussian_measure(nu, MC_ENSEMBLE, seed)`` draws, as
-    consecutive :data:`MC_BLOCK`-row read-only block measures."""
-    return _sample_blocks(nu, MC_ENSEMBLE, seed, MC_BLOCK)
+def _mc_mean(nu, seed, statistic):
+    """The mean of a per-row statistic over the rows ``sample_gaussian_measure(nu,
+    MC_ENSEMBLE, seed)`` draws: ``statistic`` maps each :data:`MC_BLOCK`-row
+    read-only block measure to the statistic's sum over the block's rows."""
+    blocks = _sample_blocks(nu, MC_ENSEMBLE, seed, MC_BLOCK)
+    return sum(map(statistic, blocks)) / MC_ENSEMBLE
 
 
 def _hfpca_mc_errors(nu, complement, seed) -> list:
     """Monte Carlo ``E ||X_t - [Theta X]_t||^2`` at each of :data:`MC_TIMES`:
     the error at ``t`` is the integral of ``I - Theta`` (``complement``
     stacks the ``I - Theta_j``) modulated by the character ``e^{i lambda t}``,
-    its squared norms summed over the block measures, one total per time."""
+    the mean of its squared norm by :func:`_mc_mean`, one per time."""
     residual = TransferFunction(nu.dim, nu.dim, nu.freqs, complement)
     shifted = [modulate_transfer(residual, t) for t in MC_TIMES]
 
     def squared_norms(w):
-        return [np.sum(np.abs(spectral_integral(phi, w)) ** 2) for phi in shifted]
+        return np.array(
+            [np.sum(np.abs(spectral_integral(phi, w)) ** 2) for phi in shifted]
+        )
 
-    totals = sum(map(squared_norms, _mc_measures(nu, seed)), np.zeros(len(MC_TIMES)))
-    return [float(t) for t in totals / MC_ENSEMBLE]
+    return [float(t) for t in _mc_mean(nu, seed, squared_norms)]
 
 
 def check_increment_process(seed, extra_povms=()) -> CheckResult:
@@ -447,10 +450,9 @@ def check_increment_process(seed, extra_povms=()) -> CheckResult:
     nu = _random_povm_normalized(rng, 3, 6, allow_deficient=False)
     freqs = nu.freqs
     mid = float(freqs[2] + (freqs[3] - freqs[2]) / 2.0)
-    blocks = _mc_measures(nu, int(rng.integers(2**31)))
     exact = True
 
-    def disjoint_increments(w):
+    def disjoint_product(w):
         nonlocal exact
         path = to_increment_path(w)
         back = from_increment_path(path, nu)
@@ -463,9 +465,9 @@ def check_increment_process(seed, extra_povms=()) -> CheckResult:
             and all(map(np.array_equal, map(path.value_at, freqs), running))
         )
         left = path.value_at(mid)
-        return left, path.value_at(np.pi) - left
+        return left.T @ (path.value_at(np.pi) - left).conj()
 
-    cross = _merged_gramian(map(disjoint_increments, blocks))
+    cross = _mc_mean(nu, int(rng.integers(2**31)), disjoint_product)
     # entry (a, b) of one draw's left conj(right)^T has variance L_aa R_bb
     left, right = nu.weights[:3].sum(axis=0), nu.weights[3:].sum(axis=0)
     sd = np.sqrt(np.outer(np.diag(left).real, np.diag(right).real))

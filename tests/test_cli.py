@@ -122,6 +122,27 @@ class TestAutocovFitGrid:
         back = decode_povm(read_json(workdir / "back.json"))
         assert np.abs(back.weights - nu.weights).max() <= 1e-10
 
+    def test_frequency_that_is_not_a_number_exits_2(self, workdir, capsys):
+        doc = encode_povm(bundled_example_povm())
+        doc["atoms"][3]["freq"] = str(doc["atoms"][3]["freq"])
+        write_json(doc, workdir / "povm.json")
+        assert run_config(workdir, "ac.json", {
+            "command": "autocov", "povm": "povm.json", "max_lag": 3,
+            "out": "gamma.json",
+        }) == 2
+        assert "'freq'" in capsys.readouterr().err
+        assert not (workdir / "gamma.json").exists()
+
+    def test_entry_that_is_not_a_number_exits_2(self, workdir, capsys):
+        doc = encode_povm(bundled_example_povm())
+        doc["atoms"][0]["weight"]["entries"][0] = ["1", False]
+        write_json(doc, workdir / "povm.json")
+        assert run_config(workdir, "ac.json", {
+            "command": "autocov", "povm": "povm.json", "max_lag": 3,
+            "out": "gamma.json",
+        }) == 2
+        assert "JSON numbers" in capsys.readouterr().err
+
     def test_bundled_input_alias(self, workdir):
         assert run_config(workdir, "ac.json", {
             "command": "autocov", "povm": "bundled", "max_lag": 3,
@@ -180,6 +201,17 @@ class TestFilterCommands:
         }) == 2
         assert "lag 0 is given more than once" in capsys.readouterr().err
         assert not (workdir / "y.json").exists()
+
+    def test_nested_transfer_frequencies_exit_2(self, workdir, capsys):
+        nu = bundled_example_povm()
+        doc = encode_transfer(random_transfer(make_rng(805), 3, 3, nu.freqs))
+        doc["freqs"] = [doc["freqs"][:8], doc["freqs"][8:]]
+        write_json(doc, workdir / "phi.json")
+        assert run_config(workdir, "f.json", {
+            "command": "filter", "transfer": "phi.json", "povm": "bundled",
+            "out": "pushed.json",
+        }) == 2
+        assert "'freqs'" in capsys.readouterr().err
 
     def test_ambiguous_inputs_rejected(self, workdir, capsys):
         status = run_config(workdir, "f.json", {

@@ -86,6 +86,14 @@ class TestConstruction:
         np.testing.assert_allclose(nu.freqs, [0.0, np.pi])
         np.testing.assert_allclose(nu.weights[:, 0, 0], [4.0, 3.0])
 
+    def test_from_atoms_merges_across_the_seam(self):
+        # -pi + 1e-13 is 1e-13 from pi on the circle, as 1e-13 is from 0
+        nu = AtomicTracePovm.from_atoms(
+            1, [np.pi, -np.pi + 1e-13, 0.0], np.array([[[1.0]], [[2.0]], [[4.0]]])
+        )
+        np.testing.assert_array_equal(nu.freqs, [0.0, np.pi])
+        np.testing.assert_array_equal(nu.weights[:, 0, 0], [4.0, 3.0])
+
     def test_wrap_frequencies_range(self):
         wrapped = wrap_frequencies([-np.pi, np.pi, 2 * np.pi, -3 * np.pi / 2])
         assert np.all(wrapped > -np.pi) and np.all(wrapped <= np.pi)

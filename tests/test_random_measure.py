@@ -31,7 +31,6 @@ from opspectra.random_measure import (
     _draw_atom,
     _draw_atoms,
     _kernel,
-    _merged_gramian,
 )
 from opspectra.synthetic import (
     bundled_example_povm,
@@ -634,39 +633,10 @@ class TestEmpiricalGramian:
         with pytest.raises(SampleSizeError):
             empirical_gramian(np.ones((4, 2)), np.ones((5, 2)))
 
-
-class TestMergedGramian:
-    """The merge of per-block centred co-moments is the empirical Gramian
-    of the concatenated blocks."""
-
-    @pytest.mark.parametrize(
-        "sizes",
-        [(700, 2000, 1300, 1), (2000, 2000, 1), (1, 999)],
-        ids=["uneven", "one-row-last", "one-row-first"],
-    )
-    @pytest.mark.parametrize("shift", [0.0, 1e3])
-    def test_blocks_merge_to_the_whole(self, sizes, shift):
-        rng = make_rng(415)
-        r = sum(sizes)
-        # v shares part of u, so the cross-covariance is not only noise
-        u = random_complex(rng, (r, 3)) + shift
-        v = u[:, :2] + random_complex(rng, (r, 2)) - 1j * shift
-        bounds = np.cumsum((0,) + sizes)
-        for x, y in ((u, v), (u, u)):
-            merged = _merged_gramian(
-                (x[a:b], y[a:b]) for a, b in zip(bounds[:-1], bounds[1:])
-            )
-            whole = empirical_gramian(x, y)
-            # relative to the largest entry: centring on means of size 1e3
-            # leaves rounding of one absolute size on entries of every size
-            scale = np.abs(whole).max()
-            np.testing.assert_allclose(merged, whole, rtol=0.0, atol=1e-13 * scale)
-
-    def test_one_block_is_empirical_gramian_bitwise(self):
+    def test_is_the_centred_formula_bitwise(self):
         rng = make_rng(416)
         u, v = random_complex(rng, (64, 3)), random_complex(rng, (64, 2))
         centred = (u - u.mean(axis=0)).T @ (v - v.mean(axis=0)).conj() / 64
-        assert _merged_gramian([(u, v)]).tobytes() == empirical_gramian(u, v).tobytes()
         np.testing.assert_array_equal(empirical_gramian(u, v), centred)
 
 

@@ -463,3 +463,31 @@ class TestDeclaredCounts:
         doc = encode_transfer(random_transfer(rng, 2, 2, nu.freqs))
         with pytest.raises(FormatError):
             decode_transfer(doc | {"freqs": doc["freqs"][:2]})
+
+
+class TestNumbers:
+    """Frequencies and ``[re, im]`` entries are JSON numbers: a string, a
+    boolean, ``null`` or a nested list is refused, not converted."""
+
+    def test_measure_frequency(self):
+        doc = encode_povm(AtomicTracePovm(1, [0.5], [[[1.0]]]))
+        atom = doc["atoms"][0]
+        assert decode_povm(doc | {"atoms": [atom | {"freq": 0}]}).freqs == [0.0]
+        for bad in ["0.5", True, [0.5], None]:
+            with pytest.raises(FormatError, match="'freq'"):
+                decode_povm(doc | {"atoms": [atom | {"freq": bad}]})
+
+    def test_transfer_frequencies_are_a_flat_list(self):
+        phi = TransferFunction(1, 1, [-0.5, 0.5], np.ones((2, 1, 1)))
+        doc = encode_transfer(phi)
+        for bad in [[[-0.5, 0.5]], [[-0.5], [0.5]], ["-0.5", 0.5], [False, 0.5], 0.5]:
+            with pytest.raises(FormatError, match="'freqs'"):
+                decode_transfer(doc | {"freqs": bad})
+
+    def test_entries(self):
+        # integers are numbers; numpy infers no numeric type for the others
+        op = decode_operator({"rows": 1, "cols": 1, "entries": [[1, -2]]})
+        assert op.dtype == np.complex128 and op[0, 0] == 1 - 2j
+        for bad in [[["1", False]], [[None, 0.0]], [[True, False]], [["1", "0"]]]:
+            with pytest.raises(FormatError, match="JSON numbers"):
+                decode_operator({"rows": 1, "cols": 1, "entries": bad})

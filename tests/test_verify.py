@@ -222,45 +222,64 @@ class TestExactStandardErrors:
         assert details["worst_z_score"] > 5.0
         assert not result.passed
 
+    @pytest.mark.parametrize(
+        "check", [verify.check_gramian_isometry, verify.check_increment_process],
+        ids=["gramian-isometry", "increment-process"],
+    )
+    def test_a_shifted_sampler_fails_the_band(self, monkeypatch, check):
+        # uncentred second moments see a mean the sampler should not have
+        draw = random_measure._draw_atom
+
+        def shifted(*args):
+            out = draw(*args)
+            out += 0.1
+            return out
+
+        monkeypatch.setattr(random_measure, "_draw_atom", shifted)
+        result = check(20260809, (bundled_example_povm(),))
+        assert not result.passed
+
 
 class TestGramianIsometry:
     def test_one_ensemble_is_live_at_a_time(self, monkeypatch):
         # an instance holds one block of its ensemble and of the two
-        # integrals, and the merged moments; nothing of length R
+        # integrals, and one running sum; nothing of length R
         sizes = (2000, 10000)
         growth = peak_growth(monkeypatch, verify.check_gramian_isometry, sizes)
         assert growth <= 64 * 1024
 
 
 class Stop(Exception):
-    """Ends a check at its first merged Gramian."""
+    """Ends a check at its first Monte Carlo mean."""
 
 
 def first_mc_instance(monkeypatch, check):
-    """Run ``check`` at the battery seed up to its first merged Gramian;
+    """Run ``check`` at the battery seed up to its first Monte Carlo mean;
     return the measure and seed its stream got, the transfers it
-    integrated, the row counts of the blocks that entered the merge and
-    the concatenation of their two ensembles."""
-    seen = {"transfers": []}
-    measures = verify._mc_measures
+    integrated, the row counts of the block measures the mean read, their
+    samples concatenated, and the mean."""
+    seen = {"transfers": [], "rows": [], "samples": []}
+    blocks, mean = verify._sample_blocks, verify._mc_mean
 
-    def spy_measures(nu, seed):
+    def spy_blocks(nu, n_realizations, seed, rows):
         seen.update(nu=nu, seed=seed)
-        return measures(nu, seed)
+        for w in blocks(nu, n_realizations, seed, rows):
+            seen["rows"].append(w.n_realizations)
+            seen["samples"].append(w.samples)
+            yield w
 
     def spy_integral(phi, w):
         seen["transfers"].append(phi)
         return spectral_integral(phi, w)
 
-    def stop(blocks):
-        pairs = [(u.copy(), v.copy()) for u, v in blocks]
-        seen["rows"] = [u.shape[0] for u, _ in pairs]
-        seen["args"] = tuple(map(np.concatenate, zip(*pairs)))
+    def stop(nu, seed, statistic):
+        seen["mean"] = mean(nu, seed, statistic)
+        seen["samples"] = np.concatenate(seen["samples"], axis=1)
         raise Stop
 
-    monkeypatch.setattr(verify, "_mc_measures", spy_measures)
+    monkeypatch.setattr(verify, "_sample_blocks", spy_blocks)
     monkeypatch.setattr(verify, "spectral_integral", spy_integral)
-    monkeypatch.setattr(verify, "_merged_gramian", stop)
+    monkeypatch.setattr(verify, "_mc_mean", stop)
     with pytest.raises(Stop):
         check(20260809)
     return seen
@@ -292,41 +311,46 @@ def increment_reference(seen):
     ids=["gramian-isometry", "increment-process"],
 )
 class TestMonteCarloStream:
-    """Both checks read the block measures of the sampler's stream and pass
-    each block's pair of ensembles to one merge of centred co-moments; they
-    keep nothing per realization."""
+    """Both checks read the block measures of the sampler's stream and add
+    each block's sum of uncentred products ``u conj(v)^T`` into one mean;
+    they keep nothing per realization."""
+
+    @staticmethod
+    def assert_mean_of_products(seen, reference):
+        u, v = reference(seen)
+        want = u.T @ v.conj() / verify.MC_ENSEMBLE
+        np.testing.assert_allclose(seen["mean"], want, rtol=1e-13, atol=0.0)
 
     def test_blocks_give_the_whole_ensemble_bitwise(self, monkeypatch, check, reference):
         assert verify.MC_ENSEMBLE % verify.MC_BLOCK == 0
         seen = first_mc_instance(monkeypatch, check)
         assert seen["rows"] == [verify.MC_BLOCK] * (verify.MC_ENSEMBLE // verify.MC_BLOCK)
-        for got, want in zip(seen["args"], reference(seen), strict=True):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        whole = sample_gaussian_measure(seen["nu"], verify.MC_ENSEMBLE, seen["seed"])
+        assert seen["samples"].tobytes() == whole.samples.tobytes()
+        self.assert_mean_of_products(seen, reference)
 
     def test_a_short_last_block_keeps_the_arrays(self, monkeypatch, check, reference):
         # a one-row product may round otherwise than the same row in a block
         monkeypatch.setattr(verify, "MC_ENSEMBLE", verify.MC_BLOCK + 1)
         seen = first_mc_instance(monkeypatch, check)
         assert seen["rows"] == [verify.MC_BLOCK, 1]
-        for got, want in zip(seen["args"], reference(seen), strict=True):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        self.assert_mean_of_products(seen, reference)
 
     def test_peak_grows_by_the_kept_arrays_only(self, monkeypatch, check, reference):
-        # the merge keeps means and a co-moment, nothing of length R; an
-        # ensemble of 4 or 6 atoms in dim 3 would grow by 12 or 18 complex
-        # floats per realization
+        # the mean keeps one running sum, nothing of length R; an ensemble
+        # of 4 or 6 atoms in dim 3 would grow by 12 or 18 complex floats
+        # per realization
         growth = peak_growth(monkeypatch, check, (2000, 10000))
         assert growth <= 64 * 1024
 
 
-def test_each_block_measure_holds_its_own_read_only_rows(monkeypatch):
-    monkeypatch.setattr(verify, "MC_ENSEMBLE", verify.MC_BLOCK + 1)
-    nu = bundled_example_povm()
-    first, last = verify._mc_measures(nu, 5)
-    assert [w.n_realizations for w in (first, last)] == [verify.MC_BLOCK, 1]
+def test_each_block_measure_holds_its_own_read_only_rows():
+    nu, rows = bundled_example_povm(), verify.MC_BLOCK
+    first, last = random_measure._sample_blocks(nu, rows + 1, 5, rows)
+    assert [w.n_realizations for w in (first, last)] == [rows, 1]
     assert not (first.samples.flags.writeable or last.samples.flags.writeable)
     assert not np.shares_memory(first.samples, last.samples)
-    whole = sample_gaussian_measure(nu, verify.MC_BLOCK + 1, 5).samples
+    whole = sample_gaussian_measure(nu, rows + 1, 5).samples
     np.testing.assert_allclose(
         np.concatenate([first.samples, last.samples], axis=1), whole, rtol=1e-13
     )
