@@ -132,9 +132,14 @@ class AtomicTracePovm:
         Frequencies are wrapped into (-pi, pi]; atoms closer than
         ``FREQ_MERGE_TOL`` on the circle are merged by adding their weights,
         and a merge across the seam keeps the frequency near pi.
+        ``freqs`` must be flat with one entry per weight, else
+        :class:`DimensionError`.
         """
         freqs = wrap_frequencies(freqs)
         weights = np.asarray(weights, dtype=np.complex128)
+        if freqs.shape != weights.shape[:1]:
+            raise DimensionError(f"need one flat frequency per weight, got"
+                                 f" {freqs.shape} and {weights.shape}")
         order = np.argsort(freqs, kind="stable")
         freqs, weights = freqs[order], weights[order]
         merged_f, merged_w = [], []

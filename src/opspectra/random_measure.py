@@ -11,14 +11,14 @@ nu_j``, so atoms are mutually uncorrelated and the ensemble covariance of
 
 Randomness comes from an SFC64 generator with one substream per atom,
 seeded from ``(seed, atom index)``; results are therefore independent of
-the order in which atoms are processed.  One loop over the atoms draws
-their next rows: the samplers fill the ``(n_atoms, R, dim)`` ensemble
-with it, and a private stream yields the same rows as row-block measures,
-so the battery's Monte Carlo checks (:mod:`opspectra.verify`) never hold
-an ensemble; they sum uncentred per-row moments block by block, while
-:func:`empirical_gramian` centres one whole ensemble.  Atoms are drawn
-on the calling thread: the library's only concurrency is the battery's
-determinism rerun in a worker interpreter.
+the order in which atoms are processed.  One private generator of row
+blocks, the only loop over the atoms, draws their rows: a sampler takes
+its ``(n_atoms, R, dim)`` ensemble as one block, and the battery's Monte
+Carlo checks (:mod:`opspectra.verify`) read the same rows as consecutive
+block measures, never an ensemble, summing uncentred per-row moments,
+while :func:`empirical_gramian` centres one whole ensemble.  Atoms are
+drawn on the calling thread: the library's only concurrency is the
+battery's determinism rerun in a worker interpreter.
 """
 
 from __future__ import annotations
@@ -161,57 +161,43 @@ def _draw_atom(
     return out
 
 
-def _atom_streams(factors: np.ndarray, atoms, seed: int):
-    """Each atom ``j`` of ``atoms`` with its kernel (:func:`_kernel`) and its
-    generator for ``seed`` (:func:`_atom_rng`), built as a loop reaches it."""
-    return ((j, _kernel(factors[j]), _atom_rng(seed, j)) for j in atoms)
-
-
-def _draw_rows(out: np.ndarray, store: np.ndarray, streams) -> None:
-    """The one loop over atoms: for each ``(j, kernel, rng)`` of ``streams``
-    in turn, write atom ``j``'s next rows into ``out[j]`` by :func:`_draw_atom`
-    through ``store``, a normals store of at least ``2 dim`` floats per row."""
-    n = out.shape[1]
-    for j, k, rng in streams:
-        _draw_atom(out[j], store[: n * len(k)].reshape(n, len(k)), k, rng)
-
-
-def _draw_atoms(out: np.ndarray, factors: np.ndarray, atoms, seed: int) -> None:
-    """Fill ``out[j]`` for each ``j`` in ``atoms`` from its stream for
-    ``seed`` by :func:`_draw_rows`, each kernel built and dropped in turn;
-    any order of ``atoms`` fills the same."""
-    store = np.empty(out.shape[1] * 2 * factors.shape[2])
-    _draw_rows(out, store, _atom_streams(factors, atoms, seed))
-
-
-def _sample_blocks(nu: AtomicTracePovm, n_realizations: int, seed: int, rows: int):
-    """The rows ``sample_gaussian_measure(nu, n_realizations, seed)`` draws,
-    as consecutive read-only measures of ``rows`` rows (the last may be
-    shorter).  Each atom's kernel and generator, and one normals store, are
-    kept from block to block; the previous block is released before the
-    next is allocated, so one block is held, whatever ``n_realizations``."""
-    streams = list(_atom_streams(nu.gram_factors(), range(nu.n_atoms), seed))
-    store = np.empty(min(rows, n_realizations) * 2 * nu.dim)
+def _sample_blocks(nu: AtomicTracePovm, n_realizations: int, seed: int, rows: int,
+                   atoms=None):
+    """The one loop over atoms: the rows ``sample_gaussian_measure(nu,
+    n_realizations, seed)`` draws, as fresh ``(n_atoms, rows, dim)`` blocks
+    (the last may be shorter).  Each atom of ``atoms`` (all by default, in
+    any order) writes its rows by :func:`_draw_atom` through one normals
+    store of 2 floats per factor column and row; rows of other atoms are
+    unset.  Kernels and generators are built in turn, one held at a time,
+    for one block, and all at once and kept for more; the previous block
+    is released before the next is allocated, so one block is held,
+    whatever ``n_realizations``."""
+    factors = nu.gram_factors()
+    streams = ((j, _kernel(factors[j]), _atom_rng(seed, j))
+               for j in (range(nu.n_atoms) if atoms is None else atoms))
+    if rows < n_realizations:
+        streams = list(streams)
+    store = np.empty(min(rows, n_realizations) * 2 * factors.shape[2])
     for start in range(0, n_realizations, rows):
         n = min(rows, n_realizations - start)
         block = None  # the previous block goes before the next is allocated
         block = np.empty((nu.n_atoms, n, nu.dim), np.complex128)
-        _draw_rows(block, store, streams)
-        block.flags.writeable = False
-        yield RandomMeasure(block, nu)
+        for j, k, rng in streams:
+            _draw_atom(block[j], store[: n * len(k)].reshape(n, len(k)), k, rng)
+            del k, rng  # released before the next atom's are built
+        yield block
 
 
-def _sample_buffer(nu: AtomicTracePovm, n_realizations, seed) -> np.ndarray:
-    """The empty ``(n_atoms, R, dim)`` samples of a sampler, once ``seed``
-    obeys :func:`~opspectra.errors.require_seed` and ``R`` is a positive,
-    addressable integer."""
-    require_integers("realization counts", n_realizations)
+def _require_draw(nu: AtomicTracePovm, n_realizations, seed) -> int:
+    """``n_realizations`` as an ``int``, once ``seed`` obeys
+    :func:`~opspectra.errors.require_seed` and ``R`` is a positive integer
+    that addresses ``(n_atoms, R, dim)`` samples."""
+    (n,) = require_integers("realization counts", n_realizations)
     require_seed(seed)
-    if n_realizations < 1:
+    if n < 1:
         raise SampleSizeError("need at least one realization")
-    shape = (nu.n_atoms, int(n_realizations), nu.dim)
-    require_addressable(f"{shape[1]} realizations", *shape)
-    return np.empty(shape, dtype=np.complex128)
+    require_addressable(f"{n} realizations", nu.n_atoms, n, nu.dim)
+    return n
 
 
 def sample_gaussian_measure(
@@ -227,8 +213,8 @@ def sample_gaussian_measure(
     identical results.  Atoms are drawn on the calling thread.
     ``n_realizations`` and ``seed`` must be integers.
     """
-    out = _sample_buffer(nu, n_realizations, seed)
-    _draw_atoms(out, nu.gram_factors(), range(nu.n_atoms), seed)
+    n = _require_draw(nu, n_realizations, seed)
+    out = next(_sample_blocks(nu, n, seed, n))
     out.flags.writeable = False
     return RandomMeasure(samples=out, intensity=nu)
 
@@ -252,7 +238,7 @@ def sample_real_gaussian_measure(
     :func:`sample_gaussian_measure` draws for it, and ``n_realizations``
     and ``seed`` obey the same integer rule.
     """
-    out = _sample_buffer(nu, n_realizations, seed)
+    n = _require_draw(nu, n_realizations, seed)
     freqs = nu.freqs
     partner = np.full(freqs.size, -1, dtype=np.int64)
     for j, lam in enumerate(freqs):
@@ -279,7 +265,7 @@ def sample_real_gaussian_measure(
             )
         if k > j and np.abs(nu.weights[k] - nu.weights[j].T).max() > floor:
             raise DimensionError(f"atoms {j} and {k} are not transposes of each other")
-    _draw_atoms(out, nu.gram_factors(), atoms[partner >= atoms], seed)
+    out = next(_sample_blocks(nu, n, seed, n, atoms[partner >= atoms]))
     for j, k in enumerate(partner):
         if k > j:
             np.conjugate(out[j], out=out[k])

@@ -102,10 +102,14 @@ def _integer(obj, key: str, signed: bool = False) -> int:
 
 def _floats(values, key: str) -> np.ndarray:
     """``values``, a flat list of JSON numbers (``int`` or ``float``, not a
-    boolean), as floats; anything else raises :class:`FormatError`."""
+    boolean), as floats; anything else, or an integer beyond the float
+    range, raises :class:`FormatError`."""
     if type(values) is not list or any(type(v) not in (int, float) for v in values):
         raise FormatError(f"{key!r} values must be JSON numbers in a flat list")
-    return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError as exc:
+        raise FormatError(f"{key!r} values must be within the float range") from exc
 
 
 def _encode_stack(stack) -> list:

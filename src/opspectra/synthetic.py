@@ -127,12 +127,7 @@ def bundled_example_povm() -> AtomicTracePovm:
     """
     rng = make_rng(20260809)
     ranks = [3, 3, 1, 3, 2, 3, 3, 0, 3, 1, 3, 3, 2, 3, 3, 3]
-    weights = []
-    for r in ranks:
-        if r == 0:
-            weights.append(np.zeros((3, 3), dtype=np.complex128))
-        else:
-            weights.append(random_psd(rng, 3, rank=r, trace=float(r)))
+    weights = [random_psd(rng, 3, rank=r, trace=float(r)) for r in ranks]
     return AtomicTracePovm(
         dim=3, freqs=grid_frequencies(16), weights=np.stack(weights)
     )

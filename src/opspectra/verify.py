@@ -48,7 +48,7 @@ from .filtering import (
 )
 from .povm import AtomicTracePovm, gramian_inner, radon_nikodym
 from .random_measure import (
-    _draw_atoms,
+    RandomMeasure,
     _sample_blocks,
     from_increment_path,
     sample_gaussian_measure,
@@ -425,7 +425,12 @@ def _mc_mean(nu, seed, statistic):
     """The mean of a per-row statistic over the rows ``sample_gaussian_measure(nu,
     MC_ENSEMBLE, seed)`` draws: ``statistic`` maps each :data:`MC_BLOCK`-row
     read-only block measure to the statistic's sum over the block's rows."""
-    blocks = _sample_blocks(nu, MC_ENSEMBLE, seed, MC_BLOCK)
+
+    def measure(block):  # read-only, so the measure keeps the block uncopied
+        block.flags.writeable = False
+        return RandomMeasure(block, nu)
+
+    blocks = map(measure, _sample_blocks(nu, MC_ENSEMBLE, seed, MC_BLOCK))
     return sum(map(statistic, blocks)) / MC_ENSEMBLE
 
 
@@ -505,8 +510,7 @@ def check_determinism(seed, extra_povms, baseline, reruns) -> CheckResult:
     nu = _random_povm_normalized(rng, 3, 5, allow_deficient=False)
     first = sample_gaussian_measure(nu, 4096, seed=seed)
     second = sample_gaussian_measure(nu, 4096, seed=seed)
-    shuffled = np.empty_like(first.samples)
-    _draw_atoms(shuffled, nu.gram_factors(), [4, 0, 3, 1, 2], seed)
+    shuffled = next(_sample_blocks(nu, 4096, seed, 4096, [4, 0, 3, 1, 2]))
     ok = bool(np.array_equal(first.samples, second.samples))
     ok = ok and bool(np.array_equal(first.samples, shuffled))
     mismatches = [

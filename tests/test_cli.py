@@ -143,6 +143,17 @@ class TestAutocovFitGrid:
         }) == 2
         assert "JSON numbers" in capsys.readouterr().err
 
+    def test_frequency_beyond_the_float_range_exits_2(self, workdir, capsys):
+        doc = encode_povm(bundled_example_povm())
+        doc["atoms"][3]["freq"] = 10**400
+        write_json(doc, workdir / "povm.json")
+        assert run_config(workdir, "ac.json", {
+            "command": "autocov", "povm": "povm.json", "max_lag": 3,
+            "out": "gamma.json",
+        }) == 2
+        assert "float range" in capsys.readouterr().err
+        assert not (workdir / "gamma.json").exists()
+
     def test_bundled_input_alias(self, workdir):
         assert run_config(workdir, "ac.json", {
             "command": "autocov", "povm": "bundled", "max_lag": 3,
@@ -212,6 +223,19 @@ class TestFilterCommands:
             "out": "pushed.json",
         }) == 2
         assert "'freqs'" in capsys.readouterr().err
+
+    def test_transfer_frequency_beyond_the_float_range_exits_2(self, workdir, capsys):
+        nu = bundled_example_povm()
+        doc = encode_transfer(random_transfer(make_rng(805), 3, 3, nu.freqs))
+        write_json(doc, workdir / "phi.json")
+        doc["freqs"][0] = 10**400
+        write_json(doc, workdir / "psi.json")
+        assert run_config(workdir, "c.json", {
+            "command": "compose", "outer": "psi.json", "inner": "phi.json",
+            "out": "composed.json",
+        }) == 2
+        assert "float range" in capsys.readouterr().err
+        assert not (workdir / "composed.json").exists()
 
     def test_ambiguous_inputs_rejected(self, workdir, capsys):
         status = run_config(workdir, "f.json", {

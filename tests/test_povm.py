@@ -94,6 +94,15 @@ class TestConstruction:
         np.testing.assert_array_equal(nu.freqs, [0.0, np.pi])
         np.testing.assert_array_equal(nu.weights[:, 0, 0], [4.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "freqs, n_weights",
+        [([0.0], 2), ([0.0, 1.0], 1), ([[0.0], [1.0]], 2)],
+        ids=["fewer-freqs", "fewer-weights", "nested-freqs"],
+    )
+    def test_from_atoms_needs_one_flat_frequency_per_weight(self, freqs, n_weights):
+        with pytest.raises(DimensionError, match="one flat frequency per weight"):
+            AtomicTracePovm.from_atoms(1, freqs, np.ones((n_weights, 1, 1)))
+
     def test_wrap_frequencies_range(self):
         wrapped = wrap_frequencies([-np.pi, np.pi, 2 * np.pi, -3 * np.pi / 2])
         assert np.all(wrapped > -np.pi) and np.all(wrapped <= np.pi)

@@ -29,8 +29,8 @@ from opspectra.filtering import pushforward_povm
 from opspectra.random_measure import (
     _atom_rng,
     _draw_atom,
-    _draw_atoms,
     _kernel,
+    _sample_blocks,
 )
 from opspectra.synthetic import (
     bundled_example_povm,
@@ -57,9 +57,7 @@ def relative_error(got, ref):
 
 def shuffled_draw(nu, n_real, seed, order):
     """The sampler's atoms, drawn one by one in the given order."""
-    out = np.empty((nu.n_atoms, n_real, nu.dim), dtype=complex)
-    _draw_atoms(out, nu.gram_factors(), order, seed)
-    return out
+    return next(_sample_blocks(nu, n_real, seed, n_real, order))
 
 
 class TestSampling:
@@ -440,6 +438,17 @@ class TestOneFactor:
                 var = var + np.abs(sigma) ** 2
             err = np.abs(empirical_gramian(z, z) - sigma)
             assert np.all(err <= 5.0 * np.sqrt(var / n_real))
+
+    def test_blocks_of_a_filter_to_fewer_dimensions_are_the_sample(self):
+        # each atom's factor Phi_j F_j has 3 columns in dim 2: the normals
+        # store is sized by the factors' columns, not by the dimension
+        nu = bundled_example_povm()
+        mu = pushforward_povm(random_transfer(make_rng(7), 3, 2, nu.freqs), nu)
+        assert mu.gram_factors().shape[2] > mu.dim
+        blocks = list(_sample_blocks(mu, 120, 54, 40))
+        assert [b.shape for b in blocks] == [(mu.n_atoms, 40, 2)] * 3
+        whole = sample_gaussian_measure(mu, 120, 54).samples
+        assert np.concatenate(blocks, axis=1).tobytes() == whole.tobytes()
 
 
 class TestSpectralIntegral:

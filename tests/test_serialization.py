@@ -467,20 +467,22 @@ class TestDeclaredCounts:
 
 class TestNumbers:
     """Frequencies and ``[re, im]`` entries are JSON numbers: a string, a
-    boolean, ``null`` or a nested list is refused, not converted."""
+    boolean, ``null``, a nested list or an integer beyond the float range
+    is refused, not converted."""
 
     def test_measure_frequency(self):
         doc = encode_povm(AtomicTracePovm(1, [0.5], [[[1.0]]]))
         atom = doc["atoms"][0]
         assert decode_povm(doc | {"atoms": [atom | {"freq": 0}]}).freqs == [0.0]
-        for bad in ["0.5", True, [0.5], None]:
+        for bad in ["0.5", True, [0.5], None, 10**400]:
             with pytest.raises(FormatError, match="'freq'"):
                 decode_povm(doc | {"atoms": [atom | {"freq": bad}]})
 
     def test_transfer_frequencies_are_a_flat_list(self):
         phi = TransferFunction(1, 1, [-0.5, 0.5], np.ones((2, 1, 1)))
         doc = encode_transfer(phi)
-        for bad in [[[-0.5, 0.5]], [[-0.5], [0.5]], ["-0.5", 0.5], [False, 0.5], 0.5]:
+        for bad in [[[-0.5, 0.5]], [[-0.5], [0.5]], ["-0.5", 0.5], [False, 0.5], 0.5,
+                    [-0.5, 10**400]]:
             with pytest.raises(FormatError, match="'freqs'"):
                 decode_transfer(doc | {"freqs": bad})
 

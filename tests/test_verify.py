@@ -71,6 +71,14 @@ class TestExtraMeasure:
         assert determinism.details["mismatched"] == []
         assert determinism.passed
 
+    def test_a_filter_to_fewer_dimensions_passes_hfpca(self, monkeypatch):
+        # its factors Phi_j F_j have 3 columns in dim 2
+        monkeypatch.setattr(verify, "MC_ENSEMBLE", verify.MC_BLOCK)
+        nu = bundled_example_povm()
+        mu = pushforward_povm(random_transfer(make_rng(7), 3, 2, nu.freqs), nu)
+        result = verify.check_hfpca(20260809, (mu,))
+        assert result.passed, result
+
 
 def test_ckl_passes_on_an_eigenvalue_above_the_rank_cut():
     # 1e-13 of the atom's largest is kept by the factor, so the CKL ranks
@@ -263,10 +271,10 @@ def first_mc_instance(monkeypatch, check):
 
     def spy_blocks(nu, n_realizations, seed, rows):
         seen.update(nu=nu, seed=seed)
-        for w in blocks(nu, n_realizations, seed, rows):
-            seen["rows"].append(w.n_realizations)
-            seen["samples"].append(w.samples)
-            yield w
+        for block in blocks(nu, n_realizations, seed, rows):
+            seen["rows"].append(block.shape[1])
+            seen["samples"].append(block)
+            yield block
 
     def spy_integral(phi, w):
         seen["transfers"].append(phi)
@@ -344,9 +352,12 @@ class TestMonteCarloStream:
         assert growth <= 64 * 1024
 
 
-def test_each_block_measure_holds_its_own_read_only_rows():
+def test_each_block_measure_holds_its_own_read_only_rows(monkeypatch):
     nu, rows = bundled_example_povm(), verify.MC_BLOCK
-    first, last = random_measure._sample_blocks(nu, rows + 1, 5, rows)
+    monkeypatch.setattr(verify, "MC_ENSEMBLE", rows + 1)
+    measures = []
+    verify._mc_mean(nu, 5, lambda w: measures.append(w) or 0.0)
+    first, last = measures
     assert [w.n_realizations for w in (first, last)] == [rows, 1]
     assert not (first.samples.flags.writeable or last.samples.flags.writeable)
     assert not np.shares_memory(first.samples, last.samples)
