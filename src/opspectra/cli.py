@@ -272,8 +272,7 @@ def _cmd_verify(config: dict) -> int:
     results = run_battery(seed=seed, povm=povm)
     if "out" in config:
         _write(config, emit_report(results))
-    if _verbosity() >= 1:
-        print(human_summary(results))
+    _info(human_summary(results))
     return 0 if all(r.passed for r in results) else 1
 
 

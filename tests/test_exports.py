@@ -178,13 +178,17 @@ def test_every_public_name_has_a_caller_or_a_reason():
 DRAW_INTERNALS = {"_atom_rng", "_draw_atom", "_kernel"}
 
 
+def _verify_tree():
+    path = Path(importlib.import_module("opspectra.verify").__file__)
+    return ast.parse(path.read_text(), str(path))
+
+
 def test_the_battery_reads_no_draw_internals():
     """``random_measure`` owns the one stream of sampled rows: the battery
     reads its block measures and neither imports nor reads the names that
     draw an atom's rows."""
-    path = Path(importlib.import_module("opspectra.verify").__file__)
     read = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(_verify_tree()):
         if isinstance(node, ast.Name):
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -192,6 +196,24 @@ def test_the_battery_reads_no_draw_internals():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             read.update(alias.name for alias in node.names)
     assert not read & DRAW_INTERNALS, sorted(read & DRAW_INTERNALS)
+
+
+def test_the_battery_reduces_and_decides_at_one_site_each():
+    """``verify._gap``, which reads a NaN as inf, is the one reduction of a
+    residual, and ``verify._result`` the one pass rule: no other code calls
+    an array's ``.max()``, and no call passes its own ``ok=``."""
+    tree = _verify_tree()
+    gap = next(n for n in tree.body if getattr(n, "name", None) == "_gap")
+    in_gap = set(map(id, ast.walk(gap)))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    reductions = [
+        call
+        for call in calls
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "max"
+    ]
+    assert reductions
+    assert [c.lineno for c in reductions if id(c) not in in_gap] == []
+    assert [c.lineno for c in calls if any(k.arg == "ok" for k in c.keywords)] == []
 
 
 def _array_dataclass_instances():

@@ -459,3 +459,54 @@ class TestWorker:
         # the worker's own pass takes seconds; it was killed, not awaited
         assert time.monotonic() - start < 3.0
         assert_no_child_left()
+
+
+class TestNonFiniteFails:
+    """A NaN residual or z-score counts as inf, and a z against a standard
+    deviation that overflowed is inf: either fails its check."""
+
+    def test_a_nan_completeness_residual_fails_ckl(self, monkeypatch):
+        monkeypatch.setattr(verify, "ckl_completeness_residual", lambda sys: np.nan)
+        result = verify.check_ckl(20260809)
+        assert result.metric == np.inf and not result.passed
+
+    def test_a_nan_sample_entry_fails_filter_composition(self, monkeypatch):
+        sample = verify.sample_gaussian_measure
+
+        def with_nan(*args, **kwargs):
+            w = sample(*args, **kwargs)
+            samples = w.samples.copy()
+            samples[0, 0, 0] = np.nan
+            return dataclasses.replace(w, samples=samples)
+
+        monkeypatch.setattr(verify, "sample_gaussian_measure", with_nan)
+        result = verify.check_filter_composition(20260809)
+        assert result.metric == np.inf and not result.passed
+
+    @pytest.mark.parametrize("where", [0, 19], ids=["first", "last"])
+    def test_a_nan_z_is_out_of_band(self, where):
+        zs = [1.0] * 20
+        zs[where] = np.nan
+        inside, worst, in_band = verify._band_count(zs)
+        assert (inside, worst, in_band) == (19, np.inf, False)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e306])
+    def test_an_overflowed_standard_deviation_fails_hfpca(self, scale):
+        nu = bundled_example_povm()
+        big = AtomicTracePovm(nu.dim, nu.freqs, nu.weights * scale)
+        result = verify.check_hfpca(20260809, (big,))
+        assert result.details["worst_z_score"] == np.inf
+        assert not result.passed
+
+    def test_a_nan_cross_moment_scores_inf(self, monkeypatch):
+        monkeypatch.setattr(verify, "MC_ENSEMBLE", 2 * verify.MC_BLOCK)
+        mean = verify._mc_mean
+
+        def with_nan(*args):
+            out = mean(*args)
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(verify, "_mc_mean", with_nan)
+        result = verify.check_increment_process(20260809)
+        assert result.metric == np.inf and not result.passed
