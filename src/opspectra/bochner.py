@@ -28,7 +28,7 @@ from .errors import (
     NotPositiveTypeError,
     PositivityError,
     SampleSizeError,
-    _frozen,
+    _Record,
     require_addressable,
     require_integers,
 )
@@ -102,7 +102,7 @@ def fourier_sum(freqs, stack, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class AutocovarianceSequence:
+class AutocovarianceSequence(_Record):
     """Autocovariance operators for lags ``0..max_lag``.
 
     Negative lags are implied by the weak stationarity symmetry
@@ -114,22 +114,14 @@ class AutocovarianceSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        counts = require_integers("autocovariance dimensions and lags",
-                                  self.dim, self.max_lag)
-        vals = _frozen(self.values, np.complex128)
-        for name, value in zip(("dim", "max_lag", "values"), (*counts, vals)):
-            object.__setattr__(self, name, value)
-        if vals.shape != (self.max_lag + 1, self.dim, self.dim):
-            raise DimensionError(
-                f"values must have shape {(self.max_lag + 1, self.dim, self.dim)}"
-            )
+        dim, max_lag = require_integers("autocovariance dimensions and lags",
+                                        self.dim, self.max_lag)
+        self._set(dim=dim, max_lag=max_lag)
+        vals = self._keep("values", np.complex128, (max_lag + 1, dim, dim))
         if not np.isfinite(vals).all():
             raise DimensionError("autocovariance entries must be finite")
         if not psd_check(vals[0], 1e-8):
             raise DimensionError("lag-0 autocovariance must be PSD")
-
-    def __reduce__(self):  # rebuilt by the constructor, as a measure is
-        return type(self), (self.dim, self.max_lag, self.values)
 
     def gamma(self, h: int) -> np.ndarray:
         """Value at a signed lag, using the Hermitian symmetry for h < 0."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, _frozen, require_integers
+from .errors import DimensionError, _Record, require_integers
 from .filtering import apply_filter
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import RandomMeasure
@@ -37,7 +37,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class CklSystem:
+class CklSystem(_Record):
     """Per-atom eigensystems of the spectral measure densities.
 
     ``eigenvalues[j]`` holds the non-increasing spectrum of the unit-trace
@@ -56,7 +56,7 @@ class CklSystem:
     def __post_init__(self):
         for name, dtype in (("base_weights", np.float64), ("eigenvalues", np.float64),
                             ("eigenvectors", np.complex128), ("ranks", np.int64)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            self._keep(name, dtype)
 
     @property
     def dim(self) -> int:
@@ -110,22 +110,24 @@ def ckl_decompose(nu: AtomicTracePovm) -> CklSystem:
     )
 
 
-def component_transfer(sys: CklSystem, n: int) -> TransferFunction:
-    """Rank-one component filter ``lambda_j -> phi_n(j) (x) phi_n(j)``."""
+def _component_vectors(sys: CklSystem, n: int) -> np.ndarray:
+    """Per-atom eigenvectors ``phi_n(j)`` of a component index ``n`` in ``[0, dim)``."""
     require_integers("component indices", n)
     if not 0 <= n < sys.dim:
         raise IndexError(f"component index {n} out of range for dim {sys.dim}")
-    vecs = sys.eigenvectors[:, :, n]
+    return sys.eigenvectors[:, :, n]
+
+
+def component_transfer(sys: CklSystem, n: int) -> TransferFunction:
+    """Rank-one component filter ``lambda_j -> phi_n(j) (x) phi_n(j)``."""
+    vecs = _component_vectors(sys, n)
     ops = vecs[:, :, None] * vecs.conj()[:, None, :]
     return TransferFunction(sys.dim, sys.dim, sys.povm.freqs, ops)
 
 
 def scalar_component_transfer(sys: CklSystem, n: int) -> TransferFunction:
     """Row-functional filter ``lambda_j -> phi_n(j)^H`` with scalar output."""
-    require_integers("component indices", n)
-    if not 0 <= n < sys.dim:
-        raise IndexError(f"component index {n} out of range for dim {sys.dim}")
-    ops = sys.eigenvectors[:, :, n].conj()[:, None, :]
+    ops = _component_vectors(sys, n).conj()[:, None, :]
     return TransferFunction(sys.dim, 1, sys.povm.freqs, ops)
 
 

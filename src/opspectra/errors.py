@@ -5,10 +5,13 @@ Every error raised on invalid mathematical input derives from
 failures from programming errors.  :func:`require_addressable` is the one
 guard on counts too large to size an array, :func:`require_integers`
 the one rule for lags, times and counts, :func:`require_seed` for seeds,
-and :func:`_frozen` the one rule for the arrays a record keeps.
+:func:`_frozen` the one rule for the arrays a record keeps, and
+:class:`_Record` the one base of the frozen records, which sets, shape-checks
+and pickles their fields.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -90,6 +93,30 @@ def _frozen(value, dtype) -> np.ndarray:
         a = a.copy()
     a.flags.writeable = False
     return a
+
+
+class _Record:
+    """Base of every frozen record: the one site that sets a field, keeps an
+    array field and rebuilds a record by its constructor to pickle or copy."""
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _keep(self, name: str, dtype, shape=None) -> np.ndarray:
+        """Field ``name`` through :func:`_frozen`, set and returned; it must have
+        ``shape`` (any if ``None``), where an extent ``None`` is free (``R``)."""
+        a = _frozen(getattr(self, name), dtype)
+        self._set(**{name: a})
+        if shape is not None and not (
+            a.ndim == len(shape) and all(n in (None, m) for n, m in zip(shape, a.shape))
+        ):
+            want = ", ".join("R" if n is None else str(n) for n in shape)
+            raise DimensionError(f"{name} must have shape ({want}), got {a.shape}")
+        return a
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def require_addressable(what: str, *dims) -> None:

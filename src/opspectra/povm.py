@@ -24,7 +24,7 @@ from .errors import (
     DimensionError,
     IntegrabilityError,
     PositivityError,
-    _frozen,
+    _Record,
     require_integers,
 )
 from .operators import ABS_FLOOR, _rank_cut, psd_mask, scaled_norms, sorted_eigh
@@ -59,7 +59,7 @@ def wrap_frequencies(freqs) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class AtomicTracePovm:
+class AtomicTracePovm(_Record):
     """Finite atomic trace-class p.o.v.m. with strictly increasing atoms."""
 
     dim: int
@@ -80,16 +80,10 @@ class AtomicTracePovm:
         # and factors must not go stale and the support must keep its rule
         (dim,) = require_integers("measure dimensions", self.dim)
         freqs = require_support(self.freqs)
-        weights = _frozen(self.weights, np.complex128)
-        for name, value in (("dim", dim), ("freqs", freqs), ("weights", weights)):
-            object.__setattr__(self, name, value)
+        self._set(dim=dim, freqs=freqs)
         if freqs.size == 0:
             raise DimensionError("a measure needs at least one atom")
-        if weights.shape != (freqs.size, self.dim, self.dim):
-            raise DimensionError(
-                f"weights must have shape {(freqs.size, self.dim, self.dim)},"
-                f" got {weights.shape}"
-            )
+        weights = self._keep("weights", np.complex128, (freqs.size, dim, dim))
         if not np.isfinite(weights).all():
             raise DimensionError("operator entries must be finite")
         # finite entries can still sum past the float range on the diagonal
@@ -100,7 +94,7 @@ class AtomicTracePovm:
 
     def __reduce__(self):  # no cache travels; kept Gram factors do
         if (factors := self.__dict__.get("_factors")) is None:
-            return type(self), (self.dim, self.freqs, self.weights)
+            return super().__reduce__()
         return type(self)._from_factors, (self.dim, self.freqs, factors)
 
     @classmethod
@@ -118,11 +112,10 @@ class AtomicTracePovm:
             weights += weights.conj().swapaxes(1, 2)
         weights.flags.writeable = False  # fresh: _store keeps it
         nu = object.__new__(cls)
-        for name, value in (("dim", dim), ("freqs", freqs), ("weights", weights)):
-            object.__setattr__(nu, name, value)
+        nu._set(dim=dim, freqs=freqs, weights=weights)
         nu._store()
         factors.flags.writeable = False
-        object.__setattr__(nu, "_factors", factors)
+        nu._set(_factors=factors)
         return nu
 
     @classmethod
@@ -182,7 +175,7 @@ class AtomicTracePovm:
             value = compute()
             for a in value if isinstance(value, tuple) else (value,):
                 a.flags.writeable = False
-            object.__setattr__(self, name, value)
+            self._set(**{name: value})
         return value
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +209,7 @@ class AtomicTracePovm:
 
 
 @dataclass(frozen=True, eq=False)
-class PovmDensity:
+class PovmDensity(_Record):
     """Radon-Nikodym data: scalar base weights and per-atom PSD densities,
     held read-only."""
 
@@ -224,11 +217,8 @@ class PovmDensity:
     densities: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("base_weights", np.float64), ("densities", np.complex128)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-
-    def __reduce__(self):  # rebuilt by the constructor, as a measure is
-        return type(self), (self.base_weights, self.densities)
+        self._keep("base_weights", np.float64)
+        self._keep("densities", np.complex128)
 
 
 def variation_measure(nu: AtomicTracePovm) -> np.ndarray:

@@ -32,7 +32,7 @@ from .errors import (
     AlignmentError,
     DimensionError,
     SampleSizeError,
-    _frozen,
+    _Record,
     require_addressable,
     require_integers,
     require_seed,
@@ -55,7 +55,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class RandomMeasure:
+class RandomMeasure(_Record):
     """Sampled random measure: per-atom complex Gaussian ensembles.
 
     The support and the space are those of the intensity: ``dim``,
@@ -67,16 +67,7 @@ class RandomMeasure:
     intensity: AtomicTracePovm
 
     def __post_init__(self):
-        samples = _frozen(self.samples, np.complex128)
-        object.__setattr__(self, "samples", samples)
-        n, dim = self.n_atoms, self.dim
-        if samples.ndim != 3 or samples.shape[0] != n or samples.shape[2] != dim:
-            raise DimensionError(
-                f"samples must have shape ({n}, R, {dim}), got {samples.shape}"
-            )
-
-    def __reduce__(self):  # rebuilt by the constructor, as a measure is
-        return type(self), (self.samples, self.intensity)
+        self._keep("samples", np.complex128, (self.n_atoms, None, self.dim))
 
     @property
     def dim(self) -> int:
@@ -103,7 +94,7 @@ class RandomMeasure:
 
 
 @dataclass(frozen=True, eq=False)
-class ProcessSample:
+class ProcessSample(_Record):
     """Ensemble of time series over one period: values of shape (R, M, N)."""
 
     dim: int
@@ -111,18 +102,12 @@ class ProcessSample:
     values: np.ndarray
 
     def __post_init__(self):
-        counts = require_integers("process dimensions and periods",
-                                  self.dim, self.period)
-        vals = _frozen(self.values, np.complex128)
-        for name, value in zip(("dim", "period", "values"), (*counts, vals)):
-            object.__setattr__(self, name, value)
-        if vals.ndim != 3 or vals.shape[1] != self.period or vals.shape[2] != self.dim:
-            raise DimensionError("values must have shape (R, period, dim)")
+        dim, period = require_integers("process dimensions and periods",
+                                       self.dim, self.period)
+        self._set(dim=dim, period=period)
+        vals = self._keep("values", np.complex128, (None, period, dim))
         if not np.isfinite(vals).all():
             raise DimensionError("process values must be finite")
-
-    def __reduce__(self):  # rebuilt by the constructor, as a measure is
-        return type(self), (self.dim, self.period, self.values)
 
     @property
     def n_realizations(self) -> int:
@@ -329,7 +314,7 @@ def empirical_gramian(u, v) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class IncrementPath:
+class IncrementPath(_Record):
     """Orthogonal-increment path of a sampled measure.
 
     Stores the per-breakpoint jumps losslessly; the cumulative values
@@ -342,16 +327,10 @@ class IncrementPath:
     increments: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", *require_integers("path dimensions", self.dim))
+        (dim,) = require_integers("path dimensions", self.dim)
         bp = require_support(self.breakpoints, "breakpoints")
-        inc = _frozen(self.increments, np.complex128)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "increments", inc)
-        if inc.ndim != 3 or inc.shape[0] != bp.size or inc.shape[2] != self.dim:
-            raise DimensionError("increments must have shape (breakpoints, R, dim)")
-
-    def __reduce__(self):  # rebuilt by the constructor, as a measure is
-        return type(self), (self.dim, self.breakpoints, self.increments)
+        self._set(dim=dim, breakpoints=bp)
+        self._keep("increments", np.complex128, (bp.size, None, dim))
 
     def value_at(self, lam: float) -> np.ndarray:
         """Evaluate ``Z_lambda`` (zero below the first breakpoint); ``lam``

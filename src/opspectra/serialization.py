@@ -142,7 +142,7 @@ def encode_operator(a) -> dict:
 
 def decode_operator(obj) -> np.ndarray:
     rows, cols = _integer(obj, "rows"), _integer(obj, "cols")
-    return decode_pairs(obj["entries"], (rows * cols,)).reshape(rows, cols)
+    return _decode_stack([obj], (1, rows, cols))[0]
 
 
 def encode_povm(nu: AtomicTracePovm) -> dict:

@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import AlignmentError, DimensionError, _frozen, require_integers
+from .errors import AlignmentError, DimensionError, _frozen, _Record, require_integers
 from .operators import as_operator, hermitian_defects, scaled_norms
 
 FREQ_MERGE_TOL = 1e-12
@@ -78,7 +78,7 @@ def _check_projectors(d: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class TransferFunction:
+class TransferFunction(_Record):
     """Per-atom operator table ``op_j`` with optional domain projectors."""
 
     in_dim: int
@@ -90,29 +90,14 @@ class TransferFunction:
     def __post_init__(self):
         dims = require_integers("transfer dimensions", self.in_dim, self.out_dim)
         freqs = require_support(self.freqs)
-        ops = _frozen(self.ops, np.complex128)
-        fields = zip(("in_dim", "out_dim", "freqs", "ops"), (*dims, freqs, ops))
-        for name, value in fields:
-            object.__setattr__(self, name, value)
+        self._set(in_dim=dims[0], out_dim=dims[1], freqs=freqs)
         n = freqs.size
-        if ops.shape != (n, self.out_dim, self.in_dim):
-            raise DimensionError(
-                f"ops must have shape {(n, self.out_dim, self.in_dim)}, got {ops.shape}"
-            )
+        ops = self._keep("ops", np.complex128, (n, self.out_dim, self.in_dim))
         if not np.isfinite(ops).all():
             raise DimensionError("transfer operators must be finite")
         if self.domains is not None:
-            doms = _frozen(self.domains, np.complex128)
-            object.__setattr__(self, "domains", doms)
-            if doms.shape != (n, self.in_dim, self.in_dim):
-                raise DimensionError(
-                    f"domains must have shape {(n, self.in_dim, self.in_dim)}"
-                )
+            doms = self._keep("domains", np.complex128, (n, self.in_dim, self.in_dim))
             _check_projectors(doms)
-
-    def __reduce__(self):  # rebuilt by the constructor, as a measure is
-        fields = self.in_dim, self.out_dim, self.freqs, self.ops, self.domains
-        return type(self), fields
 
     @property
     def n_atoms(self) -> int:
@@ -159,7 +144,7 @@ class TransferFunction:
 
 
 @dataclass(frozen=True, eq=False)
-class FirFilter:
+class FirFilter(_Record):
     """Finite impulse response filter: a finite map lag -> operator, held
     as a read-only mapping of read-only operators."""
 
@@ -173,9 +158,9 @@ class FirFilter:
             raise DimensionError("a FIR filter needs at least one tap")
         if len({op.shape for op in taps.values()}) > 1:
             raise DimensionError("all taps must share the same shape")
-        object.__setattr__(self, "taps", MappingProxyType(taps))
+        self._set(taps=MappingProxyType(taps))
 
-    def __reduce__(self):  # rebuilt by the constructor, as a measure is
+    def __reduce__(self):  # a mapping proxy does not pickle: rebuilt from a dict
         return type(self), (dict(self.taps),)
 
     @property

@@ -6,6 +6,7 @@ import inspect
 import json
 import pickle
 import pkgutil
+import re
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,27 @@ def test_the_battery_reduces_and_decides_at_one_site_each():
     assert [c.lineno for c in calls if any(k.arg == "ok" for k in c.keywords)] == []
 
 
+def test_every_record_is_set_and_pickled_at_one_site():
+    """``errors._Record`` holds the record contract once: every record is
+    one, only ``errors`` calls ``object.__setattr__``, and only the records
+    that rebuild otherwise than from their fields override ``__reduce__``."""
+    assert all(isinstance(r, errors._Record) for r in _array_dataclass_instances())
+    setters, reducers, defs = set(), [], 0
+    for path in sorted(Path(opspectra.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                setters.add(path.stem)
+            elif isinstance(node, ast.FunctionDef) and node.name == "__reduce__":
+                defs += 1
+            elif isinstance(node, ast.ClassDef):
+                reducers += [node.name for f in node.body
+                             if getattr(f, "name", None) == "__reduce__"]
+    assert setters == {"errors"}
+    assert len(reducers) == defs  # every __reduce__ is a method of a class
+    assert sorted(reducers) == ["AtomicTracePovm", "CklSystem", "FirFilter", "_Record"]
+
+
 def _array_dataclass_instances():
     nu = bundled_example_povm()
     w = sample_gaussian_measure(nu, 4, seed=1)
@@ -390,6 +412,37 @@ def test_no_record_copies_a_library_built_array(monkeypatch):
 )
 def test_record_counts_follow_the_integer_rule(build):
     with pytest.raises(DimensionError, match="must be integers"):
+        build()
+
+
+FREQS = np.linspace(-3.0, 3.0, 4)
+ZEROS = np.zeros((4, 3, 3))
+NU = AtomicTracePovm(3, FREQS, ZEROS)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RandomMeasure(np.zeros((3, 5, 3)), NU),
+         "samples must have shape (4, R, 3), got (3, 5, 3)"),
+        (lambda: ProcessSample(3, 4, np.zeros((5, 3))),
+         "values must have shape (R, 4, 3), got (5, 3)"),
+        (lambda: IncrementPath(3, FREQS, np.zeros((4, 5, 2))),
+         "increments must have shape (4, R, 3), got (4, 5, 2)"),
+        (lambda: AutocovarianceSequence(3, 2, ZEROS[:2]),
+         "values must have shape (3, 3, 3), got (2, 3, 3)"),
+        (lambda: TransferFunction(3, 2, FREQS, ZEROS),
+         "ops must have shape (4, 2, 3), got (4, 3, 3)"),
+        (lambda: TransferFunction(3, 3, FREQS, ZEROS, np.zeros((4, 2, 2))),
+         "domains must have shape (4, 3, 3), got (4, 2, 2)"),
+        (lambda: AtomicTracePovm(3, FREQS, np.zeros((4, 3, 3, 1))),
+         "weights must have shape (4, 3, 3), got (4, 3, 3, 1)"),
+    ],
+    ids=["samples", "process-values", "increments", "autocov-values", "ops",
+         "domains", "weights"],
+)
+def test_a_wrong_shape_names_the_field_the_extents_and_the_shape(build, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
         build()
 
 
