@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, NonInvertibleError, require_integers
+from .operators import _SQUARES, _squared_norms
 from .povm import AtomicTracePovm, require_integrable
 from .random_measure import ProcessSample, RandomMeasure
 from .transfer import FirFilter, TransferFunction, require_aligned
@@ -93,6 +94,17 @@ def compose_transfer(
     return TransferFunction(phi.in_dim, psi.out_dim, phi.freqs, ops, domains)
 
 
+# relative slack of the norm bounds of the injectivity test: the computed
+# norms are within a small multiple of d^2 eps of the exact ones
+_SLACK = 1e-6
+
+
+def _spectral_norms(ops: np.ndarray) -> np.ndarray:
+    # ||op_j||_2 of a stack, read off the largest eigenvalue of op_j^H op_j
+    gram = ops.conj().swapaxes(1, 2) @ ops
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
 def invert_transfer(
     phi: TransferFunction,
     nu: AtomicTracePovm,
@@ -122,12 +134,15 @@ def invert_transfer(
     is rejected with :class:`NonInvertibleError`, naming the first such
     atom, when its ``r_j``-th singular value is at most ``rank_tol`` times
     ``||Phi_j||_2``, read off the largest eigenvalue of ``Phi_j^H Phi_j``.
+    That norm is bounded first, with no eigenvalue: it is at most
+    ``||Phi_j||_F`` and at least the top singular value of ``Phi_j V_j``
+    (equal to it in strict mode and for full-rank atoms), so only the
+    atoms these bounds cannot decide, and the atom an error names, take
+    the eigenvalue.
     """
     # a transfer must be applicable to the measure before it can be inverted
     require_integrable(phi, nu)
     mask = nu.positive_mass_mask()
-    gram = phi.ops.conj().swapaxes(1, 2) @ phi.ops
-    smax = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
     if strict:
         op, rank = phi.ops, np.full(phi.n_atoms, phi.in_dim)
     else:
@@ -146,14 +161,25 @@ def invert_transfer(
     # operator has fewer rows than r_j
     k = s.shape[1]
     gap = np.where(rank <= k, s[np.arange(phi.n_atoms), np.clip(rank, 1, k) - 1], 0.0)
-    failing = mask & (gap <= rank_tol * smax)
+    # s_j0 <= ||Phi_j||_2 <= ||Phi_j||_F decide the gap test, with a slack
+    # far above the rounding of the three norms, wherever the squares are
+    # in the window of plain sums; the other atoms take the exact norm
+    fro2 = _squared_norms(phi.ops)
+    plain = (fro2 >= _SQUARES[0]) & (fro2 <= _SQUARES[1])
+    cleared = plain & (gap > rank_tol * np.sqrt(fro2) * (1.0 + _SLACK))
+    refused = plain & (gap <= rank_tol * s[:, 0] * (1.0 - _SLACK))
+    exact = np.flatnonzero(mask & ~cleared & ~refused)
+    failing = mask & refused
+    if exact.size:
+        failing[exact] = gap[exact] <= rank_tol * _spectral_norms(phi.ops[exact])
     if failing.any():
         j = int(np.argmax(failing))
+        smax = _spectral_norms(phi.ops[j : j + 1])[0]
         where = "" if strict else " on the supported subspace"
         raise NonInvertibleError(
             f"atom {j}: operator is not injective{where}"
             f" (singular value gap {gap[j]:.3e} vs"
-            f" threshold {rank_tol * smax[j]:.3e})"
+            f" threshold {rank_tol * smax:.3e})"
         )
     # keep the top r_j triplets of each positive-mass atom; the gap test put
     # them all above rank_tol * s[0], so the range pseudoinverse keeps them

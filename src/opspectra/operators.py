@@ -14,6 +14,8 @@ floored at ``ABS_FLOOR`` times the largest trace norm of the stack.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
@@ -70,6 +72,14 @@ def hermitian_defects(a: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(diff)).max(axis=-1, initial=0.0)
 
 
+# squared norms in this window are sums of squares none of which overflows,
+# and any square above eps^2 times them is a normal number
+_SQUARES = (
+    np.finfo(np.float64).tiny / np.finfo(np.float64).eps ** 2,
+    np.finfo(np.float64).max * np.finfo(np.float64).eps ** 2,
+)
+
+
 def _squared_norms(a: np.ndarray) -> np.ndarray:
     # squared Frobenius norms of a contiguous (n, p, q) stack, with no
     # temporary stack
@@ -79,22 +89,44 @@ def _squared_norms(a: np.ndarray) -> np.ndarray:
 
 def scaled_norms(ref: np.ndarray, defect: np.ndarray, axis=-1) -> tuple:
     """Euclidean norms over ``axis`` of ``ref`` and of ``defect`` (no larger
-    than ``ref``), both divided by the largest entry modulus of ``ref``
-    over that axis (1 where ``ref`` vanishes).
+    than ``ref``), both divided by one positive factor per row: 1 where the
+    squared norm of ``ref`` lies in ``[tiny / eps^2, max eps^2]``, else the
+    largest entry modulus of ``ref`` over that axis (1 where ``ref``
+    vanishes).
 
-    No square overflows or underflows, whatever the scale of ``ref``, so a
-    test that compares the two norms decides the same at every scale.
+    The squared norms are sums of squares of the ``float64`` view.  Inside
+    that window no square overflows and any defect above ``eps`` times
+    ``ref`` has a normal square; zero, NaN and extreme-scale rows are
+    divided before they are squared.  So a test that compares the two
+    norms decides the same at every scale.
     """
-    mods = np.abs(ref)
-    scale = mods.max(axis=axis, keepdims=True)
-    scale[scale == 0.0] = 1.0
+    axes = [ax % ref.ndim for ax in (axis if isinstance(axis, tuple) else (axis,))]
+    tail = list(range(ref.ndim - len(axes), ref.ndim))
+    if sorted(axes) != tail:
+        ref, defect = np.moveaxis(ref, axes, tail), np.moveaxis(defect, axes, tail)
+    rows = ref.shape[: tail[0]]
+    width = math.prod(ref.shape[tail[0]:])
 
-    def norms(m):
-        m /= scale
-        np.square(m, out=m)
-        return np.sqrt(m.sum(axis=axis))
+    def squares(a):
+        v = np.ascontiguousarray(a).reshape(rows + (width,)).view(np.float64)
+        return np.einsum("...i,...i->...", v, v)
 
-    return norms(mods), norms(np.abs(defect))
+    sizes, misses = squares(ref), squares(defect)
+    # NaN fails both comparisons, so it takes the divided route
+    out = ~((sizes >= _SQUARES[0]) & (sizes <= _SQUARES[1]))
+    if out.any():
+        within = tuple(range(1, len(tail) + 1))
+        mods = np.abs(ref[out])
+        scale = mods.max(axis=within, keepdims=True)
+        scale[scale == 0.0] = 1.0
+
+        def divided(m):
+            m /= scale
+            np.square(m, out=m)
+            return m.sum(axis=within)
+
+        sizes[out], misses[out] = divided(mods), divided(np.abs(defect[out]))
+    return np.sqrt(sizes), np.sqrt(misses)
 
 
 def _certified(a: np.ndarray, tol: float) -> bool:

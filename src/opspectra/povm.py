@@ -283,8 +283,8 @@ def _first_uncontained(phi: TransferFunction, nu: AtomicTracePovm) -> int | None
     the measure's :meth:`~AtomicTracePovm.gram_factors` ``F``.  Since
     ``||F||_F <= sqrt(dim) ||F||_2``, a Frobenius defect within
     ``DOMAIN_TOL ||F_j||_F / sqrt(dim)`` passes without the spectral test;
-    both Frobenius norms are relative to the largest entry of ``F_j``, so
-    the bound decides the same at every scale.
+    both Frobenius norms are taken by :func:`~opspectra.operators.scaled_norms`,
+    so the bound decides the same at every scale.
     """
     require_aligned(phi.freqs, nu.freqs)
     if phi.in_dim != nu.dim:

@@ -109,8 +109,8 @@ class TransferFunction(_Record):
         ``x`` has shape ``(n_atoms, R, in_dim)``.  On partial atoms every
         argument must lie in the domain: one test, stacked over blocks of
         atoms, compares each defect ``x - D_j x`` with ``DOMAIN_TOL`` times
-        ``x``, both norms taken relative to the largest entry of ``x`` so that
-        the test decides the same at every scale, and a failure raises
+        ``x``, both norms taken by :func:`~opspectra.operators.scaled_norms`
+        so that the test decides the same at every scale, and a failure raises
         :class:`DimensionError` naming the first failing atom rather than
         silently projecting.
         """

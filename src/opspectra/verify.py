@@ -368,12 +368,15 @@ def check_hfpca(seed, extra_povms=()) -> CheckResult:
             qhs = np.einsum("cak,au->cku", qmat.conj(), factors[j])
             errors += total_sq - np.linalg.norm(qhs, axis=(1, 2)) ** 2
         worst_beat = max(worst_beat, _gap(np.maximum(optimal - errors.min(), 0.0)))
-        # Monte Carlo corroboration of the error formula at three times
+        # Monte Carlo corroboration of the error formula at three times; on a
+        # measure near the float maximum the squared norms overflow, which
+        # scores z = inf
         complement = np.eye(dim) - theta.ops
-        mses = _hfpca_mc_errors(nu, complement, int(rng.integers(2**31)))
-        # one draw's ||r||^2, r ~ CN(0, C), has variance ||C||_F^2
-        g = complement @ factors
-        sd = np.linalg.norm(np.einsum("jak,jbk->ab", g, g.conj()))
+        with np.errstate(over="ignore"):
+            mses = _hfpca_mc_errors(nu, complement, int(rng.integers(2**31)))
+            # one draw's ||r||^2, r ~ CN(0, C), has variance ||C||_F^2
+            g = complement @ factors
+            sd = np.linalg.norm(np.einsum("jak,jbk->ab", g, g.conj()))
         zs += [_z_score(mse - achieved, sd, nu.traces().sum()) for mse in mses]
     mc_inside, worst_z, in_band = _band_count(zs)
     return _result(

@@ -374,9 +374,10 @@ class TestStackedSpectra:
 
     def test_one_eigendecomposition_per_measure(self, monkeypatch):
         # the measure caches its one eigensystem, filtered measures carry
-        # Gram factors and construction is certified by a Cholesky: the whole
-        # pipeline takes one eigh (the cache), one eigvalsh (the operator
-        # norms in invert_transfer) and one svd (the inversion), at any M
+        # Gram factors, construction is certified by a Cholesky and the
+        # injectivity threshold by norm bounds: the whole pipeline takes one
+        # eigh (the cache) and one svd (the inversion), at any M and in
+        # either mode of the inversion
         calls = {}
 
         def counted(name, fn):
@@ -387,7 +388,7 @@ class TestStackedSpectra:
 
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        for m in (8, 64):
+        for m, strict in ((8, False), (64, False), (8, True), (64, True)):
             rng = make_rng(622)
             ref = random_povm(rng, 3, m, ranks=np.resize([1, 2, 3, 0], m))
             phi = random_transfer(rng, 3, 3, ref.freqs)
@@ -395,11 +396,11 @@ class TestStackedSpectra:
             nu = AtomicTracePovm(ref.dim, ref.freqs, ref.weights)
             assert calls == {}
             w = sample_gaussian_measure(nu, 10, seed=7)
-            inverse = invert_transfer(phi, nu)
+            inverse = invert_transfer(phi, nu, strict=strict)
             apply_filter(inverse, apply_filter(phi, w))
             ckl_decompose(nu)
             hfpca_report(nu, 2)
-            assert calls == {"eigh": 1, "eigvalsh": 1, "svd": 1}, m
+            assert calls == {"eigh": 1, "svd": 1}, (m, strict)
 
     def test_construction_takes_no_svd(self, monkeypatch):
         # the Hermitian-defect tolerance is scaled by eigenvalues already in

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import traced_peak
@@ -8,6 +10,7 @@ from opspectra import (
     AtomicTracePovm,
     DimensionError,
     FirFilter,
+    IntegrabilityError,
     NonInvertibleError,
     TransferFunction,
     apply_filter,
@@ -24,6 +27,7 @@ from opspectra import (
 )
 from opspectra.bochner import on_grid
 from opspectra.operators import sorted_eigh
+from opspectra.povm import require_integrable
 from opspectra.synthetic import (
     bundled_example_povm,
     haar_frame,
@@ -595,6 +599,72 @@ class TestTransferApply:
             phi.freqs[0] = 2.0
 
 
+NORM_SCALES = [1e-300, 1e-153, 1e-150, 1e-135, 1.0, 1e135, 1e150, 1e153, 1e300]
+
+
+@pytest.mark.filterwarnings("error")
+class TestScaleFreeNorms:
+    """The domain test and the containment test decide the same whatever the
+    scale of their input, through plain sums of squares inside the window
+    and divided ones outside it, and warn at no scale."""
+
+    @staticmethod
+    def partial(m):
+        d = np.tile(np.diag([1.0, 1.0, 0.0]).astype(complex), (m, 1, 1))
+        return TransferFunction(3, 3, np.linspace(-3.0, 3.0, m), d, d)
+
+    @staticmethod
+    def named_atom(check, *args):
+        try:
+            check(*args)
+        except (DimensionError, IntegrabilityError) as err:
+            return int(re.search(r"atom:? (\d+)", str(err)).group(1))
+        return None
+
+    @pytest.mark.parametrize("scale", NORM_SCALES)
+    def test_domain_test_decides_the_same_at_every_scale(self, scale):
+        m = 2 * DOMAIN_BLOCK
+        phi = self.partial(m)
+        x = random_complex(make_rng(548), (m, 5, 3))
+        x[..., 2] = 0.0
+        x[3, 1] = 0.0  # a zero row passes
+        row = np.linalg.norm(x, axis=2)
+        decisions = []
+        # outside components of 0.9 and 1.1 DOMAIN_TOL times the row's norm,
+        # at one atom of the second block, then at one of each block
+        for outside in ({}, {20: 0.9e-8}, {20: 1.1e-8}, {5: 1.1e-8, 20: 1.1e-8}):
+            y = x.copy()
+            for j, t in outside.items():
+                y[j, 2, 2] = t * row[j, 2]
+            decisions.append(self.named_atom(phi.require_domain, y * scale))
+        assert decisions == [None, None, 20, 5]
+
+    def test_tiny_row_outside_beside_huge_rows_inside_is_named(self):
+        phi = self.partial(DOMAIN_BLOCK)
+        x = 1e200 * random_complex(make_rng(549), (DOMAIN_BLOCK, 4, 3))
+        x[..., 2] = 0.0
+        x[7, 2] = [0.0, 0.0, 1e-200]
+        assert self.named_atom(phi.require_domain, x) == 7
+        x[7, 2] = [1e-200, 0.0, 0.0]
+        assert self.named_atom(phi.require_domain, x) is None
+
+    @pytest.mark.parametrize("scale", NORM_SCALES)
+    def test_containment_decides_the_same_at_every_scale(self, scale):
+        # atom 1 has zero mass and a zero domain; atom 2 leaks out of its
+        # domain by 1e-3 of its factor
+        phi = self.partial(3)
+        domains = phi.domains.copy()
+        domains[1] = 0.0
+        phi = TransferFunction(3, 3, phi.freqs, phi.ops, domains)
+        inside = np.diag([1.0, 2.0, 0.0])
+        leaking = np.diag([1.0, 1.0, 1e-6])
+        decisions = []
+        for third in (inside, leaking):
+            nu = AtomicTracePovm(3, phi.freqs, scale * np.stack([inside, 0 * inside, third]))
+            decisions.append(self.named_atom(require_integrable, phi, nu))
+        assert decisions == [None, 2]
+
+
 def reference_inverse(phi, nu, rank_tol=1e-10, strict=False):
     """One SVD per positive-mass atom, as the inversion is defined: the
     support keeps the eigenvalues above ``256 eps`` of the atom's largest,
@@ -690,6 +760,51 @@ class TestStackedInversion:
         else:
             with pytest.raises(NonInvertibleError, match="^atom 1: .* threshold 1.000e-10"):
                 invert_transfer(phi, nu, strict=True)
+
+    @pytest.mark.parametrize(
+        "strict,smin",
+        [(False, 0.1), (False, 0.5), (False, 0.9999), (False, 1.0001), (False, 1.01),
+         (False, 1.5), (True, 0.5), (True, 0.9999), (True, 1.0 - 1e-8),
+         (True, 1.0001), (True, 1.5)],
+    )
+    def test_certificate_boundaries_decide_as_the_spectral_norm(self, monkeypatch, strict, smin):
+        # atom 1 is W diag(10, 2, smin) W^H on a measure supported on the last
+        # two columns of W, with rank_tol 0.1: the supported top singular value
+        # s_0 is 2 (10 in strict mode), ||op||_2 is 10 and ||op||_F is about
+        # 10.25, so smin in (0.2, 1.025) lies between the two bounds, on either
+        # side of the threshold 1; smin = 0.1 is refused and 1.5 cleared by
+        # the bounds alone.  Atom 0 has zero mass and a zero operator.
+        rank_tol = 0.1
+        frame = haar_frame(make_rng(547), 3, 3)
+        op = frame @ np.diag([10.0, 2.0, smin]) @ frame.conj().T
+        support = frame[:, 1:]
+        weights = np.stack([np.zeros((3, 3)), support @ support.conj().T])
+        nu = AtomicTracePovm(3, [0.0, 1.0], weights)
+        phi = TransferFunction(3, 3, nu.freqs, np.stack([np.zeros((3, 3)), op]))
+        basis = np.eye(3) if strict else support
+        gap = np.linalg.svd(op @ basis, compute_uv=False)[-1]
+        threshold = rank_tol * np.linalg.norm(op, 2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        if gap > threshold:
+            inv = invert_transfer(phi, nu, rank_tol=rank_tol, strict=strict)
+            np.testing.assert_allclose(inv.ops[1] @ op @ basis, basis, atol=1e-12)
+            assert not inv.ops[0].any()
+            if gap > rank_tol * np.linalg.norm(op):
+                assert calls == []
+        else:
+            where = "" if strict else " on the supported subspace"
+            message = (f"atom 1: operator is not injective{where} (singular value"
+                       f" gap {gap:.3e} vs threshold {threshold:.3e})")
+            with pytest.raises(NonInvertibleError) as err:
+                invert_transfer(phi, nu, rank_tol=rank_tol, strict=strict)
+            assert str(err.value) == message
 
     def test_svd_and_norm2_calls_independent_of_atom_count(self, monkeypatch):
         calls = {}

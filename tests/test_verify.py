@@ -498,6 +498,15 @@ class TestNonFiniteFails:
         assert result.details["worst_z_score"] == np.inf
         assert not result.passed
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e300, 1e306])
+    def test_an_overflow_in_hfpca_is_scored_not_warned(self, scale):
+        nu = bundled_example_povm()
+        big = AtomicTracePovm(nu.dim, nu.freqs, nu.weights * scale)
+        result = verify.check_hfpca(20260809, (big,))
+        assert result.details["worst_z_score"] == np.inf
+        assert not result.passed
+
     def test_a_nan_cross_moment_scores_inf(self, monkeypatch):
         monkeypatch.setattr(verify, "MC_ENSEMBLE", 2 * verify.MC_BLOCK)
         mean = verify._mc_mean
